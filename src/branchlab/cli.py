@@ -264,15 +264,15 @@ def _cmd_extinction(req: RunRequest, spec: ProcessSpec, resolved: dict):
     cols += [f"survival:type={i}" for i in types]
     cols += [f"pmf:type={i}" for i in types]
     rows = []
-    curves: dict[str, list[tuple[float, float]]] = {}
     for m in range(1, n + 1):
         surv = [table.survival(i, m) for i in types]
         pmf = [extinction_time_pmf(table, i, m) for i in types]
         rows.append((m, *surv, *pmf))
-        for i, v in zip(types, surv):
-            curves.setdefault(f"survival:type={i}", []).append((float(m), v))
-        for i, v in zip(types, pmf):
-            curves.setdefault(f"pmf:type={i}", []).append((float(m), v))
+    curves = None
+    if req.plotdata:
+        # one curve per value column, against n
+        curves = {label: [(float(row[0]), row[c]) for row in rows]
+                  for c, label in enumerate(cols[1:], start=1)}
     return Table("extinction", spec.name, tuple(cols), rows,
                  {"n_types": spec.n_types}, curves=curves)
 
@@ -369,7 +369,7 @@ _LEMMAS: dict[str, Callable] = {
 
 def _cmd_theorem(req: RunRequest, spec: ProcessSpec, resolved: dict):
     fn = _THEOREMS[req.target]
-    kwargs: dict = {"workers": req.workers}
+    kwargs: dict = {}
     if req.target in ("foster", "local"):
         if req.n is not None:
             kwargs["n_grid"] = _log_grid(100, req.n, 5)
@@ -401,7 +401,7 @@ def _cmd_theorem(req: RunRequest, spec: ProcessSpec, resolved: dict):
 
 def _cmd_lemma(req: RunRequest, spec: ProcessSpec, resolved: dict):
     fn = _LEMMAS[req.target]
-    kwargs: dict = {"workers": req.workers}
+    kwargs: dict = {}
     if req.target == "diff":
         if req.n is not None:
             kwargs["n_grid"] = _log_grid(max(100, req.n // 10), req.n, 3)
@@ -566,7 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--x", type=float)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--replicates", type=int)
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=int, default=1,
+                        help="worker processes for mc")
     common.add_argument("--output", help="artifact path (default: "
                         "<experiment>_<model>_<timestamp>.<format> under "
                         "$BRANCHLAB_OUTDIR or the working directory)")

@@ -85,20 +85,6 @@ class AcceptanceTooLow(BranchLabError):
         )
 
 
-class PopulationCapExceeded(BranchLabError):
-    """A simulated population grew past the configured cap.
-
-    Estimate-level entry points never raise this; they record the
-    trajectory as censored and move on.  The class exists so callers
-    running single trajectories in strict mode can signal the event.
-    """
-
-    def __init__(self, step, total):
-        self.step = step
-        self.total = total
-        super().__init__(f"population {total} exceeded cap at step {step}")
-
-
 class ConfigError(BranchLabError):
     """Model configuration file is malformed.
 

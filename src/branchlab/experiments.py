@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -263,13 +262,6 @@ def make_u_evaluator(spec: ProcessSpec, n_u: int = 10**5):
 # --------------------------------------------------------------- plumbing
 
 
-def _map_points(fn, points, workers: int) -> list:
-    if workers <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 def _guarded(fn: Callable[[], float]) -> tuple[float, bool]:
     try:
         return fn(), True
@@ -313,7 +305,7 @@ def _resolve_band(experiment: str, part: str, model: str,
 
 
 def _power_law_report(experiment: str, spec: ProcessSpec,
-                      n_grid: Sequence[int], types, workers: int,
+                      n_grid: Sequence[int], types,
                       value_at: Callable, scale_of: Callable) -> ConvergenceReport:
     md = validate_hypothesis_A(spec)
     consts = constant_set(md)
@@ -333,7 +325,7 @@ def _power_law_report(experiment: str, spec: ProcessSpec,
             value, ok = _guarded(lambda: value_at(table, consts, i, n))
             return ReportRow(part, (("n", float(n)),), value, limit, ok)
 
-        part_rows = _map_points(one, n_grid, workers)
+        part_rows = [one(n) for n in n_grid]
         rows.extend(part_rows)
 
         def pilot(i=i, limit=limit):
@@ -358,8 +350,7 @@ def _power_law_report(experiment: str, spec: ProcessSpec,
 
 
 def verify_foster(spec: ProcessSpec, n_grid: Sequence[int] = DEFAULT_N_GRID,
-                  *, types: Iterable[int] | None = None,
-                  workers: int = 1) -> ConvergenceReport:
+                  *, types: Iterable[int] | None = None) -> ConvergenceReport:
     """Survival probability from a type-i root against its power law.
 
     Rows carry d_i(n) * n**gamma_i, whose limit is the survival
@@ -367,21 +358,20 @@ def verify_foster(spec: ProcessSpec, n_grid: Sequence[int] = DEFAULT_N_GRID,
     the band.
     """
     return _power_law_report(
-        "foster", spec, n_grid, types, workers,
+        "foster", spec, n_grid, types,
         value_at=lambda table, consts, i, n:
             table.survival(i, n) * float(n) ** consts.gamma[i - 1],
         scale_of=lambda consts, i: consts.survival_amplitude[i - 1])
 
 
 def verify_local(spec: ProcessSpec, n_grid: Sequence[int] = DEFAULT_N_GRID,
-                 *, types: Iterable[int] | None = None,
-                 workers: int = 1) -> ConvergenceReport:
+                 *, types: Iterable[int] | None = None) -> ConvergenceReport:
     """Extinction-time pmf from a type-i root against its power law.
 
     Rows carry pmf(n) * n**(1 + gamma_i) over the local amplitude.
     """
     return _power_law_report(
-        "local", spec, n_grid, types, workers,
+        "local", spec, n_grid, types,
         value_at=lambda table, consts, i, n:
             extinction_time_pmf(table, i, n) * float(n) ** (1.0 + consts.gamma[i - 1]),
         scale_of=lambda consts, i: consts.local_amplitude[i - 1])
@@ -397,8 +387,7 @@ def _cond_value(spec: ProcessSpec, table: SurvivalTable, theta: float,
 
 
 def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
-                      xs: Sequence[float] = (0.25, 0.5, 0.75),
-                      workers: int = 1) -> ConvergenceReport:
+                      xs: Sequence[float] = (0.25, 0.5, 0.75)) -> ConvergenceReport:
     """Conditional transform at m = x*n given extinction exactly at n.
 
     Includes a normalization row (lambda = 0 must give exactly the
@@ -460,8 +449,7 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
 
 
 def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
-                 lambdas: Sequence[float] = (0.5, 1.0, 2.0),
-                 workers: int = 1) -> ConvergenceReport:
+                 lambdas: Sequence[float] = (0.5, 1.0, 2.0)) -> ConvergenceReport:
     """Conditional transform k steps before extinction at n, k = o(n)."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
@@ -512,8 +500,7 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
 def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
                     ks: Sequence[int] = (0, 1, 2, 5),
                     s_grid: Sequence[float] = (0.3, 0.6, 0.9),
-                    n_u: int = 10**5,
-                    workers: int = 1) -> ConvergenceReport:
+                    n_u: int = 10**5) -> ConvergenceReport:
     """Last-type pgf a fixed number of steps before extinction.
 
     The finite-n side conditions at m = n - (k+1) so that the window
@@ -573,8 +560,7 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
 
 
 def verify_laplace_W(spec: ProcessSpec, *,
-                     thetas: Sequence[float] | None = None,
-                     workers: int = 1) -> ConvergenceReport:
+                     thetas: Sequence[float] | None = None) -> ConvergenceReport:
     """Small-argument tail of the accumulated-immigrants transform.
 
     Regresses log(1 - E[exp(-theta W)]) on log(theta): the slope
@@ -597,7 +583,7 @@ def verify_laplace_W(spec: ProcessSpec, *,
         return ReportRow("", (("theta", theta),), value,
                          amplitude * theta ** gamma1, ok)
 
-    rows = _map_points(one, thetas, workers)
+    rows = [one(theta) for theta in thetas]
     clean = [r for r in rows if r.precision_ok and r.value > 0.0]
     if len(clean) < 4:
         raise PrecisionLoss(len(clean),
@@ -644,8 +630,7 @@ def verify_laplace_W(spec: ProcessSpec, *,
 def verify_diff_lemmas(spec: ProcessSpec, *,
                        n_grid: Sequence[int] = (1000, 3162, 10000),
                        lam: float = 1.0,
-                       parts: Sequence[str] | None = None,
-                       workers: int = 1) -> ConvergenceReport:
+                       parts: Sequence[str] | None = None) -> ConvergenceReport:
     """Scaled building-block quantities against their limits.
 
     Parts: "window_gap" (terminal iterate increment over a shrinking
@@ -728,7 +713,7 @@ def verify_diff_lemmas(spec: ProcessSpec, *,
             return ReportRow(part, (("n", float(n)), ("lam", lam)),
                              value, limit, ok)
 
-        part_rows = _map_points(one, n_grid, workers)
+        part_rows = [one(n) for n in n_grid]
         rows.extend(part_rows)
         band = _resolve_band(
             "diff_lemmas", part, spec.name,
@@ -755,7 +740,7 @@ def verify_diff_lemmas(spec: ProcessSpec, *,
                 return ReportRow(part, (("n", float(n)), ("e", expo)),
                                  value, 0.0, ok)
 
-            part_rows = _map_points(one, n_grid, workers)
+            part_rows = [one(n) for n in n_grid]
             rows.extend(part_rows)
             band = _resolve_band(
                 "diff_lemmas", part, spec.name,
@@ -809,7 +794,7 @@ def _registered_runs():
     ]
 
 
-def calibrate(out_path=None, *, workers: int = 1) -> dict:
+def calibrate(out_path=None) -> dict:
     """Re-freeze the tolerance bands for the stock models.
 
     Runs every registered experiment with the registry masked so each
@@ -823,7 +808,7 @@ def calibrate(out_path=None, *, workers: int = 1) -> dict:
     _calibrating = True
     try:
         for experiment, spec, fn, kw in _registered_runs():
-            report = fn(spec, workers=workers, **kw)
+            report = fn(spec, **kw)
             for part in sorted(report.bands):
                 lo, hi = report.bands[part]
                 key = _band_key(experiment, part, spec.name)

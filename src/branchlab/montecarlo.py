@@ -6,14 +6,16 @@ one batch (Poisson sums collapse exactly, Geometric sums via negative
 binomial, table rows via a multinomial split).  Replicates run in fixed
 chunks, each chunk on its own counter-based RNG stream keyed by
 (master_seed, chunk index), so results are reproducible bit for bit no
-matter how many worker threads participate in a run.
+matter how many worker processes participate in a run.  Workers only
+simulate; functionals are always evaluated in the calling process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -312,11 +314,45 @@ def _chunk_layout(total: int) -> list[tuple[int, int]]:
     return layout
 
 
-def _map_chunks(job, layout, workers: int):
-    if workers <= 1:
+def _pool_size(workers: int, chunks: int) -> int:
+    """Worker processes for a run: never more than chunks or cores."""
+    return max(1, min(workers, chunks, os.cpu_count() or 1))
+
+
+def _map_chunks(job, layout, workers: int) -> list:
+    """``job`` over every (index, size) pair, results in chunk order.
+
+    ``job`` must pickle (a module-level function, or a partial of one)
+    whenever more than one process is used.
+    """
+    procs = _pool_size(workers, len(layout))
+    if procs <= 1:
         return [job(pair) for pair in layout]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, layout))
+    from concurrent.futures import ProcessPoolExecutor
+
+    # about four batches per process: few round trips, even finish
+    chunksize = -(-len(layout) // (4 * procs))
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        return list(pool.map(job, layout, chunksize=chunksize))
+
+
+def _pmf_job(spec: ProcessSpec, config: SimConfig, pair) -> np.ndarray:
+    """Extinction-time counts of one chunk, indexed by generation."""
+    index, size = pair
+    T, *_ = _run_chunk(spec, config, index, size, config.max_steps)
+    return np.bincount(T[T > 0], minlength=config.max_steps + 1)
+
+
+def _accepted_job(spec: ProcessSpec, config: SimConfig, n: int, pair):
+    """The rows of one chunk that die at exactly ``n``.
+
+    Same layout as ``_run_chunk``'s result, sliced to the accepted rows.
+    """
+    index, size = pair
+    T, capped, early, w, snaps = _run_chunk(spec, config, index, size, n)
+    rows = np.flatnonzero(T == n)
+    return (T[rows], capped[rows], early[rows], w[rows],
+            {m: arr[rows] for m, arr in snaps.items()})
 
 
 def estimate_pmf_T(spec: ProcessSpec, config: SimConfig, *,
@@ -329,12 +365,7 @@ def estimate_pmf_T(spec: ProcessSpec, config: SimConfig, *,
     bitwise identical for any ``workers`` value: chunk results are
     integer counts and merging is plain addition.
     """
-
-    def job(pair):
-        index, size = pair
-        T, *_ = _run_chunk(spec, config, index, size, config.max_steps)
-        return np.bincount(T[T > 0], minlength=config.max_steps + 1)
-
+    job = partial(_pmf_job, spec, config)
     counts = sum(_map_chunks(job, _chunk_layout(config.replicates), workers))
     reps = config.replicates
     out = {}
@@ -353,27 +384,20 @@ def conditional_estimate(spec: ProcessSpec, config: SimConfig, n: int,
     Straight rejection: every replicate runs ``n`` generations at most,
     only those extinct at ``n`` on the nose are kept, and the
     functional is evaluated on their summaries.  Raises
-    AcceptanceTooLow when no replicate hits the event.  Accepted values
-    are concatenated in chunk order, so the estimate does not depend on
-    the worker count.
+    AcceptanceTooLow when no replicate hits the event.  Workers return
+    the accepted rows only; the functional runs here, in chunk order,
+    so it need not pickle and the estimate does not depend on the
+    worker count.
     """
     if not 1 <= n <= config.max_steps:
         raise ValueError("target extinction time must lie in [1, max_steps]")
 
-    def job(pair):
-        index, size = pair
-        out = _run_chunk(spec, config, index, size, n)
-        T = out[0]
-        vals = [
-            float(functional(_summary_from_row(config, n, r, *out)))
-            for r in np.flatnonzero(T == n)
-        ]
-        return index, vals
-
-    results = _map_chunks(job, _chunk_layout(config.replicates), workers)
+    job = partial(_accepted_job, spec, config, n)
     values: list[float] = []
-    for _, vals in sorted(results, key=lambda pair: pair[0]):
-        values.extend(vals)
+    for rows in _map_chunks(job, _chunk_layout(config.replicates), workers):
+        for r in range(rows[0].size):
+            summary = _summary_from_row(config, n, r, *rows)
+            values.append(float(functional(summary)))
     hits = len(values)
     if hits == 0:
         raise AcceptanceTooLow(n, config.replicates)

@@ -4,6 +4,8 @@ with closed forms and the exact engine."""
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from branchlab.montecarlo import (
     Censored,
     EstimateWithCI,
     SimConfig,
+    _pool_size,
     conditional_estimate,
     estimate_pmf_T,
     simulate_once,
@@ -244,6 +247,42 @@ class TestConditional:
         base = conditional_estimate(spec, cfg, 8, fn, workers=1)
         for workers in (2, 5):
             assert conditional_estimate(spec, cfg, 8, fn, workers=workers) == base
+
+
+class TestWorkerPool:
+    def test_functional_runs_only_in_the_calling_process(self):
+        spec = zoo.two_type_cascade()
+        cfg = SimConfig(master_seed=99, replicates=40_000, max_steps=15,
+                        snapshot_times=(4,))
+        pids = set()
+
+        def fn(s):
+            pids.add(os.getpid())
+            return 0.25 ** s.snapshots[4][1]
+
+        conditional_estimate(spec, cfg, 8, fn, workers=2)
+        assert pids == {os.getpid()}
+
+    def test_more_workers_than_chunks(self):
+        spec = zoo.two_type_cascade()
+        cfg = SimConfig(master_seed=505, replicates=500, max_steps=20)
+        assert estimate_pmf_T(spec, cfg, workers=7) == \
+            estimate_pmf_T(spec, cfg, workers=1)
+        # three chunks: a pool smaller than the worker request
+        cfg = SimConfig(master_seed=606, replicates=2_500, max_steps=10,
+                        snapshot_times=(1,))
+        fn = lambda s: 0.5 ** s.snapshots[1][1]
+        assert conditional_estimate(spec, cfg, 3, fn, workers=7) == \
+            conditional_estimate(spec, cfg, 3, fn, workers=1)
+
+    def test_pool_size_caps_at_cores_and_chunks(self):
+        cores = os.cpu_count() or 1
+        assert _pool_size(10**6, 10**6) == cores
+        assert _pool_size(10**6, 3) == min(3, cores)
+        assert _pool_size(10**6, 1) == 1
+        assert _pool_size(1, 10**6) == 1
+        assert _pool_size(0, 10**6) == 1
+        assert not multiprocessing.active_children()
 
 
 # -------------------------------------------------------------- properties
