@@ -29,6 +29,8 @@ from .constants import constant_set
 from .errors import BranchLabError, ConfigError, HypothesisViolation
 from .experiments import (
     ConvergenceReport,
+    _clean,
+    _fmt,
     verify_death,
     verify_deathfin,
     verify_diff_lemmas,
@@ -105,40 +107,26 @@ _EXAMPLES = {
 }
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def _clean(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
-
-
 @dataclass
 class Table:
-    """Uniform tabular artifact for the non-experiment commands."""
+    """Tabular artifact for the non-experiment commands.
 
-    name: str
+    Field names follow ``ConvergenceReport`` so that one writer serves
+    both; ``passed`` is None for commands without a verdict.
+    """
+
+    experiment: str
     model: str
     columns: tuple[str, ...]
     rows: list[tuple]
     meta: dict
-    verdict: bool | None = None
+    passed: bool | None = None
     curves: Mapping[str, list[tuple[float, float]]] | None = None
 
     def to_csv(self) -> str:
-        lines = [f"# table={self.name}", f"# model={self.model}"]
-        if self.verdict is not None:
-            lines.append(f"# verdict={'PASS' if self.verdict else 'FAIL'}")
+        lines = [f"# table={self.experiment}", f"# model={self.model}"]
+        if self.passed is not None:
+            lines.append(f"# verdict={'PASS' if self.passed else 'FAIL'}")
         for key in sorted(self.meta):
             lines.append(f"# {key}={_fmt(self.meta[key])}")
         lines.append(",".join(self.columns))
@@ -148,9 +136,9 @@ class Table:
 
     def to_doc(self) -> dict:
         return {
-            "table": self.name,
+            "table": self.experiment,
             "model": self.model,
-            "verdict": self.verdict,
+            "verdict": self.passed,
             "meta": {k: _clean(v) for k, v in self.meta.items()},
             "columns": list(self.columns),
             "rows": [[_clean(c) for c in row] for row in self.rows],
@@ -231,7 +219,7 @@ def _cmd_validate(req: RunRequest, spec: ProcessSpec, resolved: dict):
 
     table = Table("validate", spec.name, ("quantity", "index", "value", "ok"),
                   rows, {"n_types": n, "violations": len(violations)},
-                  verdict=not violations)
+                  passed=not violations)
     return table
 
 
@@ -259,15 +247,13 @@ def _cmd_extinction(req: RunRequest, spec: ProcessSpec, resolved: dict):
         raise UsageError("n must be at least 1", field="n")
     resolved["n"] = n
     table = build_survival_table(spec, n)
+    table._check(1, n)  # a truncated table raises PrecisionLoss here
     types = range(1, spec.n_types + 1)
     cols = ["n"]
     cols += [f"survival:type={i}" for i in types]
     cols += [f"pmf:type={i}" for i in types]
-    rows = []
-    for m in range(1, n + 1):
-        surv = [table.survival(i, m) for i in types]
-        pmf = [extinction_time_pmf(table, i, m) for i in types]
-        rows.append((m, *surv, *pmf))
+    rows = list(zip(range(1, n + 1), *table.d[:, 1:].tolist(),
+                    *table.pmf[:, 1:].tolist()))
     curves = None
     if req.plotdata:
         # one curve per value column, against n
@@ -302,7 +288,7 @@ def _cmd_mc(req: RunRequest, spec: ProcessSpec, resolved: dict):
     n = req.n if req.n is not None else 30
     if n < 1:
         raise UsageError("n must be at least 1", field="n")
-    resolved.update(n=n, seed=req.seed,
+    resolved.update(n=n, seed=req.seed, workers=req.workers,
                     replicates=req.replicates if req.replicates is not None
                     else 10_000)
 
@@ -430,21 +416,6 @@ def _slug(label: str) -> str:
     return re.sub(r"[^0-9A-Za-z._=+-]+", "-", label).strip("-") or "curve"
 
 
-def _report_curves(report: ConvergenceReport) -> dict:
-    curves: dict[str, list[tuple[float, float]]] = {}
-    for row in report.rows:
-        params = dict(row.params)
-        x = params.get("n")
-        if x is None and params:
-            x = next(iter(params.values()))
-        if x is None:
-            continue
-        y = row.ratio if math.isfinite(row.ratio) else row.value
-        label = row.part or report.experiment
-        curves.setdefault(label, []).append((float(x), float(y)))
-    return curves
-
-
 def _write_plotdata(stem: Path, curves: Mapping[str, Sequence[tuple]]) -> list[Path]:
     written = []
     for label in sorted(curves):
@@ -456,35 +427,24 @@ def _write_plotdata(stem: Path, curves: Mapping[str, Sequence[tuple]]) -> list[P
     return written
 
 
-def _emit(req: RunRequest, resolved: dict, payload) -> tuple[int, list[Path]]:
-    if isinstance(payload, ConvergenceReport):
-        exp_id = payload.experiment
-        model_name = payload.model
-        verdict = payload.passed
-        if req.format == "csv":
-            text = "\n".join(_config_lines(resolved)) + "\n" + payload.to_csv()
-        else:
-            doc = {"config": resolved, "report": json.loads(payload.to_json())}
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        curves = _report_curves(payload)
-    else:
-        exp_id = payload.name
-        model_name = payload.model
-        verdict = payload.verdict
-        if req.format == "csv":
-            text = "\n".join(_config_lines(resolved)) + "\n" + payload.to_csv()
-        else:
-            doc = {"config": resolved, "table": payload.to_doc()}
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        curves = payload.curves or {}
-
+def _emit(req: RunRequest, resolved: dict,
+          payload: ConvergenceReport | Table) -> tuple[int, list[Path]]:
+    exp_id, model_name, verdict = payload.experiment, payload.model, payload.passed
     path = _artifact_path(req, exp_id, model_name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with open(path, "w") as fh:
+        if req.format == "csv":
+            fh.write("\n".join(_config_lines(resolved)) + "\n" + payload.to_csv())
+        else:
+            key = "report" if isinstance(payload, ConvergenceReport) else "table"
+            # streamed: the artifact text is never held in memory whole
+            json.dump({"config": resolved, key: payload.to_doc()}, fh,
+                      indent=2, sort_keys=True)
+            fh.write("\n")
     written = [path]
-    if req.plotdata and curves:
-        stem = path.with_suffix("")
-        written += _write_plotdata(stem, curves)
+    curves = payload.curves if req.plotdata else None
+    if curves:
+        written += _write_plotdata(path.with_suffix(""), curves)
 
     if verdict is None:
         print(f"{exp_id} {model_name}: ok")
@@ -522,7 +482,7 @@ def run(request: RunRequest) -> int:
         _check_request(request)
         spec = _resolve_model(request.model)
         resolved = {"command": request.command, "model": request.model,
-                    "format": request.format, "workers": request.workers}
+                    "format": request.format}
         if request.target is not None:
             resolved["target"] = request.target
         payload = _HANDLERS[request.command](request, spec, resolved)
@@ -566,8 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--x", type=float)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--replicates", type=int)
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for mc")
     common.add_argument("--output", help="artifact path (default: "
                         "<experiment>_<model>_<timestamp>.<format> under "
                         "$BRANCHLAB_OUTDIR or the working directory)")
@@ -582,9 +540,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ("extinction", "tabulate survival and extinction-time pmf"),
         ("conditional", "conditional pgf of the last type at time m "
                         "given extinction at n"),
-        ("mc", "Monte Carlo estimates against exact values"),
     ]:
         sub.add_parser(name, parents=[common], help=helptext)
+    p_mc = sub.add_parser("mc", parents=[common],
+                          help="Monte Carlo estimates against exact values")
+    p_mc.add_argument("--workers", type=int, default=1,
+                      help="worker processes for the replicate chunks "
+                           "(at most one per core; default 1)")
     p_theorem = sub.add_parser("theorem", parents=[common],
                                help="run a limit-theorem experiment")
     p_theorem.add_argument("target", choices=sorted(_THEOREMS))
@@ -603,8 +565,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         command=args.command, target=getattr(args, "target", None),
         model=args.model, n=args.n, m=args.m, k=args.k, lam=args.lam,
         s=args.s, x=args.x, seed=args.seed, replicates=args.replicates,
-        workers=args.workers, output=args.output, format=args.format,
-        plotdata=args.plotdata)
+        workers=getattr(args, "workers", 1), output=args.output,
+        format=args.format, plotdata=args.plotdata)
     return run(request)
 
 

@@ -66,11 +66,23 @@ _RECOVERABLE = (PrecisionLoss, SlowConvergence, UnreachableEvent)
 
 
 def _fmt(x) -> str:
+    """One artifact cell: 17 significant digits, lowercase booleans."""
+    if x is None:
+        return ""
     if isinstance(x, bool):
         return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+def _clean(x):
+    """JSON has no NaN or infinity: non-finite floats become null."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
 
 
 @dataclass(frozen=True)
@@ -136,32 +148,46 @@ class ConvergenceReport:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        def clean(x):
-            if isinstance(x, float) and not math.isfinite(x):
-                return None
-            return x
-
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "experiment": self.experiment,
             "model": self.model,
             "passed": self.passed,
             "grid": {name: list(values) for name, values in self.grid},
             "bands": {part or "all": list(b) for part, b in self.bands.items()},
-            "details": {k: clean(v) for k, v in self.details.items()},
+            "details": {k: _clean(v) for k, v in self.details.items()},
             "rows": [
                 {
                     "part": r.part,
                     "params": dict(r.params),
-                    "value": clean(r.value),
-                    "limit": clean(r.limit),
-                    "ratio": clean(r.ratio),
+                    "value": _clean(r.value),
+                    "limit": _clean(r.limit),
+                    "ratio": _clean(r.ratio),
                     "precision_ok": r.precision_ok,
                 }
                 for r in self.rows
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), indent=2, sort_keys=True)
+
+    @property
+    def curves(self) -> dict[str, list[tuple[float, float]]]:
+        """One curve per part for ``--plotdata``: ratio (else value)
+        against ``n`` (else the row's first parameter)."""
+        curves: dict[str, list[tuple[float, float]]] = {}
+        for row in self.rows:
+            params = dict(row.params)
+            x = params.get("n")
+            if x is None and params:
+                x = next(iter(params.values()))
+            if x is None:
+                continue
+            y = row.ratio if math.isfinite(row.ratio) else row.value
+            curves.setdefault(row.part or self.experiment, []).append(
+                (float(x), float(y)))
+        return curves
 
 
 # ------------------------------------------------------------------ bands
@@ -301,14 +327,50 @@ def _resolve_band(experiment: str, part: str, model: str,
     return pilot_band(half, quarter)
 
 
+def _score(value: float, limit: float) -> float:
+    """What a band constrains: the ratio, or the value when the limit is 0."""
+    return value if limit == 0.0 else value / limit
+
+
+def _run_part(experiment: str, model: str, part: str, grid: Sequence[int],
+              params: tuple[tuple[str, float], ...], limit: float,
+              value: Callable[[int], float], details: dict,
+              ) -> tuple[list[ReportRow], tuple[float, float], bool]:
+    """Rows, band and verdict of one part: a guarded row per horizon in
+    ``grid``, the band from the registry or else from pilots at half and
+    a quarter of the largest horizon, and a verdict that wants clean rows
+    and the last row's score in band."""
+    rows = []
+    for n in grid:
+        v, ok = _guarded(lambda: value(n))
+        rows.append(ReportRow(part, (("n", float(n)),) + params, v, limit, ok))
+    n_max = max(grid)
+    band = _resolve_band(
+        experiment, part, model,
+        lambda: tuple(_score(value(max(4, n_max // d)), limit) for d in (2, 4)),
+        details)
+    ok = (all(r.precision_ok for r in rows)
+          and _in_band(_score(rows[-1].value, limit), band))
+    return rows, band, ok
+
+
+def _normalization_row(value: Callable[[], float],
+                       params: tuple[tuple[str, float], ...],
+                       details: dict) -> tuple[ReportRow, bool]:
+    """The lambda = 0 row: the vacuous conditional must be exactly 1."""
+    norm, ok = _guarded(value)
+    details["normalization_error"] = abs(norm - 1.0)
+    return (ReportRow("normalization", params, norm, 1.0, ok),
+            ok and abs(norm - 1.0) <= 1e-9)
+
+
 # ------------------------------------------------- survival / local pmf
 
 
 def _power_law_report(experiment: str, spec: ProcessSpec,
                       n_grid: Sequence[int], types,
                       value_at: Callable, scale_of: Callable) -> ConvergenceReport:
-    md = validate_hypothesis_A(spec)
-    consts = constant_set(md)
+    consts = constant_set(validate_hypothesis_A(spec))
     n_grid = tuple(int(n) for n in n_grid)
     table = build_survival_table(spec, max(n_grid))
     which = tuple(types) if types else tuple(range(1, spec.n_types + 1))
@@ -319,29 +381,14 @@ def _power_law_report(experiment: str, spec: ProcessSpec,
     passed = True
     for i in which:
         part = f"type={i}"
-        limit = scale_of(consts, i)
-
-        def one(n: int, i=i) -> ReportRow:
-            value, ok = _guarded(lambda: value_at(table, consts, i, n))
-            return ReportRow(part, (("n", float(n)),), value, limit, ok)
-
-        part_rows = [one(n) for n in n_grid]
+        part_rows, bands[part], ok = _run_part(
+            experiment, spec.name, part, n_grid, (), scale_of(consts, i),
+            lambda n, i=i: value_at(table, consts, i, n), details)
         rows.extend(part_rows)
-
-        def pilot(i=i, limit=limit):
-            n_max = max(n_grid)
-            vals = [value_at(table, consts, i, max(4, n_max // d)) / limit
-                    for d in (2, 4)]
-            return vals[0], vals[1]
-
-        band = _resolve_band(experiment, part, spec.name, pilot, details)
-        bands[part] = band
-        final = part_rows[-1]
         mono = _monotone_toward(part_rows, 1.0)
-        ok_rows = all(r.precision_ok for r in part_rows)
-        details[f"final_ratio:{part}"] = final.ratio
+        details[f"final_ratio:{part}"] = part_rows[-1].ratio
         details[f"monotone:{part}"] = mono
-        passed = passed and ok_rows and mono and _in_band(final.ratio, band)
+        passed = passed and ok and mono
 
     return ConvergenceReport(
         experiment=experiment, model=spec.name,
@@ -396,9 +443,7 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
     regime-match detail tying the x near 1 limit to the trailing-window
     limit.
     """
-    md = validate_hypothesis_A(spec)
-    consts = constant_set(md)
-    b_N = consts.b[-1]
+    b_N = constant_set(validate_hypothesis_A(spec)).b[-1]
     table = build_survival_table(spec, n)
 
     rows: list[ReportRow] = []
@@ -413,26 +458,18 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
     checks = [(f"x={x:g}", x, 1.0) for x in xs]
     checks.append(("insensitivity:x=0.5", 0.5, 0.5))
     for part, x, s_lower in checks:
-        limit = limit_finalstage(lam, x, spec.n_types)
-        value, ok = _guarded(lambda: finite(n, x, s_lower))
-        row = ReportRow(part, (("n", float(n)), ("lam", lam), ("x", x)),
-                        value, limit, ok)
-        rows.append(row)
-        band = _resolve_band(
-            "finalstage", part, spec.name,
-            lambda x=x, s_lower=s_lower, limit=limit:
-                (finite(n // 2, x, s_lower) / limit,
-                 finite(n // 4, x, s_lower) / limit),
-            details)
-        bands[part] = band
-        passed = passed and ok and _in_band(row.ratio, band)
+        part_rows, bands[part], ok = _run_part(
+            "finalstage", spec.name, part, (n,), (("lam", lam), ("x", x)),
+            limit_finalstage(lam, x, spec.n_types),
+            lambda nn, x=x, s_lower=s_lower: finite(nn, x, s_lower), details)
+        rows.extend(part_rows)
+        passed = passed and ok
 
-    norm, ok = _guarded(lambda: _cond_value(spec, table, 0.0, round(0.5 * n), n))
-    rows.append(ReportRow("normalization",
-                          (("n", float(n)), ("lam", 0.0), ("x", 0.5)),
-                          norm, 1.0, ok))
-    details["normalization_error"] = abs(norm - 1.0)
-    passed = passed and ok and abs(norm - 1.0) <= 1e-9
+    norm_row, ok = _normalization_row(
+        lambda: _cond_value(spec, table, 0.0, round(0.5 * n), n),
+        (("n", float(n)), ("lam", 0.0), ("x", 0.5)), details)
+    rows.append(norm_row)
+    passed = passed and ok
 
     # where the two asymptotic regimes meet, their limits must agree
     x_hi = 0.99
@@ -453,9 +490,7 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
     """Conditional transform k steps before extinction at n, k = o(n)."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    md = validate_hypothesis_A(spec)
-    consts = constant_set(md)
-    b_N = consts.b[-1]
+    b_N = constant_set(validate_hypothesis_A(spec)).b[-1]
     table = build_survival_table(spec, n)
 
     rows: list[ReportRow] = []
@@ -469,26 +504,19 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
     checks = [(f"lam={lam:g}", lam, 1.0) for lam in lambdas]
     checks.append(("insensitivity:lam=1", 1.0, 0.5))
     for part, lam, s_lower in checks:
-        limit = limit_death(lam)
-        value, ok = _guarded(lambda: finite(n, lam, s_lower))
-        row = ReportRow(part, (("n", float(n)), ("k", float(k)), ("lam", lam)),
-                        value, limit, ok)
-        rows.append(row)
-        band = _resolve_band(
-            "death", part, spec.name,
-            lambda lam=lam, s_lower=s_lower, limit=limit:
-                (finite(n // 2, lam, s_lower) / limit,
-                 finite(n // 4, lam, s_lower) / limit),
+        part_rows, bands[part], ok = _run_part(
+            "death", spec.name, part, (n,), (("k", float(k)), ("lam", lam)),
+            limit_death(lam),
+            lambda nn, lam=lam, s_lower=s_lower: finite(nn, lam, s_lower),
             details)
-        bands[part] = band
-        passed = passed and ok and _in_band(row.ratio, band)
+        rows.extend(part_rows)
+        passed = passed and ok
 
-    norm, ok = _guarded(lambda: finite(n, 0.0))
-    rows.append(ReportRow("normalization",
-                          (("n", float(n)), ("k", float(k)), ("lam", 0.0)),
-                          norm, 1.0, ok))
-    details["normalization_error"] = abs(norm - 1.0)
-    passed = passed and ok and abs(norm - 1.0) <= 1e-9
+    norm_row, ok = _normalization_row(
+        lambda: finite(n, 0.0),
+        (("n", float(n)), ("k", float(k)), ("lam", 0.0)), details)
+    rows.append(norm_row)
+    passed = passed and ok
 
     return ConvergenceReport(
         experiment="death", model=spec.name,
@@ -511,7 +539,7 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
     the frozen bands encode that empirically stable plateau, and the
     remark rows pin the bracket's own normalization to 1.
     """
-    md = validate_hypothesis_A(spec)
+    validate_hypothesis_A(spec)
     table = build_survival_table(spec, n)
     u_eval = make_u_evaluator(spec, n_u)
 
@@ -526,18 +554,12 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
     for k in ks:
         for s in s_grid:
             part = f"k={k},s={s:g}"
-            limit = limit_deathfin(s, k, u_eval, table)
-            value, ok = _guarded(lambda: finite(n, k, s))
-            row = ReportRow(part, (("n", float(n)), ("k", float(k)), ("s", s)),
-                            value, limit, ok)
-            rows.append(row)
-            band = _resolve_band(
-                "deathfin", part, spec.name,
-                lambda k=k, s=s, limit=limit:
-                    (finite(n // 2, k, s) / limit, finite(n // 4, k, s) / limit),
-                details)
-            bands[part] = band
-            passed = passed and ok and _in_band(row.ratio, band)
+            part_rows, bands[part], ok = _run_part(
+                "deathfin", spec.name, part, (n,), (("k", float(k)), ("s", s)),
+                limit_deathfin(s, k, u_eval, table),
+                lambda nn, k=k, s=s: finite(nn, k, s), details)
+            rows.extend(part_rows)
+            passed = passed and ok
 
         # the limit's bracket at s_N -> 1 telescopes to exactly one
         terminal = spec.n_types
@@ -569,8 +591,7 @@ def verify_laplace_W(spec: ProcessSpec, *,
     """
     if spec.n_types < 2:
         raise ValueError("the accumulated count is degenerate for one type")
-    md = validate_hypothesis_A(spec)
-    consts = constant_set(md)
+    consts = constant_set(validate_hypothesis_A(spec))
     gamma1 = consts.gamma[0]
     amplitude = consts.chain[-1]
     if thetas is None:
@@ -641,13 +662,11 @@ def verify_diff_lemmas(spec: ProcessSpec, *,
     to be gone well before a late extinction; limit zero, so its band
     constrains the value itself).
     """
-    md = validate_hypothesis_A(spec)
-    consts = constant_set(md)
+    consts = constant_set(validate_hypothesis_A(spec))
     b_N = consts.b[-1]
     gamma1 = consts.gamma[0]
     g1 = consts.local_amplitude[0]
     n_grid = tuple(int(n) for n in n_grid)
-    n_max = max(n_grid)
     multi = spec.n_types >= 2
     if parts is None:
         parts = (("window_gap", "weighted_mean", "censored_mean",
@@ -658,7 +677,7 @@ def verify_diff_lemmas(spec: ProcessSpec, *,
         raise ValueError(f"unknown parts: {sorted(unknown)}")
     if not multi and set(parts) != {"window_gap"}:
         raise ValueError("only window_gap is defined for a single type")
-    table = build_survival_table(spec, n_max)
+    table = build_survival_table(spec, max(n_grid))
 
     evaluators: dict[str, tuple[Callable[[int], float], float]] = {}
 
@@ -707,24 +726,12 @@ def verify_diff_lemmas(spec: ProcessSpec, *,
         if part == "no_previous":
             continue
         value_at, limit = evaluators[part]
-
-        def one(n: int, part=part, value_at=value_at, limit=limit) -> ReportRow:
-            value, ok = _guarded(lambda: value_at(n))
-            return ReportRow(part, (("n", float(n)), ("lam", lam)),
-                             value, limit, ok)
-
-        part_rows = [one(n) for n in n_grid]
+        part_rows, bands[part], ok = _run_part(
+            "diff_lemmas", spec.name, part, n_grid, (("lam", lam),), limit,
+            value_at, details)
         rows.extend(part_rows)
-        band = _resolve_band(
-            "diff_lemmas", part, spec.name,
-            lambda value_at=value_at, limit=limit:
-                (value_at(n_max // 2) / limit, value_at(n_max // 4) / limit),
-            details)
-        bands[part] = band
-        final = part_rows[-1]
-        ok_rows = all(r.precision_ok for r in part_rows)
-        details[f"final_ratio:{part}"] = final.ratio
-        passed = passed and ok_rows and _in_band(final.ratio, band)
+        details[f"final_ratio:{part}"] = part_rows[-1].ratio
+        passed = passed and ok
 
     if "no_previous" in parts:
         ones = (1.0,) * spec.n_types
@@ -735,21 +742,12 @@ def verify_diff_lemmas(spec: ProcessSpec, *,
                 l = round(n ** expo)
                 return 1.0 - censored_transform(spec, table, ones, l, l, n)
 
-            def one(n: int, part=part, value_at=value_at) -> ReportRow:
-                value, ok = _guarded(lambda: value_at(n))
-                return ReportRow(part, (("n", float(n)), ("e", expo)),
-                                 value, 0.0, ok)
-
-            part_rows = [one(n) for n in n_grid]
+            part_rows, band, _ = _run_part(
+                "diff_lemmas", spec.name, part, n_grid, (("e", expo),), 0.0,
+                value_at, details)
             rows.extend(part_rows)
-            band = _resolve_band(
-                "diff_lemmas", part, spec.name,
-                lambda value_at=value_at:
-                    (value_at(n_max // 2), value_at(n_max // 4)),
-                details)
             # limit is zero: constrain the value, from below by nothing
-            band = (0.0, max(band[1], band[0]))
-            bands[part] = band
+            band = bands[part] = (0.0, max(band[1], band[0]))
             final = part_rows[-1]
             ok_rows = all(r.precision_ok for r in part_rows)
             decreasing = all(b.value <= a.value + _MONOTONE_SLACK

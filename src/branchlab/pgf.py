@@ -113,6 +113,15 @@ def _terminal_b(spec: ProcessSpec) -> float:
     return b
 
 
+def _terminal_pair(chain: _TerminalChain, da: float, delta: float,
+                   steps: int) -> tuple[float, float]:
+    """Advance the terminal chain's (complement, gap) pair ``steps`` times."""
+    for _ in range(steps):
+        delta = chain.diff(da, delta)
+        da = chain.survival(da)
+    return da, delta
+
+
 # ---------------------------------------------------------------------------
 # survival table
 
@@ -381,9 +390,7 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
     k = n - m
     dx = (1.0 - s_term) + s_term * table.survival(n_types, k)
     ds = s_term * float(table.pmf[n_types - 1, k])
-    for _ in range(m - t):
-        ds = chain.diff(dx, ds)
-        dx = chain.survival(dx)
+    dx, ds = _terminal_pair(chain, dx, ds, m - t)
     da = [1.0] * (n_types - 1) + [dx]
     delta = [0.0] * (n_types - 1) + [ds]
     da, delta = _advance_pair(spec, da, delta, t)
@@ -419,12 +426,7 @@ def terminal_gap(spec: ProcessSpec, s: float, m: int) -> float:
         raise ValueError(f"need 0 <= s < 1, got {s}")
     if m < 0:
         raise ValueError("horizon must be nonnegative")
-    chain = _TerminalChain(spec)
-    da, delta = 1.0 - s, s
-    for _ in range(m):
-        delta = chain.diff(da, delta)
-        da = chain.survival(da)
-    return delta
+    return _terminal_pair(_TerminalChain(spec), 1.0 - s, s, m)[1]
 
 
 def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
@@ -443,14 +445,10 @@ def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
         return HarmonicResult(value=0.0, convergence_estimate=0.0,
                               horizon=n, precision_ok=True)
     chain = _TerminalChain(spec)
-    da, delta = 1.0 - s, s
     half = n // 2
-    u_half = 0.0
-    for step in range(1, n + 1):
-        delta = chain.diff(da, delta)
-        da = chain.survival(da)
-        if step == half:
-            u_half = b * step * step * delta
+    da, delta = _terminal_pair(chain, 1.0 - s, s, half)
+    u_half = b * half * half * delta
+    da, delta = _terminal_pair(chain, da, delta, n - half)
     value = b * float(n) * float(n) * delta
     ok = delta > 0.0 and n <= DOUBLE_PRECISION_HORIZON
     if delta == 0.0:

@@ -11,7 +11,11 @@ import os
 
 import pytest
 
+from branchlab import cli
 from branchlab.cli import RunRequest, main, run
+from branchlab.experiments import verify_death
+from branchlab.pgf import build_survival_table, extinction_time_pmf
+from branchlab.zoo import two_type_cascade
 
 GOOD_YAML = """\
 types: 2
@@ -131,6 +135,28 @@ class TestArtifacts:
         value = doc["table"]["rows"][0][3]
         assert 0.0 < value <= 1.0
 
+    def test_json_report_artifact_is_the_report_document(self, tmp_path):
+        out = tmp_path / "death.json"
+        assert main(["theorem", "death", "--n", "2000", "--k", "40",
+                     "--format", "json", "--output", str(out)]) == 0
+        report = verify_death(two_type_cascade(), n=2000, k=40)
+        config = {"command": "theorem", "target": "death", "format": "json",
+                  "model": "two_type_cascade", "n": 2000, "k": 40}
+        doc = {"config": config, "report": json.loads(report.to_json())}
+        assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_workers_is_an_mc_option(self, tmp_path, capsys):
+        out = tmp_path / "mc.csv"
+        assert main(["mc", "--model", "single_geometric", "--n", "5",
+                     "--replicates", "200", "--workers", "2",
+                     "--output", str(out)]) == 0
+        assert "# config:workers=2" in out.read_text()
+        out = tmp_path / "ext.csv"
+        assert main(["extinction", "--workers", "2", "--output", str(out)]) == 2
+        assert main(["extinction", "--model", "single_geometric", "--n", "5",
+                     "--output", str(out)]) == 0
+        assert "workers" not in out.read_text()
+
     def test_default_naming_under_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BRANCHLAB_OUTDIR", str(tmp_path))
         assert main(["constants", "--model", "single_geometric"]) == 0
@@ -200,6 +226,33 @@ class TestCommands:
         header, rows = read_rows(out)
         zs = [float(r[header.index("z")]) for r in rows]
         assert all(math.isnan(z) or abs(z) < 5.0 for z in zs)
+
+    def test_extinction_rows_match_the_checked_accessors(self, tmp_path):
+        out = tmp_path / "ext.json"
+        assert main(["extinction", "--model", "two_type_cascade", "--n", "40",
+                     "--format", "json", "--output", str(out)]) == 0
+        table = build_survival_table(two_type_cascade(), 40)
+        want = [[m] + [table.survival(i, m) for i in (1, 2)]
+                + [extinction_time_pmf(table, i, m) for i in (1, 2)]
+                for m in range(1, 41)]
+        assert json.loads(out.read_text())["table"]["rows"] == want
+
+    def test_extinction_on_truncated_table_fails_with_precision_loss(
+            self, tmp_path, monkeypatch, capsys):
+        def truncated(spec, n_max):
+            table = build_survival_table(spec, n_max)
+            table.truncated_at = 30
+            table.d[:, 30:] = math.nan
+            table.pmf[:, 30:] = math.nan
+            return table
+
+        monkeypatch.setattr(cli, "build_survival_table", truncated)
+        out = tmp_path / "ext.csv"
+        assert main(["extinction", "--model", "single_geometric", "--n", "50",
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "run failed" in err and "truncated at step 30" in err
+        assert not out.exists()
 
     def test_run_accepts_request_object(self, tmp_path):
         req = RunRequest(command="constants", model="two_type_cascade",

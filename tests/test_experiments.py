@@ -18,6 +18,7 @@ from branchlab.experiments import (
     _band_key,
     _guarded,
     _monotone_toward,
+    _run_part,
     band_for,
     calibrate,
     limit_death,
@@ -240,6 +241,58 @@ class TestVerdictHelpers:
         assert band_for("death", "lam=1", "no_such_model") is None
         assert _band_key("foster", "type=1", "m") == "foster:type=1@m"
         assert _band_key("laplace_W", "", "m") == "laplace_W@m"
+
+
+class TestRunPart:
+    """The part/band/verdict routine every ratio driver goes through."""
+
+    def test_recoverable_failure_gives_nan_row_and_failed_verdict(self):
+        def value(n):
+            if n == 200:
+                raise PrecisionLoss(n, "test")
+            return 1.0
+
+        details = {}
+        rows, band, ok = _run_part("demo", "toy", "a", (100, 200),
+                                   (("lam", 1.0),), 1.0, value, details)
+        assert [r.params for r in rows] == [
+            (("n", 100.0), ("lam", 1.0)), (("n", 200.0), ("lam", 1.0))]
+        assert rows[0].value == 1.0 and rows[0].precision_ok
+        assert math.isnan(rows[1].value) and not rows[1].precision_ok
+        assert band == pilot_band(1.0, 1.0)
+        assert not ok
+
+    def test_registry_band_never_calls_the_pilot(self):
+        calls = []
+
+        def value(n):
+            calls.append(n)
+            return 0.25
+
+        details = {}
+        rows, band, ok = _run_part("death", "two_type_cascade", "lam=1",
+                                   (2000,), (), 0.25, value, details)
+        assert calls == [2000]
+        assert band == band_for("death", "lam=1", "two_type_cascade")
+        assert details == {"band_source:lam=1": "registry"}
+        assert ok == (band[0] <= 1.0 <= band[1])
+
+    def test_pilot_band_without_registry_entry(self):
+        details = {}
+        rows, band, ok = _run_part("demo", "toy", "a", (10, 1000), (), 2.0,
+                                   lambda n: 2.0 + 1.0 / n, details)
+        half, quarter = (2.0 + 1.0 / 500) / 2.0, (2.0 + 1.0 / 250) / 2.0
+        assert details["band_source:a"] == "pilot"
+        assert details["pilot:a"] == (half, quarter)
+        assert band == pilot_band(half, quarter)
+        assert ok
+
+    def test_zero_limit_pilots_the_value_itself(self):
+        details = {}
+        rows, band, _ = _run_part("demo", "toy", "z", (400,), (), 0.0,
+                                  lambda n: 1.0 / n, details)
+        assert details["pilot:z"] == (1.0 / 200, 1.0 / 100)
+        assert math.isnan(rows[0].ratio)
 
 
 # ------------------------------------------------------------ driver runs

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from branchlab.errors import PrecisionLoss, SlowConvergence, UnreachableEvent
 from branchlab.pgf import (
     SurvivalTable,
+    _terminal_b,
     build_survival_table,
     censored_transform,
     conditional_transform,
@@ -273,6 +274,20 @@ def test_harmonic_increment_identity():
     hs = iterate_point(sg, [s], 1)[0]
     diff = harmonic_U(sg, hs, 8000).value - harmonic_U(sg, s, 8000).value
     assert diff == pytest.approx(1.0, abs=2e-3)
+
+
+@pytest.mark.parametrize("make", [two_type_cascade, micro_table])
+def test_harmonic_follows_the_terminal_gap_orbit(make):
+    # the horizon-n value and the half-horizon estimate come from the
+    # same paired iteration as terminal_gap, bit for bit (odd n splits
+    # the orbit unevenly)
+    spec, n, s = make(), 1001, 0.6
+    b = _terminal_b(spec)
+    r = harmonic_U(spec, s, n)
+    assert r.value == b * float(n) * float(n) * terminal_gap(spec, s, n)
+    half = n // 2
+    u_half = b * half * half * terminal_gap(spec, s, half)
+    assert r.convergence_estimate == abs(r.value - u_half)
 
 
 def test_harmonic_input_validation():
