@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -123,16 +123,17 @@ class Table:
     passed: bool | None = None
     curves: Mapping[str, list[tuple[float, float]]] | None = None
 
-    def to_csv(self) -> str:
-        lines = [f"# table={self.experiment}", f"# model={self.model}"]
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV artifact, one newline-terminated line at a time."""
+        yield f"# table={self.experiment}\n"
+        yield f"# model={self.model}\n"
         if self.passed is not None:
-            lines.append(f"# verdict={'PASS' if self.passed else 'FAIL'}")
+            yield f"# verdict={'PASS' if self.passed else 'FAIL'}\n"
         for key in sorted(self.meta):
-            lines.append(f"# {key}={_fmt(self.meta[key])}")
-        lines.append(",".join(self.columns))
+            yield f"# {key}={_fmt(self.meta[key])}\n"
+        yield ",".join(self.columns) + "\n"
         for row in self.rows:
-            lines.append(",".join(_fmt(cell) for cell in row))
-        return "\n".join(lines) + "\n"
+            yield ",".join(_fmt(cell) for cell in row) + "\n"
 
     def to_doc(self) -> dict:
         return {
@@ -401,7 +402,7 @@ def _cmd_lemma(req: RunRequest, spec: ProcessSpec, resolved: dict):
 
 
 def _config_lines(resolved: dict) -> list[str]:
-    return [f"# config:{key}={_fmt(resolved[key])}" for key in sorted(resolved)]
+    return [f"# config:{key}={_fmt(resolved[key])}\n" for key in sorted(resolved)]
 
 
 def _artifact_path(req: RunRequest, exp_id: str, model_name: str) -> Path:
@@ -432,12 +433,13 @@ def _emit(req: RunRequest, resolved: dict,
     exp_id, model_name, verdict = payload.experiment, payload.model, payload.passed
     path = _artifact_path(req, exp_id, model_name)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # streamed: the artifact text is never held in memory whole
     with open(path, "w") as fh:
         if req.format == "csv":
-            fh.write("\n".join(_config_lines(resolved)) + "\n" + payload.to_csv())
+            fh.writelines(_config_lines(resolved))
+            fh.writelines(payload.csv_lines())
         else:
             key = "report" if isinstance(payload, ConvergenceReport) else "table"
-            # streamed: the artifact text is never held in memory whole
             json.dump({"config": resolved, key: payload.to_doc()}, fh,
                       indent=2, sort_keys=True)
             fh.write("\n")

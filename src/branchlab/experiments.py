@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +63,10 @@ _MONOTONE_SLACK = 1e-9
 _BURN_IN = 100
 
 _RECOVERABLE = (PrecisionLoss, SlowConvergence, UnreachableEvent)
+
+# pilots run at half and a quarter of the largest horizon, never below
+# this, so every driver's table reaches at least this far as well
+_MIN_PILOT = 4
 
 
 def _fmt(x) -> str:
@@ -120,33 +124,34 @@ class ConvergenceReport:
     passed: bool
     details: Mapping[str, object] = field(default_factory=dict)
 
-    def to_csv(self) -> str:
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV artifact, one newline-terminated line at a time."""
         cols: list[str] = []
         for row in self.rows:
             for name, _ in row.params:
                 if name not in cols:
                     cols.append(name)
-        lines = [
-            f"# experiment={self.experiment}",
-            f"# model={self.model}",
-            f"# passed={_fmt(self.passed)}",
-        ]
+        yield f"# experiment={self.experiment}\n"
+        yield f"# model={self.model}\n"
+        yield f"# passed={_fmt(self.passed)}\n"
         for name, values in self.grid:
-            lines.append(f"# grid:{name}={','.join(_fmt(v) for v in values)}")
+            yield f"# grid:{name}={','.join(_fmt(v) for v in values)}\n"
         for part in sorted(self.bands):
             lo, hi = self.bands[part]
-            lines.append(f"# band:{part or 'all'}=[{_fmt(lo)},{_fmt(hi)}]")
+            yield f"# band:{part or 'all'}=[{_fmt(lo)},{_fmt(hi)}]\n"
         for key in sorted(self.details):
-            lines.append(f"# {key}={_fmt(self.details[key])}")
-        lines.append("part," + ",".join(cols) + ",value,limit,ratio,precision_ok")
+            yield f"# {key}={_fmt(self.details[key])}\n"
+        yield "part," + ",".join(cols) + ",value,limit,ratio,precision_ok\n"
         for row in self.rows:
             have = dict(row.params)
             cells = [row.part]
             cells += [_fmt(have[c]) if c in have else "" for c in cols]
             cells += [_fmt(row.value), _fmt(row.limit), _fmt(row.ratio),
                       _fmt(row.precision_ok)]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            yield ",".join(cells) + "\n"
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_lines())
 
     def to_doc(self) -> dict:
         return {
@@ -259,11 +264,12 @@ def limit_death(lam: float) -> float:
 
 def limit_deathfin(s_N: float, k: int, u_eval: Callable[[float], float],
                    table: SurvivalTable) -> float:
-    """Limiting last-type pgf a fixed k steps before extinction.
+    """Limiting last-type pgf a fixed k steps before extinction:
+    U(s_N q_{k+1}) - U(s_N q_k).
 
     ``u_eval`` maps s in [0,1) to the harmonic-measure generating
-    function; the terminal one-type extinction probabilities come from
-    ``table``.
+    function U; the terminal one-type extinction probabilities q_k come
+    from ``table``.
     """
     if not 0.0 <= s_N < 1.0:
         raise ValueError("s_N must lie in [0, 1)")
@@ -272,7 +278,7 @@ def limit_deathfin(s_N: float, k: int, u_eval: Callable[[float], float],
     n = table.spec.n_types
     q_k = table.extinct_by(n, k)
     q_k1 = table.extinct_by(n, k + 1)
-    return s_N * (u_eval(s_N * q_k1) - u_eval(s_N * q_k))
+    return u_eval(s_N * q_k1) - u_eval(s_N * q_k)
 
 
 def make_u_evaluator(spec: ProcessSpec, n_u: int = 10**5):
@@ -347,11 +353,17 @@ def _run_part(experiment: str, model: str, part: str, grid: Sequence[int],
     n_max = max(grid)
     band = _resolve_band(
         experiment, part, model,
-        lambda: tuple(_score(value(max(4, n_max // d)), limit) for d in (2, 4)),
+        lambda: tuple(_score(value(max(_MIN_PILOT, n_max // d)), limit)
+                      for d in (2, 4)),
         details)
     ok = (all(r.precision_ok for r in rows)
           and _in_band(_score(rows[-1].value, limit), band))
     return rows, band, ok
+
+
+def _driver_table(spec: ProcessSpec, horizon: int) -> SurvivalTable:
+    """A table for the largest grid horizon and for the pilots."""
+    return build_survival_table(spec, max(_MIN_PILOT, horizon))
 
 
 def _normalization_row(value: Callable[[], float],
@@ -372,7 +384,7 @@ def _power_law_report(experiment: str, spec: ProcessSpec,
                       value_at: Callable, scale_of: Callable) -> ConvergenceReport:
     consts = constant_set(validate_hypothesis_A(spec))
     n_grid = tuple(int(n) for n in n_grid)
-    table = build_survival_table(spec, max(n_grid))
+    table = _driver_table(spec, max(n_grid))
     which = tuple(types) if types else tuple(range(1, spec.n_types + 1))
 
     rows: list[ReportRow] = []
@@ -444,7 +456,7 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
     limit.
     """
     b_N = constant_set(validate_hypothesis_A(spec)).b[-1]
-    table = build_survival_table(spec, n)
+    table = _driver_table(spec, n)
 
     rows: list[ReportRow] = []
     bands: dict[str, tuple[float, float]] = {}
@@ -491,7 +503,7 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     b_N = constant_set(validate_hypothesis_A(spec)).b[-1]
-    table = build_survival_table(spec, n)
+    table = _driver_table(spec, n)
 
     rows: list[ReportRow] = []
     bands: dict[str, tuple[float, float]] = {}
@@ -533,14 +545,12 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
 
     The finite-n side conditions at m = n - (k+1) so that the window
     between observation and extinction matches the index pairing of
-    the limit's bracket.  The finite/limit ratio then stabilizes at a
-    constant close to 1/s_N rather than at 1 (the limit formula carries
-    an extra s_N factor relative to the exact finite-n conditional);
-    the frozen bands encode that empirically stable plateau, and the
-    remark rows pin the bracket's own normalization to 1.
+    the limit's bracket U(s q_{k+1}) - U(s q_k); the finite/limit ratio
+    then converges to 1.  The remark rows pin the bracket at s = 1,
+    which telescopes to exactly 1.
     """
     validate_hypothesis_A(spec)
-    table = build_survival_table(spec, n)
+    table = _driver_table(spec, n)
     u_eval = make_u_evaluator(spec, n_u)
 
     rows: list[ReportRow] = []
@@ -677,7 +687,7 @@ def verify_diff_lemmas(spec: ProcessSpec, *,
         raise ValueError(f"unknown parts: {sorted(unknown)}")
     if not multi and set(parts) != {"window_gap"}:
         raise ValueError("only window_gap is defined for a single type")
-    table = build_survival_table(spec, max(n_grid))
+    table = _driver_table(spec, max(n_grid))
 
     evaluators: dict[str, tuple[Callable[[int], float], float]] = {}
 

@@ -2,7 +2,10 @@
 
 Each family knows its generating function, low-order moments, a
 cancellation-free survival form, a cancellation-free difference form,
-and how to draw the sum of ``z`` independent copies in one call.
+and how to draw the sum of ``z`` independent copies in one call
+(``z`` an int, or an array of positive parent counts drawn
+elementwise).
+``pgf`` also accepts mpmath numbers, for the extended-precision table.
 
 The survival form ``survival(d) = 1 - pgf(1 - d)`` and the difference
 form ``pgf_diff(da, delta) = pgf(a) - pgf(b)`` (with ``a = 1 - da`` and
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .numerics import power_diff
 
@@ -51,12 +56,12 @@ class Geometric:
     def second_factorial_moment(self) -> float:
         return 2.0 * self.mean * self.mean
 
-    def sample_sum(self, z: int, rng) -> int:
-        if z == 0:
+    def sample_sum(self, z, rng):
+        # sum of z geometrics = negative binomial with z successes,
+        # which numpy rejects for z = 0 (arrays hold positive counts)
+        if not isinstance(z, np.ndarray) and z == 0:
             return 0
-        # sum of z geometrics = negative binomial with z successes
-        p = 1.0 / (1.0 + self.mean)
-        return int(rng.negative_binomial(z, p))
+        return rng.negative_binomial(z, 1.0 / (1.0 + self.mean))
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ class Poisson:
             raise ValueError(f"poisson mean must be positive, got {self.mean}")
 
     def pgf(self, s: float) -> float:
-        return math.exp(self.mean * (s - 1.0))
+        # an mpmath argument brings its own exp
+        return getattr(s, "context", math).exp(self.mean * (s - 1.0))
 
     def survival(self, d: float) -> float:
         return -math.expm1(-self.mean * d)
@@ -87,10 +93,8 @@ class Poisson:
     def second_factorial_moment(self) -> float:
         return self.mean * self.mean
 
-    def sample_sum(self, z: int, rng) -> int:
-        if z == 0:
-            return 0
-        return int(rng.poisson(self.mean * z))
+    def sample_sum(self, z, rng):
+        return rng.poisson(self.mean * z)
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ class Bernoulli:
             raise ValueError(f"bernoulli parameter must be in [0,1], got {self.p}")
 
     def pgf(self, s: float) -> float:
-        return 1.0 - self.p + self.p * s
+        # never forms 1 - p, which would round before s is seen
+        return 1.0 + self.p * (s - 1.0)
 
     def survival(self, d: float) -> float:
         return self.p * d
@@ -124,10 +129,8 @@ class Bernoulli:
     def second_factorial_moment(self) -> float:
         return 0.0
 
-    def sample_sum(self, z: int, rng) -> int:
-        if z == 0:
-            return 0
-        return int(rng.binomial(z, self.p))
+    def sample_sum(self, z, rng):
+        return rng.binomial(z, self.p)
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,7 @@ class PointMass:
     def second_factorial_moment(self) -> float:
         return float(self.k * (self.k - 1))
 
-    def sample_sum(self, z: int, rng) -> int:
+    def sample_sum(self, z, rng):
         return z * self.k
 
 

@@ -12,6 +12,11 @@ Two law shapes are supported per parent type:
   from the families in :mod:`branchlab.families`;
 * ``TableLaw`` -- an explicit finite joint table of count vectors.
 
+Each shape answers the same questions: the vector pgf, survival and
+difference forms, moments, a scalar view of its own-type coordinate
+(``own_marginal``), and batched offspring draws (``draws``).  The
+engine and the sampler call these methods and never look at the shape.
+
 All public operations take the process spec as their first argument
 and are plain functions, mirroring how the engine modules consume
 them.
@@ -20,7 +25,8 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -31,8 +37,13 @@ from .errors import (
     ModelStructureError,
     NonCritical,
 )
-from .families import Marginal, family_tag
-from .numerics import complement_product, neumaier_sum, power_diff
+from .families import Marginal, PointMass, family_tag
+from .numerics import (
+    complement_product,
+    neumaier_sum,
+    power_complement,
+    power_diff,
+)
 
 CRITICALITY_TOL = 1e-10
 
@@ -112,12 +123,15 @@ class ProductLaw:
                     out[cj - 1, ck - 1] = lj.mean * lk.mean
         return out
 
-    def sample(self, z: int, rng, n_types: int) -> np.ndarray:
-        """Summed offspring vector of z independent parents."""
-        out = np.zeros(n_types, dtype=np.int64)
+    def own_marginal(self) -> Marginal:
+        """The own-type family; no own-type children is a point mass at 0."""
+        return self.children.get(self.parent, PointMass(0))
+
+    def draws(self, parents, rng):
+        """(0-based child type, summed children of ``parents``) per child
+        type, in child-type order; ``parents`` is an int or an array."""
         for child in sorted(self.children):
-            out[child - 1] = self.children[child].sample_sum(z, rng)
-        return out
+            yield child - 1, self.children[child].sample_sum(parents, rng)
 
 
 @dataclass(frozen=True)
@@ -218,17 +232,50 @@ class TableLaw:
             out += p * np.outer(w, w)
         return out
 
-    def sample(self, z: int, rng, n_types: int) -> np.ndarray:
-        out = np.zeros(n_types, dtype=np.int64)
-        if z == 0:
-            return out
-        probs = [p for _, p in self.rows]
-        picks = rng.multinomial(z, probs)
-        for (counts, _), times in zip(self.rows, picks):
-            if times:
-                for j, c in enumerate(counts):
-                    out[j] += times * c
-        return out
+    def own_marginal(self) -> _OwnColumn:
+        """The own-type column of the table, as a scalar law."""
+        return _OwnColumn(tuple((counts[self.parent - 1], p)
+                                for counts, p in self.rows))
+
+    @cached_property
+    def _sampling_plan(self):
+        # built once: the sampler draws from every law each generation
+        counts = np.array([c for c, _ in self.rows], dtype=np.int64)
+        emitted = [int(j) for j in np.flatnonzero(counts.any(axis=0))]
+        return [p for _, p in self.rows], counts, emitted
+
+    def draws(self, parents, rng):
+        """One multinomial split of ``parents`` over the rows, then
+        (0-based child type, summed children) per child type the table
+        can emit."""
+        probs, counts, emitted = self._sampling_plan
+        kids = rng.multinomial(parents, probs) @ counts
+        for j in emitted:
+            yield j, kids[..., j]
+
+
+@dataclass(frozen=True)
+class _OwnColumn:
+    """A table law restricted to its own-type coordinate.
+
+    Scalar survival and difference forms of the column's (count,
+    probability) pairs, matching the table's vector forms bit for bit
+    when every other coordinate is inert.
+    """
+
+    rows: tuple[tuple[int, float], ...]
+
+    def survival(self, d: float) -> float:
+        return neumaier_sum(p * power_complement(d, c) for c, p in self.rows)
+
+    def pgf_diff(self, da: float, delta: float) -> float:
+        a = 1.0 - da
+        return neumaier_sum(p * power_diff(a, delta, c) for c, p in self.rows)
+
+    @property
+    def variance(self) -> float:
+        mean = sum(p * c for c, p in self.rows)
+        return sum(p * c * c for c, p in self.rows) - mean * mean
 
 
 OffspringLaw = ProductLaw | TableLaw
@@ -413,7 +460,10 @@ def sample_offspring(spec: ProcessSpec, i: int, z: int, rng) -> np.ndarray:
     """Summed offspring vector of z type-i parents (exact batch draw)."""
     if z < 0:
         raise ValueError("parent count must be nonnegative")
-    return spec.law(i).sample(z, rng, spec.n_types)
+    out = np.zeros(spec.n_types, dtype=np.int64)
+    for j, kids in spec.law(i).draws(z, rng):
+        out[j] += kids
+    return out
 
 
 def expectation_matrix(spec: ProcessSpec, n: int = 1) -> np.ndarray:
@@ -441,8 +491,7 @@ def describe(spec: ProcessSpec) -> dict:
                 "parent": law.parent,
                 "kind": "product",
                 "children": {
-                    str(child): {"family": family_tag(m),
-                                 **_marginal_params(m)}
+                    str(child): {"family": family_tag(m), **asdict(m)}
                     for child, m in sorted(law.children.items())
                 },
             })
@@ -456,12 +505,3 @@ def describe(spec: ProcessSpec) -> dict:
                 ],
             })
     return {"name": spec.name, "types": spec.n_types, "laws": laws}
-
-
-def _marginal_params(m: Marginal) -> dict:
-    tag = family_tag(m)
-    if tag in ("geometric", "poisson"):
-        return {"mean": m.mean}
-    if tag == "bernoulli":
-        return {"p": m.p}
-    return {"k": m.k}

@@ -2,12 +2,13 @@
 
 Populations are stored as count vectors, never as individual particles:
 each generation draws the summed offspring of all same-type parents in
-one batch (Poisson sums collapse exactly, Geometric sums via negative
-binomial, table rows via a multinomial split).  Replicates run in fixed
-chunks, each chunk on its own counter-based RNG stream keyed by
-(master_seed, chunk index), so results are reproducible bit for bit no
-matter how many worker processes participate in a run.  Workers only
-simulate; functionals are always evaluated in the calling process.
+one batch through the law's ``draws`` (Poisson sums collapse exactly,
+Geometric sums via negative binomial, table rows via a multinomial
+split).  Replicates run in fixed chunks, each chunk on its own
+counter-based RNG stream keyed by (master_seed, chunk index), so
+results are reproducible bit for bit no matter how many worker
+processes participate in a run.  Workers only simulate; functionals are
+always evaluated in the calling process.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import AcceptanceTooLow
-from .families import Bernoulli, Geometric, PointMass, Poisson
-from .model import ProcessSpec, ProductLaw, TableLaw
+from .model import ProcessSpec
 
 __all__ = [
     "Censored",
@@ -144,40 +144,6 @@ class EstimateWithCI:
                 self.value + width * self.stderr)
 
 
-def _draw_sums(rng, marg, parents: np.ndarray) -> np.ndarray:
-    """Summed children of ``parents[r]`` i.i.d. copies of one marginal.
-
-    Every family here admits an exact one-shot draw for the sum, so no
-    particle-level loop is ever needed.  ``parents`` must be >= 1.
-    """
-    if isinstance(marg, PointMass):
-        return parents * marg.k
-    if isinstance(marg, Poisson):
-        return rng.poisson(marg.mean * parents)
-    if isinstance(marg, Geometric):
-        return rng.negative_binomial(parents, 1.0 / (1.0 + marg.mean))
-    if isinstance(marg, Bernoulli):
-        return rng.binomial(parents, marg.p)
-    raise TypeError(f"no batch sampler for {type(marg).__name__}")
-
-
-def _compile_plans(spec: ProcessSpec):
-    """Per-type sampling plans with 0-based indices, ready for the hot loop."""
-    plans = []
-    for i, law in enumerate(spec.laws):
-        if isinstance(law, ProductLaw):
-            children = tuple((child - 1, marg)
-                             for child, marg in sorted(law.children.items()))
-            plans.append((i, children, None, None))
-        else:
-            probs = np.array([p for _, p in law.rows], dtype=float)
-            mat = np.zeros((len(law.rows), spec.n_types), dtype=np.int64)
-            for r, (counts, _) in enumerate(law.rows):
-                mat[r, : len(counts)] = counts
-            plans.append((i, None, probs, mat))
-    return plans
-
-
 def _run_chunk(spec: ProcessSpec, config: SimConfig, stream_index: int,
                count: int, horizon: int, flows=None):
     """Advance ``count`` replicates on one RNG stream for ``horizon`` steps.
@@ -192,7 +158,6 @@ def _run_chunk(spec: ProcessSpec, config: SimConfig, stream_index: int,
     n = spec.n_types
     key = [config.master_seed & _MASK64, stream_index & _MASK64]
     rng = np.random.Generator(np.random.Philox(key=key))
-    plans = _compile_plans(spec)
 
     z = np.zeros((count, n), dtype=np.int64)
     z[:, 0] = 1
@@ -215,32 +180,19 @@ def _run_chunk(spec: ProcessSpec, config: SimConfig, stream_index: int,
         feed = np.zeros(idx.size, dtype=np.int64)
         own_last = np.zeros(idx.size, dtype=np.int64)
         flow_mat = np.zeros((n, n), dtype=np.int64) if flows is not None else None
-        for i, children, probs, mat in plans:
+        for i, law in enumerate(spec.laws):
             sub = np.flatnonzero(zt[:, i] > 0)
             if sub.size == 0:
                 continue
-            parents = zt[sub, i]
-            if children is not None:
-                for j, marg in children:
-                    vals = _draw_sums(rng, marg, parents)
-                    new[sub, j] += vals
-                    if j == n - 1:
-                        if i < n - 1:
-                            feed[sub] += vals
-                        else:
-                            own_last[sub] += vals
-                    if flow_mat is not None:
-                        flow_mat[i, j] += int(vals.sum())
-            else:
-                picks = rng.multinomial(parents, probs)
-                kids = picks @ mat
-                new[sub] += kids
-                if i < n - 1:
-                    feed[sub] += kids[:, n - 1]
-                else:
-                    own_last[sub] += kids[:, n - 1]
+            for j, vals in law.draws(zt[sub, i], rng):
+                new[sub, j] += vals
+                if j == n - 1:
+                    if i < n - 1:
+                        feed[sub] += vals
+                    else:
+                        own_last[sub] += vals
                 if flow_mat is not None:
-                    flow_mat[i] += kids.sum(axis=0)
+                    flow_mat[i, j] += int(vals.sum())
         if n == 2 and not np.array_equal(new[:, 1] - own_last, feed):
             # two routes to the same count: direct tally of type-1 draws
             # vs. total type-2 births minus own-type births

@@ -34,20 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidMoments, PrecisionLoss, SlowConvergence, UnreachableEvent
-from .families import Bernoulli, Geometric, PointMass, Poisson
-from .model import (
-    ProcessSpec,
-    ProductLaw,
-    TableLaw,
-    pair_diff_map,
-    survival_map,
-)
-from .numerics import (
-    neumaier_sum,
-    power_complement,
-    power_diff,
-    richardson_derivative,
-)
+from .model import ProcessSpec, pair_diff_map, survival_map
+from .numerics import richardson_derivative
 
 # heuristic horizon beyond which accumulated 64-bit roundoff in the
 # orbit recurrences can reach ~1e-8 relative; deeper runs should use
@@ -57,67 +45,23 @@ DOUBLE_PRECISION_HORIZON = 10**8
 
 # ---------------------------------------------------------------------------
 # terminal-type scalar chain
-
-class _TerminalChain:
-    """Scalar view of the terminal type's own offspring law.
-
-    The terminal type only ever produces its own type, so its pgf,
-    survival map, and pair-difference map act on scalars.
-    """
-
-    def __init__(self, spec: ProcessSpec):
-        n = spec.n_types
-        law = spec.law(n)
-        if isinstance(law, ProductLaw):
-            self._marginal = law.children.get(n)
-            self._rows = None
-        else:
-            self._marginal = None
-            self._rows = tuple((counts[n - 1], p) for counts, p in law.rows)
-        self._n = n
-
-    def pgf(self, x: float) -> float:
-        if self._marginal is not None:
-            return self._marginal.pgf(x)
-        if self._rows is None or not self._rows:
-            return 1.0
-        return neumaier_sum(p * x**c for c, p in self._rows)
-
-    def survival(self, d: float) -> float:
-        if self._marginal is not None:
-            return self._marginal.survival(d)
-        if self._rows is None:
-            return 0.0
-        return neumaier_sum(p * power_complement(d, c) for c, p in self._rows)
-
-    def diff(self, da: float, delta: float) -> float:
-        if self._marginal is not None:
-            return self._marginal.pgf_diff(da, delta)
-        a = 1.0 - da
-        return neumaier_sum(p * power_diff(a, delta, c)
-                            for c, p in self._rows)
-
-    def quadratic_coeff(self) -> float:
-        """Half the own-type offspring variance of the terminal type."""
-        if self._marginal is not None:
-            return self._marginal.variance / 2.0
-        mean = sum(p * c for c, p in self._rows)
-        second = sum(p * c * c for c, p in self._rows)
-        return (second - mean * mean) / 2.0
-
+#
+# The terminal type only ever produces its own type, so its law acts on
+# scalars through ``own_marginal()``: a family, or a table's own column.
 
 def _terminal_b(spec: ProcessSpec) -> float:
-    b = _TerminalChain(spec).quadratic_coeff()
+    """Half the own-type offspring variance of the terminal type."""
+    b = spec.law(spec.n_types).own_marginal().variance / 2.0
     if not (b > 0.0 and math.isfinite(b)):
         raise InvalidMoments(f"terminal-type quadratic coefficient {b!r}")
     return b
 
 
-def _terminal_pair(chain: _TerminalChain, da: float, delta: float,
+def _terminal_pair(chain, da: float, delta: float,
                    steps: int) -> tuple[float, float]:
     """Advance the terminal chain's (complement, gap) pair ``steps`` times."""
     for _ in range(steps):
-        delta = chain.diff(da, delta)
+        delta = chain.pgf_diff(da, delta)
         da = chain.survival(da)
     return da, delta
 
@@ -214,38 +158,10 @@ def build_survival_table(spec: ProcessSpec, n_max: int, *,
                          truncated_at=truncated_at, precision=precision)
 
 
-def _mp_pgf(law, x):
-    """Generating function with mpmath arguments (extended mode)."""
-    import mpmath as mp
-
-    if isinstance(law, ProductLaw):
-        out = mp.mpf(1)
-        for child, m in law.children.items():
-            xi = x[child - 1]
-            if isinstance(m, Geometric):
-                out *= 1 / (1 + mp.mpf(m.mean) * (1 - xi))
-            elif isinstance(m, Poisson):
-                out *= mp.exp(mp.mpf(m.mean) * (xi - 1))
-            elif isinstance(m, Bernoulli):
-                out *= 1 - mp.mpf(m.p) + mp.mpf(m.p) * xi
-            elif isinstance(m, PointMass):
-                out *= xi**m.k
-            else:  # pragma: no cover - new families must extend this
-                raise TypeError(f"no extended-precision pgf for {type(m)}")
-        return out
-    total = mp.mpf(0)
-    for counts, p in law.rows:
-        term = mp.mpf(p)
-        for j, c in enumerate(counts):
-            if c:
-                term *= x[j] ** c
-        total += term
-    return total
-
-
 def _build_table_extended(spec: ProcessSpec, n_max: int) -> SurvivalTable:
-    # plain iteration at 40 significant digits; cancellation is then
-    # harmless for any horizon the table could realistically hold
+    # plain iteration of the laws' own pgfs on 40-digit mpmath points;
+    # cancellation is then harmless for any horizon the table could
+    # realistically hold
     import mpmath as mp
 
     n_types = spec.n_types
@@ -256,7 +172,7 @@ def _build_table_extended(spec: ProcessSpec, n_max: int) -> SurvivalTable:
         qprev = [mp.mpf(0)] * n_types
         d[:, 0] = 1.0
         for n in range(1, n_max + 1):
-            qnew = [_mp_pgf(law, qprev) for law in spec.laws]
+            qnew = [law.pgf(qprev) for law in spec.laws]
             for i in range(n_types):
                 d[i, n] = float(one - qnew[i])
                 pmf[i, n] = float(qnew[i] - qprev[i])
@@ -366,7 +282,7 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
             return iterate_point(spec, sv, m)[0]
         return conditional_transform(spec, table, sv, m, n)
 
-    chain = _TerminalChain(spec)
+    chain = spec.law(n_types).own_marginal()
     s_term = sv[n_types - 1]
     if n is None:
         du = 1.0 - s_term
@@ -426,7 +342,8 @@ def terminal_gap(spec: ProcessSpec, s: float, m: int) -> float:
         raise ValueError(f"need 0 <= s < 1, got {s}")
     if m < 0:
         raise ValueError("horizon must be nonnegative")
-    return _terminal_pair(_TerminalChain(spec), 1.0 - s, s, m)[1]
+    chain = spec.law(spec.n_types).own_marginal()
+    return _terminal_pair(chain, 1.0 - s, s, m)[1]
 
 
 def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
@@ -444,7 +361,7 @@ def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
         # the gap is identically zero along the whole orbit
         return HarmonicResult(value=0.0, convergence_estimate=0.0,
                               horizon=n, precision_ok=True)
-    chain = _TerminalChain(spec)
+    chain = spec.law(spec.n_types).own_marginal()
     half = n // 2
     da, delta = _terminal_pair(chain, 1.0 - s, s, half)
     u_half = b * half * half * delta

@@ -155,7 +155,7 @@ def test_criterion_06_fixed_offset_pgf():
         for s in (0.3, 0.6, 0.9):
             u = lambda y: y / (1.0 - y)
             q0, q1 = k / (k + 1.0), (k + 1.0) / (k + 2.0)
-            closed = s * (u(s * q1) - u(s * q0))
+            closed = u(s * q1) - u(s * q0)
             numeric = limit_deathfin(s, k, u_eval, table)
             worst = max(worst, abs(numeric - closed) / closed)
     assert worst <= 1e-3

@@ -145,6 +145,17 @@ class TestArtifacts:
         doc = {"config": config, "report": json.loads(report.to_json())}
         assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    def test_csv_report_artifact_is_config_then_the_report(self, tmp_path):
+        out = tmp_path / "death.csv"
+        assert main(["theorem", "death", "--n", "2000", "--k", "40",
+                     "--output", str(out)]) == 0
+        report = verify_death(two_type_cascade(), n=2000, k=40)
+        config = ("# config:command=theorem\n# config:format=csv\n"
+                  "# config:k=40\n# config:model=two_type_cascade\n"
+                  "# config:n=2000\n# config:target=death\n")
+        assert out.read_text() == config + report.to_csv()
+        assert report.to_csv() == "".join(report.csv_lines())
+
     def test_workers_is_an_mc_option(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"
         assert main(["mc", "--model", "single_geometric", "--n", "5",

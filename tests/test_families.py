@@ -110,6 +110,26 @@ def test_sample_sum_zero_parents():
         assert marg.sample_sum(0, rng) == 0
 
 
+@pytest.mark.parametrize("marg", ALL)
+def test_sample_sum_over_an_array_draws_each_count_in_turn(marg):
+    parents = np.array([3, 1, 40, 7])
+    batch = marg.sample_sum(parents, np.random.default_rng(99))
+    rng = np.random.default_rng(99)
+    one_by_one = [marg.sample_sum(int(z), rng) for z in parents]
+    assert batch.tolist() == one_by_one
+
+
+@pytest.mark.parametrize("marg", ALL + [Bernoulli(0.1), Bernoulli(1.0 / 3.0)])
+@pytest.mark.parametrize("x", ["0", "0.3", "0.9", "0.999999999999999999999"])
+def test_pgf_on_mpmath_points_keeps_40_digits(marg, x):
+    # the extended-precision table feeds mpmath numbers through pgf
+    with mp.workdps(40):
+        got = marg.pgf(mp.mpf(x))
+        ref = mp_pgf(marg, mp.mpf(x))
+        assert isinstance(got, mp.mpf)
+        assert abs(got - ref) <= 1e-35 * abs(ref)
+
+
 def test_config_round_trip():
     cases = [
         (Geometric(0.7), {"mean": 0.7}),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchlab.config import loads_model
 from branchlab.errors import (
@@ -162,8 +163,74 @@ def test_sample_offspring_shape_and_mean():
     assert out[1] / 2000 == pytest.approx(1.0, abs=0.15)
 
 
+@st.composite
+def table_models(draw):
+    """Random all-table models whose terminal law has own counts 0..4."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    laws = []
+    for i in range(1, n):
+        p0 = draw(st.floats(min_value=0.1, max_value=0.45))
+        frac = draw(st.floats(min_value=0.1, max_value=0.9))
+        laws.append(TableLaw(i, properties._critical_table_rows(n, i, p0, frac)))
+    weights = draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                            min_size=5, max_size=5))
+    rows = tuple(((0,) * (n - 1) + (c,), w / sum(weights))
+                 for c, w in enumerate(weights))
+    laws.append(TableLaw(n, rows))
+    return ProcessSpec(n_types=n, laws=tuple(laws))
+
+
+@given(table_models(), properties.unit_points(4), properties.unit_points(4),
+       st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=150, deadline=None)
+def test_property_own_marginal_is_the_terminal_coordinate(spec, lower, gaps,
+                                                          frac):
+    # the terminal law ignores the lower coordinates, so its scalar view
+    # must reproduce the vector forms bit for bit whatever they hold
+    n = spec.n_types
+    law = spec.law(n)
+    own = law.own_marginal()
+    d = lower[3]
+    delta = frac * (1.0 - d)
+    da_vec = list(lower[:n - 1]) + [d]
+    delta_vec = [g * (1.0 - x) for g, x in zip(gaps, lower[:n - 1])] + [delta]
+    assert own.survival(d).hex() == law.survival(da_vec).hex()
+    assert own.pgf_diff(d, delta).hex() == law.pgf_diff(da_vec, delta_vec).hex()
+    mean = law.mean_row(n)[n - 1]
+    assert own.variance == pytest.approx(
+        law.second_moment_matrix(n)[n - 1, n - 1] - mean * mean, abs=1e-12)
+
+
+def test_product_own_marginal_is_the_own_family():
+    law = two_type_cascade().law(1)
+    assert law.own_marginal() == Geometric(1.0)
+    assert ProductLaw(parent=2, children={}).own_marginal() == PointMass(0)
+
+
+def test_sample_offspring_is_the_laws_draws_in_order():
+    # one parent count through sample_offspring draws what the sampler's
+    # one-row batch draws, off the same stream; zero parents draw nothing
+    for spec in (two_type_cascade(), micro_table()):
+        for i in range(1, spec.n_types + 1):
+            rng = np.random.default_rng(12345)
+            assert not sample_offspring(spec, i, 0, rng).any()
+            assert rng.random() == np.random.default_rng(12345).random()
+            for z in (1, 7, 1000):
+                rng_a = np.random.default_rng(12345)
+                rng_b = np.random.default_rng(12345)
+                want = np.zeros(spec.n_types, dtype=np.int64)
+                for j, kids in spec.law(i).draws(np.array([z]), rng_b):
+                    want[j] += kids[0]
+                assert sample_offspring(spec, i, z, rng_a).tolist() == want.tolist()
+                assert rng_a.random() == rng_b.random()
+
+
 def test_describe_yaml_round_trip():
-    for spec in (single_geometric(), two_type_cascade(), micro_table()):
+    mixed = ProcessSpec(3, (
+        ProductLaw(1, {1: Poisson(1.0), 2: Bernoulli(0.3)}),
+        ProductLaw(2, {2: Geometric(1.0), 3: PointMass(2)}),
+        ProductLaw(3, {3: Geometric(1.0)})))
+    for spec in (single_geometric(), two_type_cascade(), micro_table(), mixed):
         text = yaml.safe_dump(describe(spec))
         again = loads_model(text)
         assert again == spec

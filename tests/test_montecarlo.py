@@ -285,6 +285,56 @@ class TestWorkerPool:
         assert not multiprocessing.active_children()
 
 
+# ----------------------------------------------------------------- golden
+
+# Captured from the sampler before the per-family draws moved onto the
+# laws: every draw must come off the same stream in the same order.
+GOLDEN_PMF_COUNTS = {
+    "two_type_cascade": [369, 313, 192, 125, 113, 82, 64, 60, 43, 29,
+                         30, 30, 24, 13, 24, 18, 16, 20, 15, 16],
+    "micro_table": [792, 229, 115, 85, 55, 49, 49, 32, 26, 24,
+                    27, 19, 23, 19, 10, 11, 16, 12, 9, 12],
+}
+GOLDEN_TRAJECTORIES = {
+    # (T, W_N, early extinction, snapshots at 1, 5, 20); streams 0..5
+    "two_type_cascade": [
+        ((60, "max_steps"), 35, 9, {1: (5, 0), 5: (7, 34), 20: (0, 223)}),
+        (8, 3, 1, {1: (0, 3), 5: (0, 6), 20: (0, 0)}),
+        (22, 35, 9, {1: (8, 1), 5: (6, 20), 20: (0, 7)}),
+        (3, 1, 1, {1: (0, 1), 5: (0, 0), 20: (0, 0)}),
+        (3, 2, 1, {1: (0, 2), 5: (0, 0), 20: (0, 0)}),
+        ((60, "max_steps"), 686, 36, {1: (2, 1), 5: (3, 13), 20: (41, 297)}),
+    ],
+    "micro_table": [
+        (1, 0, 1, {1: (0, 0), 5: (0, 0), 20: (0, 0)}),
+        (4, 1, 3, {1: (2, 0), 5: (0, 0), 20: (0, 0)}),
+        (1, 0, 1, {1: (0, 0), 5: (0, 0), 20: (0, 0)}),
+        (3, 0, 3, {1: (2, 0), 5: (0, 0), 20: (0, 0)}),
+        ((60, "max_steps"), 1, 4, {1: (2, 0), 5: (0, 4), 20: (0, 10)}),
+        (6, 1, 2, {1: (1, 1), 5: (0, 2), 20: (0, 0)}),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PMF_COUNTS))
+def test_golden_pmf_counts(name):
+    est = estimate_pmf_T(zoo.stock_model(name),
+                         SimConfig(master_seed=2024, replicates=2048,
+                                   max_steps=20))
+    counts = [round(e.value * 2048) for _, e in sorted(est.items())]
+    assert counts == GOLDEN_PMF_COUNTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRAJECTORIES))
+def test_golden_trajectories(name):
+    spec = zoo.stock_model(name)
+    cfg = SimConfig(master_seed=2024, max_steps=60, snapshot_times=(1, 5, 20))
+    for stream, want in enumerate(GOLDEN_TRAJECTORIES[name]):
+        s = simulate_once(spec, cfg, stream)
+        T = (s.T.at, s.T.reason) if s.censored else s.T
+        assert (T, s.W_N, s.early_extinction_time, dict(s.snapshots)) == want
+
+
 # -------------------------------------------------------------- properties
 
 
