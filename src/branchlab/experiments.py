@@ -341,11 +341,14 @@ def _score(value: float, limit: float) -> float:
 def _run_part(experiment: str, model: str, part: str, grid: Sequence[int],
               params: tuple[tuple[str, float], ...], limit: float,
               value: Callable[[int], float], details: dict,
+              floor: int = _MIN_PILOT,
               ) -> tuple[list[ReportRow], tuple[float, float], bool]:
     """Rows, band and verdict of one part: a guarded row per horizon in
     ``grid``, the band from the registry or else from pilots at half and
-    a quarter of the largest horizon, and a verdict that wants clean rows
-    and the last row's score in band."""
+    a quarter of the largest horizon (never below ``floor``, which the
+    death drivers raise above their offset k, since a pilot observes
+    k steps before its horizon), and a verdict that wants clean rows and
+    the last row's score in band."""
     rows = []
     for n in grid:
         v, ok = _guarded(lambda: value(n))
@@ -353,7 +356,7 @@ def _run_part(experiment: str, model: str, part: str, grid: Sequence[int],
     n_max = max(grid)
     band = _resolve_band(
         experiment, part, model,
-        lambda: tuple(_score(value(max(_MIN_PILOT, n_max // d)), limit)
+        lambda: tuple(_score(value(max(floor, n_max // d)), limit)
                       for d in (2, 4)),
         details)
     ok = (all(r.precision_ok for r in rows)
@@ -520,7 +523,7 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
             "death", spec.name, part, (n,), (("k", float(k)), ("lam", lam)),
             limit_death(lam),
             lambda nn, lam=lam, s_lower=s_lower: finite(nn, lam, s_lower),
-            details)
+            details, floor=max(_MIN_PILOT, k + 1))
         rows.extend(part_rows)
         passed = passed and ok
 
@@ -567,7 +570,8 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
             part_rows, bands[part], ok = _run_part(
                 "deathfin", spec.name, part, (n,), (("k", float(k)), ("s", s)),
                 limit_deathfin(s, k, u_eval, table),
-                lambda nn, k=k, s=s: finite(nn, k, s), details)
+                lambda nn, k=k, s=s: finite(nn, k, s), details,
+                floor=max(_MIN_PILOT, k + 1))
             rows.extend(part_rows)
             passed = passed and ok
 

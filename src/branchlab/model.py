@@ -12,10 +12,12 @@ Two law shapes are supported per parent type:
   from the families in :mod:`branchlab.families`;
 * ``TableLaw`` -- an explicit finite joint table of count vectors.
 
-Each shape answers the same questions: the vector pgf, survival and
-difference forms, moments, a scalar view of its own-type coordinate
-(``own_marginal``), and batched offspring draws (``draws``).  The
-engine and the sampler call these methods and never look at the shape.
+Each shape answers the same questions: the vector pgf, one fused
+paired step ``pair_step`` (the survival and difference forms in one
+pass; ``survival`` and ``pgf_diff`` are its projections), moments, a
+scalar view of its own-type coordinate (``own_marginal``), and batched
+offspring draws (``draws``).  The engine and the sampler call these
+methods and never look at the shape.
 
 All public operations take the process spec as their first argument
 and are plain functions, mirroring how the engine modules consume
@@ -38,12 +40,7 @@ from .errors import (
     NonCritical,
 )
 from .families import Marginal, PointMass, family_tag
-from .numerics import (
-    complement_product,
-    neumaier_sum,
-    power_complement,
-    power_diff,
-)
+from .numerics import neumaier_sum, power_complement, power_diff
 
 CRITICALITY_TOL = 1e-10
 
@@ -74,35 +71,36 @@ class ProductLaw:
             out *= law.pgf(s[child - 1])
         return out
 
+    def pair_step(self, da: Sequence[float],
+                  delta: Sequence[float]) -> tuple[float, float]:
+        """(1 - f(a), f(a) - f(b)) for a = 1 - da, b = a - delta, in one
+        pass: the survival by the pairwise complement rule (a certain
+        child line pins it at exactly 1), the gap telescoped over the
+        child factors, so no nearby numbers are ever subtracted."""
+        acc = 0.0
+        total = 0.0
+        lower = 1.0
+        for j, survival, pgf_diff in self._factors:
+            x = da[j]
+            y = delta[j]
+            sa = survival(x)
+            # running telescope: earlier factors at b, later ones at a
+            total = total * (1.0 - sa) + lower * pgf_diff(x, y)
+            lower *= 1.0 - survival(x + y)
+            acc = 1.0 if sa >= 1.0 else acc + sa * (1.0 - acc)
+        return min(acc, 1.0), total
+
     def survival(self, d: Sequence[float]) -> float:
-        # 1 - prod_j g_j(1 - d_j) through the pairwise complement rule
-        return complement_product(
-            law.survival(d[child - 1]) for child, law in self.children.items()
-        )
+        return self.pair_step(d, [0.0] * len(d))[0]
 
     def pgf_diff(self, da: Sequence[float], delta: Sequence[float]) -> float:
-        """f(a) - f(b) for a = 1 - da, b = a - delta, componentwise.
+        return self.pair_step(da, delta)[1]
 
-        Telescopes over child factors so every term is a product of
-        positive factors; no subtraction of nearby numbers happens.
-        """
-        items = list(self.children.items())
-        vals_a = []
-        vals_b = []
-        for child, law in items:
-            va = 1.0 - law.survival(da[child - 1])
-            vb = 1.0 - law.survival(da[child - 1] + delta[child - 1])
-            vals_a.append(va)
-            vals_b.append(vb)
-        total = 0.0
-        for idx, (child, law) in enumerate(items):
-            step = law.pgf_diff(da[child - 1], delta[child - 1])
-            for j in range(idx):
-                step *= vals_b[j]
-            for j in range(idx + 1, len(items)):
-                step *= vals_a[j]
-            total += step
-        return total
+    @cached_property
+    def _factors(self):
+        # (0-based child type, survival, pgf_diff) per child factor
+        return tuple((child - 1, law.survival, law.pgf_diff)
+                     for child, law in self.children.items())
 
     def mean_row(self, n_types: int) -> np.ndarray:
         row = np.zeros(n_types)
@@ -184,39 +182,45 @@ class TableLaw:
             for counts, p in self.rows
         )
 
-    def survival(self, d: Sequence[float]) -> float:
-        # sum_w p_w * (1 - prod_j (1-d_j)^w_j), exploiting sum p_w = 1
-        def term(counts):
-            expo = sum(c * math.log1p(-d[j])
-                       for j, c in enumerate(counts) if c)
-            return -math.expm1(expo)
-
-        terms = []
-        for counts, p in self.rows:
-            if any(c > 0 and d[j] >= 1.0 for j, c in enumerate(counts)):
-                terms.append(p)  # some child line is certain to be counted
-            else:
-                terms.append(p * term(counts))
-        return neumaier_sum(terms)
-
-    def pgf_diff(self, da: Sequence[float], delta: Sequence[float]) -> float:
+    def pair_step(self, da: Sequence[float],
+                  delta: Sequence[float]) -> tuple[float, float]:
+        """(1 - f(a), f(a) - f(b)) for a = 1 - da, b = a - delta: the
+        survival as sum_w p_w (1 - prod_j (1-d_j)^w_j), using sum p_w = 1,
+        the gap telescoped over each row's nonzero coordinates."""
         a = [1.0 - x for x in da]
         b = [1.0 - (x + y) for x, y in zip(da, delta)]
-        terms = []
-        for counts, p in self.rows:
-            # telescope prod a^w - prod b^w over coordinates
+        logs = [math.log1p(-x) if x < 1.0 else -math.inf for x in da]
+        survs = []
+        gaps = []
+        for p, telescope in self._nonzero_rows:
+            expo = 0
             row = 0.0
-            for j, c in enumerate(counts):
-                if c == 0:
-                    continue
+            for j, c, before, after in telescope:
+                expo += c * logs[j]
                 step = power_diff(a[j], delta[j], c)
-                for l, cl in enumerate(counts):
-                    if cl == 0 or l == j:
-                        continue
-                    step *= (b[l] ** cl) if l < j else (a[l] ** cl)
+                for l, cl in before:
+                    step *= b[l] ** cl
+                for l, cl in after:
+                    step *= a[l] ** cl
                 row += step
-            terms.append(p * row)
-        return neumaier_sum(terms)
+            survs.append(p * -math.expm1(expo))
+            gaps.append(p * row)
+        return neumaier_sum(survs), neumaier_sum(gaps)
+
+    def survival(self, d: Sequence[float]) -> float:
+        return self.pair_step(d, [0.0] * len(d))[0]
+
+    def pgf_diff(self, da: Sequence[float], delta: Sequence[float]) -> float:
+        return self.pair_step(da, delta)[1]
+
+    @cached_property
+    def _nonzero_rows(self):
+        # per row: p, then per nonzero (type, count) pair the pairs
+        # before and after it in the telescope
+        nonzero = [(p, [(j, c) for j, c in enumerate(w) if c])
+                   for w, p in self.rows]
+        return [(p, [(j, c, nz[:k], nz[k + 1:])
+                     for k, (j, c) in enumerate(nz)]) for p, nz in nonzero]
 
     def mean_row(self, n_types: int) -> np.ndarray:
         row = np.zeros(n_types)
@@ -431,7 +435,7 @@ def validate_hypothesis_A(spec: ProcessSpec, *,
 
 def pgf_eval(spec: ProcessSpec, i: int, s: Sequence[float]) -> float:
     """Generating function f_i(s) of the type-i offspring vector."""
-    _check_point(spec, s)
+    check_point(spec, s, slack=1e-12)
     return spec.law(i).pgf(list(s))
 
 
@@ -441,12 +445,7 @@ def survival_map(spec: ProcessSpec, d: Sequence[float]) -> tuple[float, ...]:
     Carried out entirely in complement form so components of size
     1e-300 keep full relative accuracy.
     """
-    d = list(d)
-    if len(d) != spec.n_types:
-        raise ValueError(f"expected {spec.n_types} components, got {len(d)}")
-    for x in d:
-        if not (0.0 <= x <= 1.0):
-            raise ValueError(f"survival complement {x!r} outside [0, 1]")
+    check_point(spec, d)
     return tuple(law.survival(d) for law in spec.laws)
 
 
@@ -474,12 +473,15 @@ def expectation_matrix(spec: ProcessSpec, n: int = 1) -> np.ndarray:
     return np.linalg.matrix_power(md.mean_matrix, n)
 
 
-def _check_point(spec: ProcessSpec, s: Sequence[float]) -> None:
+def check_point(spec: ProcessSpec, s: Sequence[float], *,
+                slack: float = 0.0) -> None:
+    """Reject a point (or complement) of the wrong length or with a
+    component outside [0, 1 + slack]."""
     if len(s) != spec.n_types:
         raise ValueError(f"expected {spec.n_types} components, got {len(s)}")
     for x in s:
-        if not (0.0 <= x <= 1.0 + 1e-12):
-            raise ValueError(f"pgf argument {x!r} outside [0, 1]")
+        if not (0.0 <= x <= 1.0 + slack):
+            raise ValueError(f"point component {x!r} outside [0, 1]")
 
 
 def describe(spec: ProcessSpec) -> dict:

@@ -13,6 +13,10 @@ Everything in this module is built on two orbit primitives:
   near-full relative accuracy where naive subtraction of iterates
   would return noise.
 
+Both advance through each law's fused ``pair_step(da, delta) ->
+(survival, gap)``, bound once per call; inputs are checked once, at
+entry, and a complement orbit is a paired one with a zero gap.
+
 Conditioning identities used throughout (start state is one type-1
 particle; T is the first generation with an empty population):
 
@@ -34,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidMoments, PrecisionLoss, SlowConvergence, UnreachableEvent
-from .model import ProcessSpec, pair_diff_map, survival_map
+from .model import ProcessSpec, check_point
 from .numerics import richardson_derivative
 
 # heuristic horizon beyond which accumulated 64-bit roundoff in the
@@ -125,26 +129,26 @@ def build_survival_table(spec: ProcessSpec, n_max: int, *,
         return _build_table_extended(spec, n_max)
 
     n_types = spec.n_types
+    steppers = [law.pair_step for law in spec.laws]
     d = np.empty((n_types, n_max + 1))
     pmf = np.zeros((n_types, n_max + 1))
-    dcur = [1.0] * n_types
-    # pi(1) = q(1) = f(0); from there the gap advances by the pair map
-    picur = [law.pgf([0.0] * n_types) for law in spec.laws]
+    dcur = (1.0,) * n_types
+    # pi(1) = q(1) = f(0); from there the gap advances by the pair step,
+    # whose gap at n = 1 is discarded
+    picur = tuple(law.pgf([0.0] * n_types) for law in spec.laws)
     d[:, 0] = dcur
     truncated_at = None
     for n in range(1, n_max + 1):
-        dnew = survival_map(spec, dcur)
+        dnew, gap = zip(*[step(dcur, picur) for step in steppers])
         if n > 1:
-            picur = pair_diff_map(spec, dcur, picur)
+            picur = gap
         # deterministic feed links keep early death mass at exactly
         # zero, which is structure, not precision loss; a stall only
         # counts once the complement has left 1
         stalled = any(
-            dnew[i] > dcur[i]
-            or not (dnew[i] > 0.0)
-            or (dcur[i] < 1.0
-                and (dnew[i] == dcur[i] or not (picur[i] > 0.0)))
-            for i in range(n_types)
+            new > cur or not (new > 0.0)
+            or (cur < 1.0 and (new == cur or not (pi > 0.0)))
+            for new, cur, pi in zip(dnew, dcur, picur)
         )
         if stalled:
             truncated_at = n
@@ -153,7 +157,7 @@ def build_survival_table(spec: ProcessSpec, n_max: int, *,
             break
         d[:, n] = dnew
         pmf[:, n] = picur
-        dcur = list(dnew)
+        dcur = dnew
     return SurvivalTable(spec=spec, n_max=n_max, d=d, pmf=pmf,
                          truncated_at=truncated_at, precision=precision)
 
@@ -197,31 +201,21 @@ def iterate_point(spec: ProcessSpec, s: Sequence[float], m: int
     """m-fold iterate of the offspring pgf vector at the point s."""
     if m < 0:
         raise ValueError("iteration count must be nonnegative")
-    d = _to_complement(spec, s)
+    check_point(spec, s)
     if m == 0:
         # avoid the complement round trip perturbing the identity map
         return tuple(float(x) for x in s)
-    for _ in range(m):
-        d = survival_map(spec, d)
+    d = _advance_pair(spec, [1.0 - x for x in s], [0.0] * spec.n_types, m)[0]
     return tuple(1.0 - x for x in d)
 
 
-def _to_complement(spec: ProcessSpec, s: Sequence[float]) -> list[float]:
-    if len(s) != spec.n_types:
-        raise ValueError(f"expected {spec.n_types} components, got {len(s)}")
-    out = []
-    for x in s:
-        if not (0.0 <= x <= 1.0):
-            raise ValueError(f"point component {x!r} outside [0, 1]")
-        out.append(1.0 - x)
-    return out
-
-
-def _advance_pair(spec: ProcessSpec, da: list[float], delta: list[float],
-                  steps: int) -> tuple[list[float], list[float]]:
+def _advance_pair(spec: ProcessSpec, da: Sequence[float],
+                  delta: Sequence[float], steps: int) -> tuple:
+    """Advance the (complement, gap) pair ``steps`` times; with a zero
+    gap this is the complement orbit."""
+    steppers = [law.pair_step for law in spec.laws]
     for _ in range(steps):
-        delta = list(pair_diff_map(spec, da, delta))
-        da = list(survival_map(spec, da))
+        da, delta = zip(*[step(da, delta) for step in steppers])
     return da, delta
 
 
@@ -241,7 +235,7 @@ def conditional_transform(spec: ProcessSpec, table: SurvivalTable,
             f"n={n} beyond usable table horizon {table.usable_n()}",
         )
     sv = list(s)
-    _to_complement(spec, sv)  # bounds check
+    check_point(spec, sv)
     k = n - m
     den = extinction_time_pmf(table, 1, n)
     if den == 0.0:
@@ -276,7 +270,7 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
         raise ValueError(f"censor time t={t} must not exceed m={m}")
     n_types = spec.n_types
     sv = list(s)
-    _to_complement(spec, sv)  # bounds check
+    check_point(spec, sv)
     if t == 0 or n_types == 1:
         if n is None:
             return iterate_point(spec, sv, m)[0]
@@ -289,9 +283,7 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
         for _ in range(m - t):
             du = chain.survival(du)
         dvec = [1.0] * (n_types - 1) + [du]
-        for _ in range(t):
-            dvec = list(survival_map(spec, dvec))
-        return 1.0 - dvec[0]
+        return 1.0 - _advance_pair(spec, dvec, [0.0] * n_types, t)[0][0]
 
     if not m < n:
         raise ValueError(f"need m < n, got m={m}, n={n}")

@@ -136,6 +136,24 @@ def check_diff_consistency(spec: ProcessSpec, s, shrink: float) -> None:
         assert abs(diffs[i - 1] - naive) <= 1e-12
 
 
+def check_pair_step_consistency(spec: ProcessSpec, s, shrink: float,
+                                pin: int | None = None) -> None:
+    # pair (A, B) as in check_diff_consistency; ``pin`` puts coordinate
+    # pin % N at zero, so da is exactly 1 there (a certain child line)
+    s = list(s)
+    if pin is not None:
+        s[pin % spec.n_types] = 0.0
+    da = [1.0 - x for x in s]
+    delta = [shrink * x for x in s]
+    a = [1.0 - x for x in da]
+    b = [x - y for x, y in zip(a, delta)]
+    for law in spec.laws:
+        survival, gap = law.pair_step(da, delta)
+        assert abs(survival - (1.0 - law.pgf(a))) <= 1e-12
+        assert abs(gap - (law.pgf(a) - law.pgf(b))) <= 1e-12
+        assert gap >= 0.0
+
+
 def check_moment_structure(spec: ProcessSpec) -> None:
     md = validate_hypothesis_A(spec)
     n = spec.n_types

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import properties
 from enumeration import Enumerator
@@ -236,6 +237,15 @@ def test_criterion_10_pgf_properties(spec, point):
     properties.check_pgf_basics(spec, s)
     properties.check_survival_consistency(spec, s)
     properties.check_table_invariants(spec, horizon=16)
+
+
+@_PROPERTY_SETTINGS
+@given(properties.model_specs(max_types=3), properties.unit_points(3),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=2)))
+def test_criterion_10_pair_step_properties(spec, point, shrink, pin):
+    properties.check_pair_step_consistency(spec, point[: spec.n_types],
+                                           shrink, pin)
 
 
 @_PROPERTY_SETTINGS

@@ -68,6 +68,12 @@ class TestExitCodes:
         assert "FAIL" in capsys.readouterr().out
         assert "# verdict=FAIL" in out.read_text()
 
+    def test_death_with_offset_beyond_the_pilots_reports(self, tmp_path):
+        out = tmp_path / "death.csv"
+        assert main(["theorem", "death", "--model", "micro_table",
+                     "--n", "100", "--k", "80", "--output", str(out)]) in (0, 1)
+        assert "# passed=" in out.read_text()
+
     def test_zero_replicates_is_usage_error_naming_the_field(self, capsys):
         assert main(["mc", "--replicates", "0"]) == 2
         err = capsys.readouterr().err

@@ -326,6 +326,17 @@ class TestDrivers:
         assert rep.details["band_source:x=0.5"] == "pilot"
         assert all(r.precision_ok for r in rep.rows)
 
+    def test_death_pilots_run_above_the_offset(self):
+        # the pilots observe k steps before their horizon, so half and a
+        # quarter of n below k must not ask for a negative observation
+        # time: both pilots run at k + 1 here
+        rep = verify_death(micro_table(), n=100, k=80)
+        assert rep.details["band_source:lam=1"] == "pilot"
+        half, quarter = rep.details["pilot:lam=1"]
+        assert half == quarter
+        rep = verify_deathfin(micro_table(), n=8, ks=(5,), n_u=1000)
+        assert rep.details["band_source:k=5,s=0.3"] == "pilot"
+
     def test_finalstage_cascade(self):
         rep = verify_finalstage(two_type_cascade())
         assert rep.passed

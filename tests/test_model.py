@@ -243,6 +243,15 @@ def test_property_pgf_basics(spec, point):
     properties.check_survival_consistency(spec, point[:spec.n_types])
 
 
+@given(properties.model_specs(), properties.unit_points(4),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=3)))
+@settings(max_examples=120, deadline=None)
+def test_property_pair_step_consistency(spec, point, shrink, pin):
+    properties.check_pair_step_consistency(spec, point[:spec.n_types],
+                                           shrink, pin)
+
+
 @given(properties.model_specs())
 @settings(max_examples=120, deadline=None)
 def test_property_moment_structure(spec):
