@@ -213,8 +213,6 @@ def _cmd_validate(req: RunRequest, spec: ProcessSpec, resolved: dict):
     for i in range(1, n + 1):
         rows.append(("half_variance", str(i), md.b[i - 1],
                      ("degenerate_variance", i) not in bad))
-    rows.append(("second_moments_finite", "", float(md.all_moments_finite),
-                 md.all_moments_finite))
     for v in violations:
         rows.append(("violation", str(v.type_index), math.nan, False))
 

@@ -552,6 +552,9 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
     then converges to 1.  The remark rows pin the bracket at s = 1,
     which telescopes to exactly 1.
     """
+    for k in ks:
+        if not 0 <= k < n:
+            raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     validate_hypothesis_A(spec)
     table = _driver_table(spec, n)
     u_eval = make_u_evaluator(spec, n_u)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import power_diff
+from .numerics import power_complement, power_diff
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,7 @@ class PointMass:
         return s**self.k
 
     def survival(self, d: float) -> float:
-        if self.k == 0:
-            return 0.0
-        if d >= 1.0:
-            return 1.0
-        return -math.expm1(self.k * math.log1p(-d))
+        return power_complement(d, self.k)
 
     def pgf_diff(self, da: float, delta: float) -> float:
         a = 1.0 - da
@@ -174,19 +170,6 @@ class PointMass:
 
 
 Marginal = Geometric | Poisson | Bernoulli | PointMass
-
-_FAMILY_TAGS = {
-    Geometric: "geometric",
-    Poisson: "poisson",
-    Bernoulli: "bernoulli",
-    PointMass: "pointmass",
-}
-
-
-def family_tag(marginal: Marginal) -> str:
-    """Short config-file tag for a marginal family."""
-    return _FAMILY_TAGS[type(marginal)]
-
 
 def marginal_from_config(family: str, params: dict) -> Marginal:
     """Build a marginal from its config-file representation."""

@@ -14,10 +14,10 @@ Two law shapes are supported per parent type:
 
 Each shape answers the same questions: the vector pgf, one fused
 paired step ``pair_step`` (the survival and difference forms in one
-pass; ``survival`` and ``pgf_diff`` are its projections), moments, a
-scalar view of its own-type coordinate (``own_marginal``), and batched
-offspring draws (``draws``).  The engine and the sampler call these
-methods and never look at the shape.
+pass), moments, a scalar view of its own-type coordinate
+(``own_marginal``), and batched offspring draws (``draws``).  The
+engine and the sampler call these methods and never look at the shape;
+``survival_map``/``pair_diff_map`` project ``pair_step`` for probes.
 
 All public operations take the process spec as their first argument
 and are plain functions, mirroring how the engine modules consume
@@ -27,7 +27,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
@@ -39,7 +39,7 @@ from .errors import (
     ModelStructureError,
     NonCritical,
 )
-from .families import Marginal, PointMass, family_tag
+from .families import Marginal, PointMass
 from .numerics import neumaier_sum, power_complement, power_diff
 
 CRITICALITY_TOL = 1e-10
@@ -89,12 +89,6 @@ class ProductLaw:
             lower *= 1.0 - survival(x + y)
             acc = 1.0 if sa >= 1.0 else acc + sa * (1.0 - acc)
         return min(acc, 1.0), total
-
-    def survival(self, d: Sequence[float]) -> float:
-        return self.pair_step(d, [0.0] * len(d))[0]
-
-    def pgf_diff(self, da: Sequence[float], delta: Sequence[float]) -> float:
-        return self.pair_step(da, delta)[1]
 
     @cached_property
     def _factors(self):
@@ -207,12 +201,6 @@ class TableLaw:
             gaps.append(p * row)
         return neumaier_sum(survs), neumaier_sum(gaps)
 
-    def survival(self, d: Sequence[float]) -> float:
-        return self.pair_step(d, [0.0] * len(d))[0]
-
-    def pgf_diff(self, da: Sequence[float], delta: Sequence[float]) -> float:
-        return self.pair_step(da, delta)[1]
-
     @cached_property
     def _nonzero_rows(self):
         # per row: p, then per nonzero (type, count) pair the pairs
@@ -275,11 +263,6 @@ class _OwnColumn:
     def pgf_diff(self, da: float, delta: float) -> float:
         a = 1.0 - da
         return neumaier_sum(p * power_diff(a, delta, c) for c, p in self.rows)
-
-    @property
-    def variance(self) -> float:
-        mean = sum(p * c for c, p in self.rows)
-        return sum(p * c * c for c, p in self.rows) - mean * mean
 
 
 OffspringLaw = ProductLaw | TableLaw
@@ -346,7 +329,6 @@ class MomentData:
     mean_matrix: np.ndarray
     b: tuple[float, ...]
     second_moments: tuple[np.ndarray, ...]
-    all_moments_finite: bool = True
 
     @property
     def link_means(self) -> tuple[float, ...]:
@@ -374,8 +356,9 @@ def _collect_moments(spec: ProcessSpec) -> MomentData:
         sm = law.second_moment_matrix(n)
         seconds.append(sm)
         own_var = sm[i - 1, i - 1] - mean[i - 1, i - 1] ** 2
-        # roundoff can push an exact-zero variance slightly negative
-        b.append(max(own_var, 0.0) / 2.0)
+        # roundoff can push an exact-zero variance slightly negative;
+        # Python floats, so no numpy scalar leaks into derived values
+        b.append(float(max(own_var, 0.0) / 2.0))
     return MomentData(
         n_types=n,
         mean_matrix=mean,
@@ -384,19 +367,17 @@ def _collect_moments(spec: ProcessSpec) -> MomentData:
     )
 
 
-def check_assumptions(spec: ProcessSpec, *,
-                      criticality_tol: float = CRITICALITY_TOL
-                      ) -> list[Violation]:
+def check_assumptions(spec: ProcessSpec) -> list[Violation]:
     """Return all standing-assumption violations (empty if none)."""
     md = _collect_moments(spec)
     out: list[Violation] = []
     n = spec.n_types
     for i in range(1, n + 1):
-        m_ii = md.mean_matrix[i - 1, i - 1]
-        if abs(m_ii - 1.0) > criticality_tol:
+        m_ii = float(md.mean_matrix[i - 1, i - 1])
+        if abs(m_ii - 1.0) > CRITICALITY_TOL:
             out.append(Violation("non_critical", i, f"own mean {m_ii!r}"))
     for i in range(1, n):
-        link = md.mean_matrix[i - 1, i]
+        link = float(md.mean_matrix[i - 1, i])
         if not (link > 0.0 and math.isfinite(link)):
             out.append(Violation("missing_link", i, f"link mean {link!r}"))
     for i in range(1, n + 1):
@@ -408,28 +389,22 @@ def check_assumptions(spec: ProcessSpec, *,
 
 
 def validate_hypothesis_A(spec: ProcessSpec, *,
-                          criticality_tol: float = CRITICALITY_TOL,
-                          force: bool = False,
-                          raise_on_violation: bool = True):
+                          force: bool = False) -> MomentData:
     """Check the strong-criticality assumptions and compute moments.
 
     Returns :class:`MomentData` when the model passes.  Violations are
     raised as the typed exception matching the first failure (carrying
-    the full list), or returned as a list when
-    ``raise_on_violation=False``.
+    the full list); :func:`check_assumptions` returns them instead.
 
     ``force=True`` waives the own-mean-equals-one check only, for
     deliberately near-critical studies; structural failures are still
     enforced.
     """
-    violations = check_assumptions(spec, criticality_tol=criticality_tol)
+    violations = check_assumptions(spec)
     if force:
         violations = [v for v in violations if v.kind != "non_critical"]
     if violations:
-        if raise_on_violation:
-            exc = _VIOLATION_EXC[violations[0].kind]
-            raise exc(violations)
-        return violations
+        raise _VIOLATION_EXC[violations[0].kind](violations)
     return _collect_moments(spec)
 
 
@@ -446,13 +421,14 @@ def survival_map(spec: ProcessSpec, d: Sequence[float]) -> tuple[float, ...]:
     1e-300 keep full relative accuracy.
     """
     check_point(spec, d)
-    return tuple(law.survival(d) for law in spec.laws)
+    zero = [0.0] * spec.n_types
+    return tuple(law.pair_step(d, zero)[0] for law in spec.laws)
 
 
 def pair_diff_map(spec: ProcessSpec, da: Sequence[float],
                   delta: Sequence[float]) -> tuple[float, ...]:
     """f_i(a) - f_i(b) for the point pair a = 1 - da, b = a - delta."""
-    return tuple(law.pgf_diff(da, delta) for law in spec.laws)
+    return tuple(law.pair_step(da, delta)[1] for law in spec.laws)
 
 
 def sample_offspring(spec: ProcessSpec, i: int, z: int, rng) -> np.ndarray:
@@ -482,28 +458,3 @@ def check_point(spec: ProcessSpec, s: Sequence[float], *,
     for x in s:
         if not (0.0 <= x <= 1.0 + slack):
             raise ValueError(f"point component {x!r} outside [0, 1]")
-
-
-def describe(spec: ProcessSpec) -> dict:
-    """Config-shaped dictionary describing the model (for artifacts)."""
-    laws = []
-    for law in spec.laws:
-        if isinstance(law, ProductLaw):
-            laws.append({
-                "parent": law.parent,
-                "kind": "product",
-                "children": {
-                    str(child): {"family": family_tag(m), **asdict(m)}
-                    for child, m in sorted(law.children.items())
-                },
-            })
-        else:
-            laws.append({
-                "parent": law.parent,
-                "kind": "table",
-                "rows": [
-                    {"counts": list(counts), "prob": p}
-                    for counts, p in law.rows
-                ],
-            })
-    return {"name": spec.name, "types": spec.n_types, "laws": laws}

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidMoments, PrecisionLoss, SlowConvergence, UnreachableEvent
-from .model import ProcessSpec, check_point
+from .model import ProcessSpec, _collect_moments, check_point
 from .numerics import richardson_derivative
 
 # heuristic horizon beyond which accumulated 64-bit roundoff in the
@@ -55,7 +55,7 @@ DOUBLE_PRECISION_HORIZON = 10**8
 
 def _terminal_b(spec: ProcessSpec) -> float:
     """Half the own-type offspring variance of the terminal type."""
-    b = spec.law(spec.n_types).own_marginal().variance / 2.0
+    b = _collect_moments(spec).b[-1]
     if not (b > 0.0 and math.isfinite(b)):
         raise InvalidMoments(f"terminal-type quadratic coefficient {b!r}")
     return b
@@ -227,24 +227,12 @@ def conditional_transform(spec: ProcessSpec, table: SurvivalTable,
     type-1 particle.
     """
     _require_same_model(spec, table)
-    if not 0 <= m < n:
-        raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
-    if n > table.usable_n():
-        raise PrecisionLoss(
-            table.usable_n() + 1,
-            f"n={n} beyond usable table horizon {table.usable_n()}",
-        )
     sv = list(s)
     check_point(spec, sv)
-    k = n - m
-    den = extinction_time_pmf(table, 1, n)
-    if den == 0.0:
-        raise UnreachableEvent(f"extinction at exactly n={n} has zero mass")
+    da, delta, den = _conditioned_start(table, sv, m, n)
     if m == 0:
         # the start state is deterministic, so conditioning is inert
         return sv[0]
-    da = [(1.0 - x) + x * table.survival(j + 1, k) for j, x in enumerate(sv)]
-    delta = [x * float(table.pmf[j, k]) for j, x in enumerate(sv)]
     da, delta = _advance_pair(spec, da, delta, m)
     num = delta[0]
     if num == 0.0 and all(x > 0.0 for x in sv):
@@ -285,8 +273,20 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
         dvec = [1.0] * (n_types - 1) + [du]
         return 1.0 - _advance_pair(spec, dvec, [0.0] * n_types, t)[0][0]
 
-    if not m < n:
-        raise ValueError(f"need m < n, got m={m}, n={n}")
+    da, delta, den = _conditioned_start(table, sv, m, n)
+    dx, ds = _terminal_pair(chain, da[-1], delta[-1], m - t)
+    da = [1.0] * (n_types - 1) + [dx]
+    delta = [0.0] * (n_types - 1) + [ds]
+    da, delta = _advance_pair(spec, da, delta, t)
+    return delta[0] / den
+
+
+def _conditioned_start(table: SurvivalTable, sv: list[float], m: int,
+                       n: int) -> tuple[list[float], list[float], float]:
+    """Start of an orbit conditioned on T = n, observed at m: the pair
+    (s * q(n-m), s * q(n-m-1)) as (complement, gap), and P(T = n)."""
+    if not 0 <= m < n:
+        raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     if n > table.usable_n():
         raise PrecisionLoss(
             table.usable_n() + 1,
@@ -296,13 +296,9 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
     if den == 0.0:
         raise UnreachableEvent(f"extinction at exactly n={n} has zero mass")
     k = n - m
-    dx = (1.0 - s_term) + s_term * table.survival(n_types, k)
-    ds = s_term * float(table.pmf[n_types - 1, k])
-    dx, ds = _terminal_pair(chain, dx, ds, m - t)
-    da = [1.0] * (n_types - 1) + [dx]
-    delta = [0.0] * (n_types - 1) + [ds]
-    da, delta = _advance_pair(spec, da, delta, t)
-    return delta[0] / den
+    da = [(1.0 - x) + x * table.survival(j + 1, k) for j, x in enumerate(sv)]
+    delta = [x * float(table.pmf[j, k]) for j, x in enumerate(sv)]
+    return da, delta, den
 
 
 def _require_same_model(spec: ProcessSpec, table: SurvivalTable) -> None:

@@ -13,7 +13,7 @@ import pytest
 
 from branchlab import cli
 from branchlab.cli import RunRequest, main, run
-from branchlab.experiments import verify_death
+from branchlab.experiments import verify_death, verify_deathfin
 from branchlab.pgf import build_survival_table, extinction_time_pmf
 from branchlab.zoo import two_type_cascade
 
@@ -108,6 +108,18 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_deathfin_offset_outside_the_horizon_is_rejected(self, tmp_path,
+                                                               capsys):
+        # checked before any table is built, naming k as death does
+        for k in (100, 150):
+            with pytest.raises(ValueError, match=f"k={k}"):
+                verify_deathfin(two_type_cascade(), n=100, ks=(k,))
+        out = tmp_path / "df.csv"
+        assert main(["theorem", "deathfin", "--n", "100", "--k", "150",
+                     "--output", str(out)]) == 2
+        assert "k=150" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestArtifacts:
     def test_identical_requests_give_byte_identical_csv(self, tmp_path):
@@ -191,6 +203,32 @@ class TestArtifacts:
         assert len(lines) == 20
         x, y = lines[0].split()
         assert float(x) == 1.0 and 0.0 <= float(y) <= 1.0
+
+
+_SMALL_RUNS = {
+    "foster": ["theorem", "foster", "--n", "400"],
+    "local": ["theorem", "local", "--n", "400"],
+    "finalstage": ["theorem", "finalstage", "--n", "400"],
+    "death": ["theorem", "death", "--n", "400", "--k", "20"],
+    "deathfin": ["theorem", "deathfin", "--n", "400", "--k", "2",
+                 "--s", "0.6"],
+    "laplace": ["lemma", "laplace"],
+    "diff": ["lemma", "diff", "--n", "400"],
+}
+
+
+@pytest.mark.parametrize("target", sorted({*cli._THEOREMS, *cli._LEMMAS}))
+def test_every_target_writes_a_json_artifact(target, tmp_path):
+    # a numpy scalar in a verdict or a value would fail the JSON encoder;
+    # a target without a small run here fails on the lookup
+    out = tmp_path / f"{target}.json"
+    assert main(_SMALL_RUNS[target] + ["--model", "two_type_cascade",
+                                       "--format", "json",
+                                       "--output", str(out)]) in (0, 1)
+    with open(out) as fh:
+        doc = json.load(fh)
+    assert doc["config"]["target"] == target
+    assert type(doc["report"]["passed"]) is bool
 
 
 class TestCommands:

@@ -11,7 +11,6 @@ from branchlab.families import (
     Geometric,
     PointMass,
     Poisson,
-    family_tag,
     marginal_from_config,
 )
 
@@ -132,13 +131,13 @@ def test_pgf_on_mpmath_points_keeps_40_digits(marg, x):
 
 def test_config_round_trip():
     cases = [
-        (Geometric(0.7), {"mean": 0.7}),
-        (Poisson(1.3), {"mean": 1.3}),
-        (Bernoulli(0.4), {"p": 0.4}),
-        (PointMass(3), {"k": 3}),
+        (Geometric(0.7), "geometric", {"mean": 0.7}),
+        (Poisson(1.3), "poisson", {"mean": 1.3}),
+        (Bernoulli(0.4), "bernoulli", {"p": 0.4}),
+        (PointMass(3), "pointmass", {"k": 3}),
     ]
-    for marg, params in cases:
-        assert marginal_from_config(family_tag(marg), params) == marg
+    for marg, family, params in cases:
+        assert marginal_from_config(family, params) == marg
     with pytest.raises(ValueError):
         marginal_from_config("zeta", {"mean": 1.0})
 

@@ -2,14 +2,20 @@
 
 Offspring families live in ``families.py`` and law shapes in
 ``model.py``; ``pgf.py`` and ``montecarlo.py`` call the methods those
-define (``pgf``, ``pair_step``, ``survival``, ``pgf_diff``,
-``own_marginal``, ``draws``) and never dispatch on a family or a law
-class themselves.  There is one way to advance an orbit: the engine
-steps through each law's ``pair_step``, never through the public model
-maps ``survival_map`` and ``pair_diff_map``.
+define (a law's ``pgf``, ``pair_step``, ``own_marginal`` and ``draws``;
+the scalar ``survival`` and ``pgf_diff`` of its own-type view) and never
+dispatch on a family or a law class themselves.  There is one way to
+advance a vector orbit: the engine steps through each law's
+``pair_step``, never through the model maps ``survival_map`` and
+``pair_diff_map``, its projections kept for the per-layer probe.
+
+No dead code: every top-level function and class of the package is
+named somewhere in ``src/`` or ``perfbench/`` besides its own
+definition.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +23,7 @@ import pytest
 import branchlab
 
 SRC = Path(branchlab.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 SHAPES = {"ProductLaw", "TableLaw"}
 MAPS = {"survival_map", "pair_diff_map"}
 
@@ -63,3 +70,44 @@ def test_the_check_sees_what_it_looks_for():
     assert list(_imported_modules(tree)) == ["families", "model", "model"]
     assert SHAPES <= set(_named(tree))
     assert MAPS <= set(_named(tree))
+
+
+def _unused_definitions(modules, others):
+    """Top-level functions and classes of ``modules`` (name -> source)
+    that no source names outside their own definition; ``others`` holds
+    the sources that only count as users."""
+    unused = []
+    for name, text in modules.items():
+        lines = text.splitlines(keepends=True)
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            outside = "".join(lines[:first - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            users = [outside, *others,
+                     *(src for other, src in modules.items() if other != name)]
+            if not any(word.search(src) for src in users):
+                unused.append(f"{name}.{node.name}")
+    return unused
+
+
+def test_every_top_level_definition_has_a_user():
+    modules = {path.stem: path.read_text()
+               for path in sorted((ROOT / "src" / "branchlab").glob("*.py"))}
+    perfbench = [path.read_text()
+                 for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert "pgf" in modules and perfbench
+    assert _unused_definitions(modules, perfbench) == []
+
+
+def test_the_dead_code_guard_sees_what_it_looks_for():
+    modules = {
+        "a": "def used():\n    pass\n\n\n"
+             "@decorate\ndef dead(x):\n    return dead(x - 1)\n\n\n"
+             "class Lone:\n    pass\n",
+        "b": "from .a import used\n",
+    }
+    assert _unused_definitions(modules, []) == ["a.dead", "a.Lone"]
+    assert _unused_definitions(modules, ["Lone()"]) == ["a.dead"]

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ from branchlab.model import (
     ProductLaw,
     TableLaw,
     check_assumptions,
-    describe,
     expectation_matrix,
     pair_diff_map,
     pgf_eval,
@@ -114,12 +112,17 @@ def test_violations_collected_without_raise():
         ProductLaw(parent=1, children={1: Geometric(1.3)}),
         ProductLaw(parent=2, children={2: PointMass(1)}),
     ))
-    out = validate_hypothesis_A(spec, raise_on_violation=False)
+    out = check_assumptions(spec)
     kinds = {v.kind for v in out}
     assert "non_critical" in kinds
     assert "missing_link" in kinds
     assert "degenerate_variance" in kinds
-    assert check_assumptions(spec) == out
+    with pytest.raises(NonCritical) as err:
+        validate_hypothesis_A(spec)
+    assert err.value.violations == out
+    # the details read as plain numbers, never as numpy scalars
+    assert [v.detail for v in out] == ["own mean 1.3", "link mean 0.0",
+                                       "b = 0.0"]
 
 
 def test_force_skips_enforcement():
@@ -186,7 +189,7 @@ def table_models(draw):
 def test_property_own_marginal_is_the_terminal_coordinate(spec, lower, gaps,
                                                           frac):
     # the terminal law ignores the lower coordinates, so its scalar view
-    # must reproduce the vector forms bit for bit whatever they hold
+    # must reproduce the fused vector step bit for bit whatever they hold
     n = spec.n_types
     law = spec.law(n)
     own = law.own_marginal()
@@ -194,11 +197,9 @@ def test_property_own_marginal_is_the_terminal_coordinate(spec, lower, gaps,
     delta = frac * (1.0 - d)
     da_vec = list(lower[:n - 1]) + [d]
     delta_vec = [g * (1.0 - x) for g, x in zip(gaps, lower[:n - 1])] + [delta]
-    assert own.survival(d).hex() == law.survival(da_vec).hex()
-    assert own.pgf_diff(d, delta).hex() == law.pgf_diff(da_vec, delta_vec).hex()
-    mean = law.mean_row(n)[n - 1]
-    assert own.variance == pytest.approx(
-        law.second_moment_matrix(n)[n - 1, n - 1] - mean * mean, abs=1e-12)
+    survival, gap = law.pair_step(da_vec, delta_vec)
+    assert own.survival(d).hex() == survival.hex()
+    assert own.pgf_diff(d, delta).hex() == gap.hex()
 
 
 def test_product_own_marginal_is_the_own_family():
@@ -225,15 +226,77 @@ def test_sample_offspring_is_the_laws_draws_in_order():
                 assert rng_a.random() == rng_b.random()
 
 
-def test_describe_yaml_round_trip():
+MIXED_YAML = """\
+name: model
+types: 3
+laws:
+  - parent: 1
+    kind: product
+    children:
+      1: {family: poisson, mean: 1.0}
+      2: {family: bernoulli, p: 0.3}
+  - parent: 2
+    kind: product
+    children:
+      2: {family: geometric, mean: 1.0}
+      3: {family: pointmass, k: 2}
+  - parent: 3
+    kind: product
+    children:
+      3: {family: geometric, mean: 1.0}
+"""
+
+STOCK_YAML = {
+    "single_geometric": """\
+name: single_geometric
+types: 1
+laws:
+  - parent: 1
+    kind: product
+    children:
+      1: {family: geometric, mean: 1.0}
+""",
+    "two_type_cascade": """\
+name: two_type_cascade
+types: 2
+laws:
+  - parent: 1
+    kind: product
+    children:
+      1: {family: geometric, mean: 1.0}
+      2: {family: poisson, mean: 1.0}
+  - parent: 2
+    kind: product
+    children:
+      2: {family: geometric, mean: 1.0}
+""",
+    "micro_table": """\
+name: micro_table
+types: 2
+laws:
+  - parent: 1
+    kind: table
+    rows:
+      - {counts: [0, 0], prob: 0.4}
+      - {counts: [2, 0], prob: 0.4}
+      - {counts: [1, 1], prob: 0.2}
+  - parent: 2
+    kind: table
+    rows:
+      - {counts: [0, 0], prob: 0.5}
+      - {counts: [0, 2], prob: 0.5}
+""",
+}
+
+
+def test_yaml_config_builds_the_same_spec():
     mixed = ProcessSpec(3, (
         ProductLaw(1, {1: Poisson(1.0), 2: Bernoulli(0.3)}),
         ProductLaw(2, {2: Geometric(1.0), 3: PointMass(2)}),
         ProductLaw(3, {3: Geometric(1.0)})))
-    for spec in (single_geometric(), two_type_cascade(), micro_table(), mixed):
-        text = yaml.safe_dump(describe(spec))
-        again = loads_model(text)
-        assert again == spec
+    assert loads_model(MIXED_YAML) == mixed
+    for make in (single_geometric, two_type_cascade, micro_table):
+        assert loads_model(STOCK_YAML[make.__name__]) == make()
 
 
 @given(properties.model_specs(), properties.unit_points(4))

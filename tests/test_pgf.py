@@ -284,6 +284,8 @@ def test_harmonic_follows_the_terminal_gap_orbit(make):
     spec, n, s = make(), 1001, 0.6
     b = _terminal_b(spec)
     r = harmonic_U(spec, s, n)
+    # a numpy scalar here would leak into every report built on U
+    assert type(r.value) is float
     assert r.value == b * float(n) * float(n) * terminal_gap(spec, s, n)
     half = n // 2
     u_half = b * half * half * terminal_gap(spec, s, half)
