@@ -338,6 +338,8 @@ def _log_grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
     return tuple(sorted({int(round(v)) for v in np.geomspace(lo, hi, points)}))
 
 
+# target -> driver; values stay bare callables so that a tracer can
+# swap a driver in place
 _THEOREMS: dict[str, Callable] = {
     "foster": verify_foster,
     "local": verify_local,
@@ -352,47 +354,55 @@ _LEMMAS: dict[str, Callable] = {
 }
 
 
-def _cmd_theorem(req: RunRequest, spec: ProcessSpec, resolved: dict):
-    fn = _THEOREMS[req.target]
-    kwargs: dict = {}
-    if req.target in ("foster", "local"):
-        if req.n is not None:
-            kwargs["n_grid"] = _log_grid(100, req.n, 5)
-            resolved["n"] = req.n
-        return fn(spec, **kwargs)
-    if req.n is not None:
-        kwargs["n"] = resolved["n"] = req.n
-    if req.target == "finalstage":
-        if req.lam is not None:
-            kwargs["lam"] = resolved["lam"] = req.lam
-        if req.x is not None:
-            kwargs["xs"] = (req.x,)
-            resolved["x"] = req.x
-    elif req.target == "death":
-        if req.k is not None:
-            kwargs["k"] = resolved["k"] = req.k
-        if req.lam is not None:
-            kwargs["lambdas"] = (req.lam,)
-            resolved["lam"] = req.lam
-    elif req.target == "deathfin":
-        if req.k is not None:
-            kwargs["ks"] = (req.k,)
-            resolved["k"] = req.k
-        if req.s is not None:
-            kwargs["s_grid"] = (req.s,)
-            resolved["s"] = req.s
-    return fn(spec, **kwargs)
+def _same(value):
+    return value
 
 
-def _cmd_lemma(req: RunRequest, spec: ProcessSpec, resolved: dict):
-    fn = _LEMMAS[req.target]
-    kwargs: dict = {}
-    if req.target == "diff":
-        if req.n is not None:
-            kwargs["n_grid"] = _log_grid(max(100, req.n // 10), req.n, 3)
-            resolved["n"] = req.n
-        if req.lam is not None:
-            kwargs["lam"] = resolved["lam"] = req.lam
+def _single(value):
+    return (value,)
+
+
+def _power_grid(n: int) -> tuple[int, ...]:
+    return _log_grid(100, n, 5)
+
+
+def _lemma_grid(n: int) -> tuple[int, ...]:
+    return _log_grid(max(100, n // 10), n, 3)
+
+
+# target -> {request field: (driver keyword, conversion)}
+_READS: dict[str, dict[str, tuple[str, Callable]]] = {
+    "foster": {"n": ("n_grid", _power_grid)},
+    "local": {"n": ("n_grid", _power_grid)},
+    "finalstage": {"n": ("n", _same), "lam": ("lam", _same),
+                   "x": ("xs", _single)},
+    "death": {"n": ("n", _same), "k": ("k", _same),
+              "lam": ("lambdas", _single)},
+    "deathfin": {"n": ("n", _same), "k": ("ks", _single),
+                 "s": ("s_grid", _single)},
+    "laplace": {},
+    "diff": {"n": ("n_grid", _lemma_grid), "lam": ("lam", _same)},
+}
+
+# request field -> its flag, for the fields an experiment may read
+_FLAGS = {"n": "n", "m": "m", "k": "k", "lam": "lambda", "s": "s", "x": "x",
+          "replicates": "replicates"}
+
+
+def _cmd_experiment(req: RunRequest, spec: ProcessSpec, resolved: dict):
+    fn = (_THEOREMS if req.command == "theorem" else _LEMMAS)[req.target]
+    reads = _READS[req.target]
+    for name, flag in _FLAGS.items():
+        if getattr(req, name) is not None and name not in reads:
+            raise UsageError(
+                f"'{req.command} {req.target}' does not read --{flag}",
+                field=flag)
+    kwargs = {}
+    for name, (keyword, convert) in reads.items():
+        value = getattr(req, name)
+        if value is not None:
+            resolved[name] = value
+            kwargs[keyword] = convert(value)
     return fn(spec, **kwargs)
 
 
@@ -463,8 +473,8 @@ _HANDLERS = {
     "extinction": _cmd_extinction,
     "conditional": _cmd_conditional,
     "mc": _cmd_mc,
-    "theorem": _cmd_theorem,
-    "lemma": _cmd_lemma,
+    "theorem": _cmd_experiment,
+    "lemma": _cmd_experiment,
 }
 
 

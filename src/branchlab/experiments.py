@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -173,9 +173,6 @@ class ConvergenceReport:
                 for r in self.rows
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
     @property
     def curves(self) -> dict[str, list[tuple[float, float]]]:
@@ -369,50 +366,72 @@ def _driver_table(spec: ProcessSpec, horizon: int) -> SurvivalTable:
     return build_survival_table(spec, max(_MIN_PILOT, horizon))
 
 
-def _normalization_row(value: Callable[[], float],
-                       params: tuple[tuple[str, float], ...],
-                       details: dict) -> tuple[ReportRow, bool]:
-    """The lambda = 0 row: the vacuous conditional must be exactly 1."""
-    norm, ok = _guarded(value)
-    details["normalization_error"] = abs(norm - 1.0)
-    return (ReportRow("normalization", params, norm, 1.0, ok),
-            ok and abs(norm - 1.0) <= 1e-9)
+@dataclass
+class _Accumulator:
+    """Rows, bands, details and verdict of one driver run, frozen by
+    ``report`` into the run's one ``ConvergenceReport``."""
+
+    experiment: str
+    model: str
+    rows: list[ReportRow] = field(default_factory=list)
+    bands: dict[str, tuple[float, float]] = field(default_factory=dict)
+    details: dict[str, object] = field(default_factory=dict)
+    passed: bool = True
+
+    def part(self, part: str, grid: Sequence[int],
+             params: tuple[tuple[str, float], ...], limit: float,
+             value: Callable[[int], float],
+             floor: int = _MIN_PILOT) -> list[ReportRow]:
+        """One part through ``_run_part``; its verdict counts."""
+        rows, self.bands[part], ok = _run_part(
+            self.experiment, self.model, part, grid, params, limit, value,
+            self.details, floor)
+        self.add(ok, *rows)
+        return rows
+
+    def add(self, ok: bool, *rows: ReportRow) -> None:
+        """Extra rows, or none, and the verdict they carry."""
+        self.rows.extend(rows)
+        self.passed = self.passed and ok
+
+    def normalization(self, value: Callable[[], float],
+                      params: tuple[tuple[str, float], ...]) -> None:
+        """The lambda = 0 row: the vacuous conditional must be exactly 1."""
+        norm, ok = _guarded(value)
+        self.details["normalization_error"] = abs(norm - 1.0)
+        self.add(ok and abs(norm - 1.0) <= 1e-9,
+                 ReportRow("normalization", params, norm, 1.0, ok))
+
+    def report(self, *grid: tuple[str, tuple[float, ...]]) -> ConvergenceReport:
+        return ConvergenceReport(
+            experiment=self.experiment, model=self.model, grid=grid,
+            rows=tuple(self.rows), bands=self.bands, passed=self.passed,
+            details=self.details)
 
 
 # ------------------------------------------------- survival / local pmf
 
 
 def _power_law_report(experiment: str, spec: ProcessSpec,
-                      n_grid: Sequence[int], types,
+                      n_grid: Sequence[int],
                       value_at: Callable, scale_of: Callable) -> ConvergenceReport:
     consts = constant_set(validate_hypothesis_A(spec))
     n_grid = tuple(int(n) for n in n_grid)
     table = _driver_table(spec, max(n_grid))
-    which = tuple(types) if types else tuple(range(1, spec.n_types + 1))
-
-    rows: list[ReportRow] = []
-    bands: dict[str, tuple[float, float]] = {}
-    details: dict[str, object] = {}
-    passed = True
-    for i in which:
+    acc = _Accumulator(experiment, spec.name)
+    for i in range(1, spec.n_types + 1):
         part = f"type={i}"
-        part_rows, bands[part], ok = _run_part(
-            experiment, spec.name, part, n_grid, (), scale_of(consts, i),
-            lambda n, i=i: value_at(table, consts, i, n), details)
-        rows.extend(part_rows)
-        mono = _monotone_toward(part_rows, 1.0)
-        details[f"final_ratio:{part}"] = part_rows[-1].ratio
-        details[f"monotone:{part}"] = mono
-        passed = passed and ok and mono
-
-    return ConvergenceReport(
-        experiment=experiment, model=spec.name,
-        grid=(("n", tuple(float(n) for n in n_grid)),),
-        rows=tuple(rows), bands=bands, passed=passed, details=details)
+        rows = acc.part(part, n_grid, (), scale_of(consts, i),
+                        lambda n, i=i: value_at(table, consts, i, n))
+        mono = _monotone_toward(rows, 1.0)
+        acc.details[f"final_ratio:{part}"] = rows[-1].ratio
+        acc.details[f"monotone:{part}"] = mono
+        acc.add(mono)
+    return acc.report(("n", tuple(float(n) for n in n_grid)))
 
 
-def verify_foster(spec: ProcessSpec, n_grid: Sequence[int] = DEFAULT_N_GRID,
-                  *, types: Iterable[int] | None = None) -> ConvergenceReport:
+def verify_foster(spec: ProcessSpec,
+                  n_grid: Sequence[int] = DEFAULT_N_GRID) -> ConvergenceReport:
     """Survival probability from a type-i root against its power law.
 
     Rows carry d_i(n) * n**gamma_i, whose limit is the survival
@@ -420,20 +439,20 @@ def verify_foster(spec: ProcessSpec, n_grid: Sequence[int] = DEFAULT_N_GRID,
     the band.
     """
     return _power_law_report(
-        "foster", spec, n_grid, types,
+        "foster", spec, n_grid,
         value_at=lambda table, consts, i, n:
             table.survival(i, n) * float(n) ** consts.gamma[i - 1],
         scale_of=lambda consts, i: consts.survival_amplitude[i - 1])
 
 
-def verify_local(spec: ProcessSpec, n_grid: Sequence[int] = DEFAULT_N_GRID,
-                 *, types: Iterable[int] | None = None) -> ConvergenceReport:
+def verify_local(spec: ProcessSpec,
+                 n_grid: Sequence[int] = DEFAULT_N_GRID) -> ConvergenceReport:
     """Extinction-time pmf from a type-i root against its power law.
 
     Rows carry pmf(n) * n**(1 + gamma_i) over the local amplitude.
     """
     return _power_law_report(
-        "local", spec, n_grid, types,
+        "local", spec, n_grid,
         value_at=lambda table, consts, i, n:
             extinction_time_pmf(table, i, n) * float(n) ** (1.0 + consts.gamma[i - 1]),
         scale_of=lambda consts, i: consts.local_amplitude[i - 1])
@@ -460,11 +479,7 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
     """
     b_N = constant_set(validate_hypothesis_A(spec)).b[-1]
     table = _driver_table(spec, n)
-
-    rows: list[ReportRow] = []
-    bands: dict[str, tuple[float, float]] = {}
-    details: dict[str, object] = {}
-    passed = True
+    acc = _Accumulator("finalstage", spec.name)
 
     def finite(nn: int, x: float, s_lower: float = 1.0) -> float:
         return _cond_value(spec, table, lam / (b_N * nn), round(x * nn), nn,
@@ -473,31 +488,22 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
     checks = [(f"x={x:g}", x, 1.0) for x in xs]
     checks.append(("insensitivity:x=0.5", 0.5, 0.5))
     for part, x, s_lower in checks:
-        part_rows, bands[part], ok = _run_part(
-            "finalstage", spec.name, part, (n,), (("lam", lam), ("x", x)),
-            limit_finalstage(lam, x, spec.n_types),
-            lambda nn, x=x, s_lower=s_lower: finite(nn, x, s_lower), details)
-        rows.extend(part_rows)
-        passed = passed and ok
+        acc.part(part, (n,), (("lam", lam), ("x", x)),
+                 limit_finalstage(lam, x, spec.n_types),
+                 lambda nn, x=x, s_lower=s_lower: finite(nn, x, s_lower))
 
-    norm_row, ok = _normalization_row(
-        lambda: _cond_value(spec, table, 0.0, round(0.5 * n), n),
-        (("n", float(n)), ("lam", 0.0), ("x", 0.5)), details)
-    rows.append(norm_row)
-    passed = passed and ok
+    acc.normalization(lambda: _cond_value(spec, table, 0.0, round(0.5 * n), n),
+                      (("n", float(n)), ("lam", 0.0), ("x", 0.5)))
 
     # where the two asymptotic regimes meet, their limits must agree
     x_hi = 0.99
     match = (limit_finalstage(lam, x_hi, spec.n_types)
              / limit_death(lam * (1.0 - x_hi)))
-    details["regime_match_ratio"] = match
-    passed = passed and abs(match - 1.0) <= 0.05
+    acc.details["regime_match_ratio"] = match
+    acc.add(abs(match - 1.0) <= 0.05)
 
-    return ConvergenceReport(
-        experiment="finalstage", model=spec.name,
-        grid=(("n", (float(n),)), ("lam", (lam,)),
-              ("x", tuple(float(x) for x in xs))),
-        rows=tuple(rows), bands=bands, passed=passed, details=details)
+    return acc.report(("n", (float(n),)), ("lam", (lam,)),
+                      ("x", tuple(float(x) for x in xs)))
 
 
 def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
@@ -507,11 +513,7 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
         raise ValueError("need 1 <= k < n")
     b_N = constant_set(validate_hypothesis_A(spec)).b[-1]
     table = _driver_table(spec, n)
-
-    rows: list[ReportRow] = []
-    bands: dict[str, tuple[float, float]] = {}
-    details: dict[str, object] = {}
-    passed = True
+    acc = _Accumulator("death", spec.name)
 
     def finite(nn: int, lam: float, s_lower: float = 1.0) -> float:
         return _cond_value(spec, table, lam / (b_N * k), nn - k, nn, s_lower)
@@ -519,25 +521,15 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
     checks = [(f"lam={lam:g}", lam, 1.0) for lam in lambdas]
     checks.append(("insensitivity:lam=1", 1.0, 0.5))
     for part, lam, s_lower in checks:
-        part_rows, bands[part], ok = _run_part(
-            "death", spec.name, part, (n,), (("k", float(k)), ("lam", lam)),
-            limit_death(lam),
-            lambda nn, lam=lam, s_lower=s_lower: finite(nn, lam, s_lower),
-            details, floor=max(_MIN_PILOT, k + 1))
-        rows.extend(part_rows)
-        passed = passed and ok
+        acc.part(part, (n,), (("k", float(k)), ("lam", lam)), limit_death(lam),
+                 lambda nn, lam=lam, s_lower=s_lower: finite(nn, lam, s_lower),
+                 floor=max(_MIN_PILOT, k + 1))
 
-    norm_row, ok = _normalization_row(
-        lambda: finite(n, 0.0),
-        (("n", float(n)), ("k", float(k)), ("lam", 0.0)), details)
-    rows.append(norm_row)
-    passed = passed and ok
+    acc.normalization(lambda: finite(n, 0.0),
+                      (("n", float(n)), ("k", float(k)), ("lam", 0.0)))
 
-    return ConvergenceReport(
-        experiment="death", model=spec.name,
-        grid=(("n", (float(n),)), ("k", (float(k),)),
-              ("lam", tuple(float(v) for v in lambdas))),
-        rows=tuple(rows), bands=bands, passed=passed, details=details)
+    return acc.report(("n", (float(n),)), ("k", (float(k),)),
+                      ("lam", tuple(float(v) for v in lambdas)))
 
 
 def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
@@ -555,65 +547,54 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
     for k in ks:
         if not 0 <= k < n:
             raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+    for s in s_grid:
+        if not 0.0 < s < 1.0:
+            raise ValueError(f"need 0 < s < 1, got s={s}")
     validate_hypothesis_A(spec)
     table = _driver_table(spec, n)
     u_eval = make_u_evaluator(spec, n_u)
-
-    rows: list[ReportRow] = []
-    bands: dict[str, tuple[float, float]] = {}
-    details: dict[str, object] = {}
-    passed = True
+    acc = _Accumulator("deathfin", spec.name)
 
     def finite(nn: int, k: int, s: float) -> float:
         return _cond_value(spec, table, -math.log(s), nn - (k + 1), nn)
 
     for k in ks:
         for s in s_grid:
-            part = f"k={k},s={s:g}"
-            part_rows, bands[part], ok = _run_part(
-                "deathfin", spec.name, part, (n,), (("k", float(k)), ("s", s)),
-                limit_deathfin(s, k, u_eval, table),
-                lambda nn, k=k, s=s: finite(nn, k, s), details,
-                floor=max(_MIN_PILOT, k + 1))
-            rows.extend(part_rows)
-            passed = passed and ok
+            acc.part(f"k={k},s={s:g}", (n,), (("k", float(k)), ("s", s)),
+                     limit_deathfin(s, k, u_eval, table),
+                     lambda nn, k=k, s=s: finite(nn, k, s),
+                     floor=max(_MIN_PILOT, k + 1))
 
         # the limit's bracket at s_N -> 1 telescopes to exactly one
         terminal = spec.n_types
         bracket, ok = _guarded(
             lambda: u_eval(table.extinct_by(terminal, k + 1))
             - u_eval(table.extinct_by(terminal, k)))
-        rows.append(ReportRow(f"remark:k={k}", (("k", float(k)), ("s", 1.0)),
-                              bracket, 1.0, ok))
-        details[f"remark_error:k={k}"] = abs(bracket - 1.0)
-        passed = passed and ok and abs(bracket - 1.0) <= 2e-3
+        acc.details[f"remark_error:k={k}"] = abs(bracket - 1.0)
+        acc.add(ok and abs(bracket - 1.0) <= 2e-3,
+                ReportRow(f"remark:k={k}", (("k", float(k)), ("s", 1.0)),
+                          bracket, 1.0, ok))
 
-    return ConvergenceReport(
-        experiment="deathfin", model=spec.name,
-        grid=(("n", (float(n),)), ("k", tuple(float(k) for k in ks)),
-              ("s", tuple(float(s) for s in s_grid))),
-        rows=tuple(rows), bands=bands, passed=passed, details=details)
+    return acc.report(("n", (float(n),)), ("k", tuple(float(k) for k in ks)),
+                      ("s", tuple(float(s) for s in s_grid)))
 
 
 # --------------------------------------------------------- W functionals
 
 
-def verify_laplace_W(spec: ProcessSpec, *,
-                     thetas: Sequence[float] | None = None) -> ConvergenceReport:
+def verify_laplace_W(spec: ProcessSpec) -> ConvergenceReport:
     """Small-argument tail of the accumulated-immigrants transform.
 
-    Regresses log(1 - E[exp(-theta W)]) on log(theta): the slope
-    estimates the leading survival exponent and the intercept the
-    amplitude in front of it.
+    Regresses log(1 - E[exp(-theta W)]) on log(theta) over 13 points
+    from theta = 1e-5 to 1e-2: the slope estimates the leading survival
+    exponent and the intercept the amplitude in front of it.
     """
     if spec.n_types < 2:
         raise ValueError("the accumulated count is degenerate for one type")
     consts = constant_set(validate_hypothesis_A(spec))
     gamma1 = consts.gamma[0]
     amplitude = consts.chain[-1]
-    if thetas is None:
-        thetas = tuple(np.geomspace(1e-5, 1e-2, 13))
-    thetas = tuple(float(t) for t in thetas)
+    thetas = tuple(float(t) for t in np.geomspace(1e-5, 1e-2, 13))
 
     def one(theta: float) -> ReportRow:
         value, ok = _guarded(
@@ -631,20 +612,17 @@ def verify_laplace_W(spec: ProcessSpec, *,
     slope, intercept = np.polyfit(logt, logv, 1)
     amp_ratio = math.exp(intercept) / amplitude
 
-    details: dict[str, object] = {
-        "slope": float(slope),
-        "gamma_1": gamma1,
-        "amplitude_estimate": math.exp(intercept),
-        "amplitude_ratio": amp_ratio,
-    }
-    bands: dict[str, tuple[float, float]] = {}
+    acc = _Accumulator("laplace_W", spec.name)
+    acc.details.update(slope=float(slope), gamma_1=gamma1,
+                       amplitude_estimate=math.exp(intercept),
+                       amplitude_ratio=amp_ratio)
     slope_band = band_for("laplace_W", "slope", spec.name)
     if slope_band is None:
         slope_band = (gamma1 - 0.03, gamma1 + 0.03)
-        details["band_source:slope"] = "declared-default"
+        acc.details["band_source:slope"] = "declared-default"
     else:
-        details["band_source:slope"] = "registry"
-    bands["slope"] = slope_band
+        acc.details["band_source:slope"] = "registry"
+    acc.bands["slope"] = slope_band
 
     def amp_pilot():
         # pilot regression over the coarse upper half of the grid
@@ -652,132 +630,102 @@ def verify_laplace_W(spec: ProcessSpec, *,
         s, i = np.polyfit(logt[upper:], logv[upper:], 1)
         return amp_ratio, math.exp(i) / amplitude
 
-    amp_band = _resolve_band("laplace_W", "amplitude", spec.name, amp_pilot,
-                             details)
-    bands["amplitude"] = amp_band
+    amp_band = acc.bands["amplitude"] = _resolve_band(
+        "laplace_W", "amplitude", spec.name, amp_pilot, acc.details)
 
-    passed = (all(r.precision_ok for r in rows)
-              and _in_band(float(slope), slope_band)
-              and _in_band(amp_ratio, amp_band))
-    return ConvergenceReport(
-        experiment="laplace_W", model=spec.name,
-        grid=(("theta", thetas),),
-        rows=tuple(rows), bands=bands, passed=passed, details=details)
+    acc.add(all(r.precision_ok for r in rows)
+            and _in_band(float(slope), slope_band)
+            and _in_band(amp_ratio, amp_band), *rows)
+    return acc.report(("theta", thetas))
 
 
 def verify_diff_lemmas(spec: ProcessSpec, *,
                        n_grid: Sequence[int] = (1000, 3162, 10000),
-                       lam: float = 1.0,
-                       parts: Sequence[str] | None = None) -> ConvergenceReport:
+                       lam: float = 1.0) -> ConvergenceReport:
     """Scaled building-block quantities against their limits.
 
-    Parts: "window_gap" (terminal iterate increment over a shrinking
+    Parts, all of them for two or more types and only the first for
+    one: "window_gap" (terminal iterate increment over a shrinking
     window), "weighted_mean" (size-biased transform of the accumulated
     count), "censored_mean" (the same with the lower block forced out
     early), "local_mean" (size-biased last-type count near extinction,
-    lower block censored), and "no_previous" (lower block conditioned
-    to be gone well before a late extinction; limit zero, so its band
-    constrains the value itself).
+    lower block censored), and "no_previous:e=0.6" and "e=0.75" (lower
+    block conditioned to be gone by n**e, well before a late
+    extinction; limit zero, so its band constrains the value itself,
+    which must also decrease along the grid).
     """
     consts = constant_set(validate_hypothesis_A(spec))
     b_N = consts.b[-1]
     gamma1 = consts.gamma[0]
     g1 = consts.local_amplitude[0]
     n_grid = tuple(int(n) for n in n_grid)
-    multi = spec.n_types >= 2
-    if parts is None:
-        parts = (("window_gap", "weighted_mean", "censored_mean",
-                  "local_mean", "no_previous") if multi else ("window_gap",))
-    unknown = set(parts) - {"window_gap", "weighted_mean", "censored_mean",
-                            "local_mean", "no_previous"}
-    if unknown:
-        raise ValueError(f"unknown parts: {sorted(unknown)}")
-    if not multi and set(parts) != {"window_gap"}:
-        raise ValueError("only window_gap is defined for a single type")
+    grid = (("n", tuple(float(n) for n in n_grid)), ("lam", (lam,)))
     table = _driver_table(spec, max(n_grid))
+    acc = _Accumulator("diff_lemmas", spec.name)
 
-    evaluators: dict[str, tuple[Callable[[int], float], float]] = {}
+    def ratio_part(part: str, value_at: Callable[[int], float],
+                   limit: float) -> None:
+        rows = acc.part(part, n_grid, (("lam", lam),), limit, value_at)
+        acc.details[f"final_ratio:{part}"] = rows[-1].ratio
 
     def gap_value(n: int) -> float:
         k = round(math.sqrt(n))
         s = math.exp(-lam / (b_N * k))
         return (b_N * lam * n * n / k) * terminal_gap(spec, s, n - k)
 
-    evaluators["window_gap"] = (gap_value, 1.0)
+    ratio_part("window_gap", gap_value, 1.0)
+    if spec.n_types < 2:
+        return acc.report(*grid)
 
-    if multi:
-        wm_limit = b_N * g1 / lam ** (1.0 - gamma1)
+    wm_limit = b_N * g1 / lam ** (1.0 - gamma1)
 
-        def wm_value(n: int) -> float:
-            return w_weighted_mean(spec, lam, n) / n ** (1.0 - gamma1)
+    def wm_value(n: int) -> float:
+        return w_weighted_mean(spec, lam, n) / n ** (1.0 - gamma1)
 
-        def cwm_value(n: int) -> float:
-            t = round(n ** (2.0 / 3.0))
-            return (w_weighted_mean(spec, lam, n, horizon=t)
-                    / n ** (1.0 - gamma1))
+    def cwm_value(n: int) -> float:
+        t = round(n ** (2.0 / 3.0))
+        return w_weighted_mean(spec, lam, n, horizon=t) / n ** (1.0 - gamma1)
 
-        def lm_value(n: int) -> float:
-            k = round(math.sqrt(n))
-            t = round(n ** (2.0 / 3.0))
-            m = n - k
-            theta0 = lam / (b_N * k)
-            ones = (1.0,) * (spec.n_types - 1)
+    def lm_value(n: int) -> float:
+        k = round(math.sqrt(n))
+        t = round(n ** (2.0 / 3.0))
+        m = n - k
+        theta0 = lam / (b_N * k)
+        ones = (1.0,) * (spec.n_types - 1)
 
-            def f(theta: float) -> float:
-                return censored_transform(
-                    spec, table, ones + (math.exp(-theta),), t, m)
+        def f(theta: float) -> float:
+            return censored_transform(
+                spec, table, ones + (math.exp(-theta),), t, m)
 
-            deriv = richardson_derivative(f, theta0, theta0 * 1e-4)
-            return -(n ** (1.0 + gamma1) / k ** 2) * deriv
+        deriv = richardson_derivative(f, theta0, theta0 * 1e-4)
+        return -(n ** (1.0 + gamma1) / k ** 2) * deriv
 
-        evaluators["weighted_mean"] = (wm_value, wm_limit)
-        evaluators["censored_mean"] = (cwm_value, wm_limit)
-        evaluators["local_mean"] = (lm_value, b_N * g1 / lam ** 2)
+    ratio_part("weighted_mean", wm_value, wm_limit)
+    ratio_part("censored_mean", cwm_value, wm_limit)
+    ratio_part("local_mean", lm_value, b_N * g1 / lam ** 2)
 
-    rows: list[ReportRow] = []
-    bands: dict[str, tuple[float, float]] = {}
-    details: dict[str, object] = {}
-    passed = True
+    ones = (1.0,) * spec.n_types
+    for expo in (0.6, 0.75):
+        part = f"no_previous:e={expo:g}"
 
-    for part in parts:
-        if part == "no_previous":
-            continue
-        value_at, limit = evaluators[part]
-        part_rows, bands[part], ok = _run_part(
-            "diff_lemmas", spec.name, part, n_grid, (("lam", lam),), limit,
-            value_at, details)
-        rows.extend(part_rows)
-        details[f"final_ratio:{part}"] = part_rows[-1].ratio
-        passed = passed and ok
+        def value_at(n: int, expo=expo) -> float:
+            l = round(n ** expo)
+            return 1.0 - censored_transform(spec, table, ones, l, l, n)
 
-    if "no_previous" in parts:
-        ones = (1.0,) * spec.n_types
-        for expo in (0.6, 0.75):
-            part = f"no_previous:e={expo:g}"
+        part_rows, band, _ = _run_part(
+            "diff_lemmas", spec.name, part, n_grid, (("e", expo),), 0.0,
+            value_at, acc.details)
+        # limit is zero: constrain the value, from below by nothing
+        band = acc.bands[part] = (0.0, max(band[1], band[0]))
+        final = part_rows[-1]
+        decreasing = all(b.value <= a.value + _MONOTONE_SLACK
+                         for a, b in zip(part_rows, part_rows[1:]))
+        acc.details[f"final_value:{part}"] = final.value
+        acc.details[f"decreasing:{part}"] = decreasing
+        acc.add(all(r.precision_ok for r in part_rows) and decreasing
+                and _in_band(final.value, band), *part_rows)
 
-            def value_at(n: int, expo=expo) -> float:
-                l = round(n ** expo)
-                return 1.0 - censored_transform(spec, table, ones, l, l, n)
-
-            part_rows, band, _ = _run_part(
-                "diff_lemmas", spec.name, part, n_grid, (("e", expo),), 0.0,
-                value_at, details)
-            rows.extend(part_rows)
-            # limit is zero: constrain the value, from below by nothing
-            band = bands[part] = (0.0, max(band[1], band[0]))
-            final = part_rows[-1]
-            ok_rows = all(r.precision_ok for r in part_rows)
-            decreasing = all(b.value <= a.value + _MONOTONE_SLACK
-                             for a, b in zip(part_rows, part_rows[1:]))
-            details[f"final_value:{part}"] = final.value
-            details[f"decreasing:{part}"] = decreasing
-            passed = (passed and ok_rows and decreasing
-                      and _in_band(final.value, band))
-
-    return ConvergenceReport(
-        experiment="diff_lemmas", model=spec.name,
-        grid=(("n", tuple(float(n) for n in n_grid)), ("lam", (lam,))),
-        rows=tuple(rows), bands=bands, passed=passed, details=details)
+    return acc.report(*grid)
 
 
 # ------------------------------------------------------------- calibration

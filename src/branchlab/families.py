@@ -49,10 +49,6 @@ class Geometric:
         return m * delta / ((1.0 + m * da) * (1.0 + m * (da + delta)))
 
     @property
-    def variance(self) -> float:
-        return self.mean * (1.0 + self.mean)
-
-    @property
     def second_factorial_moment(self) -> float:
         return 2.0 * self.mean * self.mean
 
@@ -84,10 +80,6 @@ class Poisson:
     def pgf_diff(self, da: float, delta: float) -> float:
         # exp(-m*da) - exp(-m*(da+delta)), both exponents <= 0
         return math.exp(-self.mean * da) * -math.expm1(-self.mean * delta)
-
-    @property
-    def variance(self) -> float:
-        return self.mean
 
     @property
     def second_factorial_moment(self) -> float:
@@ -122,10 +114,6 @@ class Bernoulli:
         return self.p
 
     @property
-    def variance(self) -> float:
-        return self.p * (1.0 - self.p)
-
-    @property
     def second_factorial_moment(self) -> float:
         return 0.0
 
@@ -156,10 +144,6 @@ class PointMass:
     @property
     def mean(self) -> float:
         return float(self.k)
-
-    @property
-    def variance(self) -> float:
-        return 0.0
 
     @property
     def second_factorial_moment(self) -> float:

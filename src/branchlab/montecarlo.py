@@ -139,10 +139,6 @@ class EstimateWithCI:
         if not 0.0 <= self.acceptance_rate <= 1.0:
             raise ValueError("acceptance rate must lie in [0, 1]")
 
-    def interval(self, width: float = 1.96) -> tuple[float, float]:
-        return (self.value - width * self.stderr,
-                self.value + width * self.stderr)
-
 
 def _run_chunk(spec: ProcessSpec, config: SimConfig, stream_index: int,
                count: int, horizon: int, flows=None):

@@ -119,6 +119,15 @@ class TestExitCodes:
                      "--output", str(out)]) == 2
         assert "k=150" in capsys.readouterr().err
         assert not out.exists()
+        # s = 0 and s = 1 put the orbit's argument or the limit's bracket
+        # out of range; both are rejected up front, naming s
+        for s in (0.0, 1.0):
+            with pytest.raises(ValueError, match=f"s={s}"):
+                verify_deathfin(two_type_cascade(), n=100, s_grid=(s,))
+            assert main(["theorem", "deathfin", "--n", "400", "--k", "1",
+                         "--s", str(s), "--output", str(out)]) == 2
+            assert f"s={s}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestArtifacts:
@@ -160,7 +169,7 @@ class TestArtifacts:
         report = verify_death(two_type_cascade(), n=2000, k=40)
         config = {"command": "theorem", "target": "death", "format": "json",
                   "model": "two_type_cascade", "n": 2000, "k": 40}
-        doc = {"config": config, "report": json.loads(report.to_json())}
+        doc = {"config": config, "report": report.to_doc()}
         assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_csv_report_artifact_is_config_then_the_report(self, tmp_path):
@@ -229,6 +238,28 @@ def test_every_target_writes_a_json_artifact(target, tmp_path):
         doc = json.load(fh)
     assert doc["config"]["target"] == target
     assert type(doc["report"]["passed"]) is bool
+
+
+# one flag per target that the target does not read
+_UNREAD = {
+    "foster": ("--k", "5", "k"),
+    "local": ("--lambda", "1", "lambda"),
+    "finalstage": ("--s", "0.5", "s"),
+    "death": ("--replicates", "10", "replicates"),
+    "deathfin": ("--lambda", "2", "lambda"),
+    "laplace": ("--n", "100", "n"),
+    "diff": ("--m", "10", "m"),
+}
+
+
+@pytest.mark.parametrize("target", sorted({*cli._THEOREMS, *cli._LEMMAS}))
+def test_a_flag_the_target_does_not_read_exits_2(target, tmp_path, capsys):
+    flag, value, field = _UNREAD[target]
+    out = tmp_path / f"{target}.csv"
+    assert main(_SMALL_RUNS[target] + [flag, value, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"does not read {flag}" in err and f"field: {field}" in err
+    assert not out.exists()
 
 
 class TestCommands:

@@ -15,6 +15,7 @@ from branchlab.errors import PrecisionLoss
 from branchlab.experiments import (
     ConvergenceReport,
     ReportRow,
+    _Accumulator,
     _band_key,
     _guarded,
     _monotone_toward,
@@ -190,7 +191,7 @@ class TestConvergenceReport:
         assert report.to_csv() == report.to_csv()
 
     def test_json_maps_non_finite_to_null(self, report):
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_doc(), indent=2, sort_keys=True))
         assert doc["passed"] is False
         bad = [r for r in doc["rows"] if r["part"] == "b"][0]
         assert bad["value"] is None and bad["ratio"] is None
@@ -295,6 +296,37 @@ class TestRunPart:
         assert math.isnan(rows[0].ratio)
 
 
+class TestAccumulator:
+    """The rows, bands, details and verdict of one driver run."""
+
+    def test_parts_and_extra_rows_keep_their_order(self):
+        acc = _Accumulator("demo", "toy")
+        rows = acc.part("a", (100, 200), (), 1.0, lambda n: 1.0)
+        remark = ReportRow("remark", (), 1.0, 1.0)
+        acc.add(True, remark)
+        report = acc.report(("n", (100.0, 200.0)))
+        assert report.passed
+        assert report.rows == (*rows, remark)
+        assert report.bands == {"a": pilot_band(1.0, 1.0)}
+        assert report.grid == (("n", (100.0, 200.0)),)
+        acc.add(False)
+        assert not acc.report().passed
+
+    def test_a_part_out_of_its_band_fails_the_run(self):
+        acc = _Accumulator("demo", "toy")
+        acc.part("a", (100,), (), 1.0, lambda n: 2.0 if n == 100 else 1.0)
+        acc.add(True)
+        assert not acc.report().passed
+
+    def test_normalization_row_must_be_exactly_one(self):
+        acc = _Accumulator("demo", "toy")
+        acc.normalization(lambda: 1.0 + 1e-6, (("lam", 0.0),))
+        report = acc.report()
+        assert [r.part for r in report.rows] == ["normalization"]
+        assert report.details["normalization_error"] == pytest.approx(1e-6)
+        assert not report.passed
+
+
 # ------------------------------------------------------------ driver runs
 
 
@@ -396,16 +428,13 @@ class TestDrivers:
         rep = verify_diff_lemmas(single_geometric())
         assert rep.passed
         assert {r.part for r in rep.rows} == {"window_gap"}
-        with pytest.raises(ValueError):
-            verify_diff_lemmas(single_geometric(), parts=("weighted_mean",))
-        with pytest.raises(ValueError):
-            verify_diff_lemmas(two_type_cascade(), parts=("bogus",))
 
     def test_reports_are_deterministic(self):
         a = verify_death(two_type_cascade(), n=2000, k=40)
         b = verify_death(two_type_cascade(), n=2000, k=40)
         assert a.to_csv() == b.to_csv()
-        assert a.to_json() == b.to_json()
+        assert (json.dumps(a.to_doc(), indent=2, sort_keys=True)
+                == json.dumps(b.to_doc(), indent=2, sort_keys=True))
 
 
 class TestCalibrate:

@@ -61,20 +61,24 @@ def test_pgf_diff_relative_accuracy(marg, da, frac):
     assert rel <= 1e-12
 
 
+def _variance(marg) -> float:
+    return marg.second_factorial_moment + marg.mean - marg.mean ** 2
+
+
 def test_moment_values():
     g = Geometric(2.0)
-    assert g.variance == pytest.approx(2.0 * 3.0)
+    assert _variance(g) == pytest.approx(2.0 * 3.0)
     assert g.second_factorial_moment == pytest.approx(8.0)
     p = Poisson(1.5)
-    assert p.variance == pytest.approx(1.5)
+    assert _variance(p) == pytest.approx(1.5)
     assert p.second_factorial_moment == pytest.approx(2.25)
     bn = Bernoulli(0.4)
     assert bn.mean == pytest.approx(0.4)
-    assert bn.variance == pytest.approx(0.24)
+    assert _variance(bn) == pytest.approx(0.24)
     assert bn.second_factorial_moment == 0.0
     pm = PointMass(3)
     assert pm.mean == 3.0
-    assert pm.variance == 0.0
+    assert _variance(pm) == 0.0
     assert pm.second_factorial_moment == 6.0
 
 
@@ -99,7 +103,7 @@ def test_sample_sum_mean(marg, mean):
     reps = 4000
     total = sum(marg.sample_sum(z, rng) for _ in range(reps))
     est = total / (reps * z)
-    spread = math.sqrt(max(marg.variance, 1e-12) / (reps * z))
+    spread = math.sqrt(max(_variance(marg), 1e-12) / (reps * z))
     assert abs(est - mean) <= 5.0 * spread + 1e-9
 
 

@@ -11,7 +11,9 @@ advance a vector orbit: the engine steps through each law's
 
 No dead code: every top-level function and class of the package is
 named somewhere in ``src/`` or ``perfbench/`` besides its own
-definition.
+definition, and every method and property of its classes is named by
+an attribute access or a string there, or shown as ``.name`` in the
+README.  Every experiment report is built in one place.
 """
 
 import ast
@@ -111,3 +113,68 @@ def test_the_dead_code_guard_sees_what_it_looks_for():
     }
     assert _unused_definitions(modules, []) == ["a.dead", "a.Lone"]
     assert _unused_definitions(modules, ["Lone()"]) == ["a.dead"]
+
+
+def _unused_members(modules, others, readme=""):
+    """Methods and properties of the top-level classes of ``modules``
+    (name -> source) that no ``ast.Attribute`` or string constant in
+    ``modules`` or ``others`` names, and that ``readme`` does not show
+    as ``.name``; dunders are exempt."""
+    used = set()
+    for src in [*modules.values(), *others]:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    unused = []
+    for name, text in modules.items():
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("__")
+                        and node.name not in used
+                        and not re.search(rf"\.{re.escape(node.name)}\b",
+                                          readme)):
+                    unused.append(f"{name}.{cls.name}.{node.name}")
+    return unused
+
+
+def test_every_class_member_has_a_user():
+    modules = {path.stem: path.read_text()
+               for path in sorted((ROOT / "src" / "branchlab").glob("*.py"))}
+    perfbench = [path.read_text()
+                 for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert _unused_members(modules, perfbench, readme) == []
+
+
+def test_the_member_guard_sees_what_it_looks_for():
+    modules = {
+        "a": "class Law:\n"
+             "    def __init__(self):\n        pass\n\n"
+             "    def pgf(self, s):\n        return self.step(s)\n\n"
+             "    def step(self, s):\n        return s\n\n"
+             "    @property\n    def variance(self):\n        return 0.0\n\n"
+             "    def by_name(self):\n        pass\n\n"
+             "    def documented(self):\n        pass\n\n"
+             "    def dead(self):\n        pass\n",
+        "b": "from .a import Law\nLaw().pgf(0.5)\n"
+             "getattr(Law(), 'by_name')()\n",
+    }
+    assert _unused_members(modules, [], "law.documented()") == [
+        "a.Law.variance", "a.Law.dead"]
+    assert _unused_members(modules, ["law.variance"]) == [
+        "a.Law.documented", "a.Law.dead"]
+
+
+def test_every_report_is_built_in_one_place():
+    built = [path.stem
+             for path in sorted((ROOT / "src" / "branchlab").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "ConvergenceReport"]
+    assert built == ["experiments"]

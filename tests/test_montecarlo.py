@@ -70,8 +70,6 @@ class TestSimConfig:
             EstimateWithCI(1.0, -0.1, 10, 1.0)
         with pytest.raises(ValueError):
             EstimateWithCI(1.0, 0.1, 10, 1.5)
-        lo, hi = EstimateWithCI(1.0, 0.5, 10, 1.0).interval(2.0)
-        assert (lo, hi) == (0.0, 2.0)
 
 
 # ----------------------------------------------------- single trajectories
