@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ _EXAMPLES = {
 class Table:
     """Tabular artifact for the non-experiment commands.
 
-    Field names follow ``ConvergenceReport`` so that one writer serves
+    Field names follow ``ConvergenceReport`` so that ``_emit`` serves
     both; ``passed`` is None for commands without a verdict.
     """
 
@@ -133,17 +133,32 @@ class Table:
             yield f"# {key}={_fmt(self.meta[key])}\n"
         yield ",".join(self.columns) + "\n"
         for row in self.rows:
-            yield ",".join(_fmt(cell) for cell in row) + "\n"
+            yield ",".join([format(c, ".17g") if type(c) is float else _fmt(c)
+                            for c in row]) + "\n"
 
-    def to_doc(self) -> dict:
-        return {
-            "table": self.experiment,
-            "model": self.model,
-            "verdict": self.passed,
-            "meta": {k: _clean(v) for k, v in self.meta.items()},
-            "columns": list(self.columns),
-            "rows": [[_clean(c) for c in row] for row in self.rows],
-        }
+    def json_lines(self, config: dict) -> Iterator[str]:
+        """The JSON artifact, byte for byte what ``json.dump`` writes with
+        ``indent=2, sort_keys=True`` for {"config": config, "table": doc}.
+        ``json`` lays out all but the rows, which a NUL string stands in
+        for (no config or meta value holds one) and which are written
+        straight from ``self.rows``, non-finite floats as null."""
+        doc = {"table": self.experiment, "model": self.model,
+               "verdict": self.passed,
+               "meta": {k: _clean(v) for k, v in self.meta.items()},
+               "columns": list(self.columns), "rows": "\0"}
+        head, _, tail = json.dumps({"config": config, "table": doc}, indent=2,
+                                   sort_keys=True).partition('"\\u0000"')
+        yield head
+        opening = "[\n"
+        for row in self.rows:
+            cells = [repr(c) if type(c) is int or (type(c) is float
+                                                   and math.isfinite(c))
+                     else json.dumps(_clean(c)) for c in row]
+            yield (opening + "      [\n        " + ",\n        ".join(cells)
+                   + "\n      ]")
+            opening = ",\n"
+        yield "\n    ]" if self.rows else "[]"
+        yield tail + "\n"
 
 
 # ------------------------------------------------------------- model lookup
@@ -188,6 +203,12 @@ def _check_request(req: RunRequest) -> None:
         raise UsageError("x must lie in (0, 1)", field="x")
     if req.lam is not None and req.lam < 0.0:
         raise UsageError("lambda must be nonnegative", field="lambda")
+    reads = _READS[req.target if req.command in ("theorem", "lemma")
+                   else req.command]
+    for name, flag in _FLAGS.items():
+        if getattr(req, name) is not None and name not in reads:
+            what = " ".join(filter(None, (req.command, req.target)))
+            raise UsageError(f"'{what}' does not read --{flag}", field=flag)
 
 
 # ----------------------------------------------------------------- commands
@@ -314,6 +335,8 @@ def _cmd_mc(req: RunRequest, spec: ProcessSpec, resolved: dict):
                      rows, {"replicates": config.replicates,
                             "seed": req.seed, "mode": "conditional"})
 
+    if req.s is not None:
+        raise UsageError("'mc' reads --s only with --m", field="s")
     config = _mc_config(req, n)
     estimates = estimate_pmf_T(spec, config, workers=req.workers)
     table = build_survival_table(spec, n)
@@ -370,8 +393,14 @@ def _lemma_grid(n: int) -> tuple[int, ...]:
     return _log_grid(max(100, n // 10), n, 3)
 
 
-# target -> {request field: (driver keyword, conversion)}
-_READS: dict[str, dict[str, tuple[str, Callable]]] = {
+# command or theorem/lemma target -> the request fields it reads; a
+# target maps each to its driver keyword and conversion
+_READS: dict[str, Collection[str] | Mapping[str, tuple[str, Callable]]] = {
+    "validate": (),
+    "constants": (),
+    "extinction": ("n",),
+    "conditional": ("n", "m", "s"),
+    "mc": ("n", "m", "s", "replicates"),
     "foster": {"n": ("n_grid", _power_grid)},
     "local": {"n": ("n_grid", _power_grid)},
     "finalstage": {"n": ("n", _same), "lam": ("lam", _same),
@@ -384,21 +413,15 @@ _READS: dict[str, dict[str, tuple[str, Callable]]] = {
     "diff": {"n": ("n_grid", _lemma_grid), "lam": ("lam", _same)},
 }
 
-# request field -> its flag, for the fields an experiment may read
+# request field -> its flag, for the fields a command may read
 _FLAGS = {"n": "n", "m": "m", "k": "k", "lam": "lambda", "s": "s", "x": "x",
           "replicates": "replicates"}
 
 
 def _cmd_experiment(req: RunRequest, spec: ProcessSpec, resolved: dict):
     fn = (_THEOREMS if req.command == "theorem" else _LEMMAS)[req.target]
-    reads = _READS[req.target]
-    for name, flag in _FLAGS.items():
-        if getattr(req, name) is not None and name not in reads:
-            raise UsageError(
-                f"'{req.command} {req.target}' does not read --{flag}",
-                field=flag)
     kwargs = {}
-    for name, (keyword, convert) in reads.items():
+    for name, (keyword, convert) in _READS[req.target].items():
         value = getattr(req, name)
         if value is not None:
             resolved[name] = value
@@ -428,10 +451,10 @@ def _slug(label: str) -> str:
 def _write_plotdata(stem: Path, curves: Mapping[str, Sequence[tuple]]) -> list[Path]:
     written = []
     for label in sorted(curves):
-        points = curves[label]
         path = stem.parent / f"{stem.name}_{_slug(label)}.dat"
-        lines = [f"{_fmt(float(x))} {_fmt(float(y))}" for x, y in points]
-        path.write_text("\n".join(lines) + "\n")
+        with open(path, "w") as fh:
+            fh.writelines(f"{_fmt(float(x))} {_fmt(float(y))}\n"
+                          for x, y in curves[label])
         written.append(path)
     return written
 
@@ -446,9 +469,10 @@ def _emit(req: RunRequest, resolved: dict,
         if req.format == "csv":
             fh.writelines(_config_lines(resolved))
             fh.writelines(payload.csv_lines())
+        elif isinstance(payload, Table):
+            fh.writelines(payload.json_lines(resolved))
         else:
-            key = "report" if isinstance(payload, ConvergenceReport) else "table"
-            json.dump({"config": resolved, key: payload.to_doc()}, fh,
+            json.dump({"config": resolved, "report": payload.to_doc()}, fh,
                       indent=2, sort_keys=True)
             fh.write("\n")
     written = [path]

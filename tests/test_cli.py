@@ -9,13 +9,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from branchlab import cli
 from branchlab.cli import RunRequest, main, run
-from branchlab.experiments import verify_death, verify_deathfin
+from branchlab.experiments import _fmt, verify_death, verify_deathfin
 from branchlab.pgf import build_survival_table, extinction_time_pmf
-from branchlab.zoo import two_type_cascade
+from branchlab.zoo import STOCK_MODELS, two_type_cascade
 
 GOOD_YAML = """\
 types: 2
@@ -240,8 +241,13 @@ def test_every_target_writes_a_json_artifact(target, tmp_path):
     assert type(doc["report"]["passed"]) is bool
 
 
-# one flag per target that the target does not read
+# one flag per command or target that it does not read
 _UNREAD = {
+    "validate": ("--n", "7", "n"),
+    "constants": ("--s", "0.4", "s"),
+    "extinction": ("--k", "3", "k"),
+    "conditional": ("--x", "0.3", "x"),
+    "mc": ("--lambda", "2", "lambda"),
     "foster": ("--k", "5", "k"),
     "local": ("--lambda", "1", "lambda"),
     "finalstage": ("--s", "0.5", "s"),
@@ -252,13 +258,126 @@ _UNREAD = {
 }
 
 
-@pytest.mark.parametrize("target", sorted({*cli._THEOREMS, *cli._LEMMAS}))
+# a run of each command that reads every flag given
+_COMMAND_RUNS = {
+    "validate": ["validate"],
+    "constants": ["constants"],
+    "extinction": ["extinction", "--n", "5"],
+    "conditional": ["conditional", "--n", "20", "--m", "10", "--s", "0.5"],
+    "mc": ["mc", "--n", "5", "--replicates", "50"],
+}
+
+
+@pytest.mark.parametrize("target", sorted(cli._READS))
 def test_a_flag_the_target_does_not_read_exits_2(target, tmp_path, capsys):
     flag, value, field = _UNREAD[target]
     out = tmp_path / f"{target}.csv"
-    assert main(_SMALL_RUNS[target] + [flag, value, "--output", str(out)]) == 2
+    argv = {**_SMALL_RUNS, **_COMMAND_RUNS}[target]
+    assert main(argv + [flag, value, "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"does not read {flag}" in err and f"field: {field}" in err
+    assert not out.exists()
+
+
+# the reference encoders: the whole document through json.dumps, and
+# each CSV row as the _fmt of every cell
+
+
+def _null(cell):
+    return None if isinstance(cell, float) and not math.isfinite(cell) else cell
+
+
+def _reference_json(config, table):
+    doc = {"table": table.experiment, "model": table.model,
+           "verdict": table.passed,
+           "meta": {k: _null(v) for k, v in table.meta.items()},
+           "columns": list(table.columns),
+           "rows": [[_null(c) for c in row] for row in table.rows]}
+    return json.dumps({"config": config, "table": doc}, indent=2,
+                      sort_keys=True) + "\n"
+
+
+def _reference_csv_rows(table):
+    return [",".join(table.columns)] + [",".join(_fmt(c) for c in row)
+                                        for row in table.rows]
+
+
+def _assert_artifacts_match_the_reference(argv, tmp_path, monkeypatch):
+    """Run ``argv`` in both formats; each artifact must equal what the
+    reference encoders make of the table ``_emit`` was handed."""
+    seen = []
+    emit = cli._emit
+
+    def capture(req, resolved, payload):
+        seen.append((dict(resolved), payload))
+        return emit(req, resolved, payload)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"artifact.{fmt}"
+        assert main(argv + ["--format", fmt, "--output", str(out)]) in (0, 1)
+        config, table = seen.pop()
+        assert isinstance(table, cli.Table)
+        if fmt == "json":
+            assert out.read_text() == _reference_json(config, table)
+        else:
+            lines = out.read_text().splitlines()
+            assert lines[len(lines) - len(table.rows) - 1:] == \
+                _reference_csv_rows(table)
+    return table
+
+
+_TABLE_RUNS = {
+    "validate": ["validate"],
+    "constants": ["constants"],
+    "extinction": ["extinction", "--n", "300"],
+    "conditional": ["conditional", "--n", "60", "--m", "40", "--s", "0.5"],
+    "mc-pmf": ["mc", "--n", "8", "--replicates", "500", "--seed", "3"],
+    "mc-conditional": ["mc", "--n", "8", "--m", "5", "--s", "0.5",
+                       "--replicates", "4000", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("model", sorted(STOCK_MODELS))
+@pytest.mark.parametrize("run", sorted(_TABLE_RUNS))
+def test_table_artifacts_equal_the_reference_encoders(run, model, tmp_path,
+                                                       monkeypatch):
+    table = _assert_artifacts_match_the_reference(
+        _TABLE_RUNS[run] + ["--model", model], tmp_path, monkeypatch)
+    assert table.rows
+
+
+def test_non_finite_cells_are_written_as_null(tmp_path, monkeypatch):
+    cfg = tmp_path / "super.yaml"
+    cfg.write_text(GOOD_YAML.replace("geometric, mean: 1.0}",
+                                     "geometric, mean: 1.5}"))
+    table = _assert_artifacts_match_the_reference(
+        ["validate", "--model", str(cfg)], tmp_path, monkeypatch)
+    assert any(isinstance(c, float) and math.isnan(c)
+               for row in table.rows for c in row)
+    assert "        null" in (tmp_path / "artifact.json").read_text()
+
+
+def test_every_kind_of_cell_is_written_as_json_writes_it():
+    cells = (0, -7, 2**70, 0.1, -0.0, 1e-300, 1.5e300, math.nan, math.inf,
+             -math.inf, None, True, False, "a,\"b\"\\\t", "\u00e9", "",
+             np.float64(0.3), np.float64(math.nan))
+    config = {"command": "x", "model": "m", "n": 3}
+    for rows in ([cells, cells[::-1]], [cells[:1]], []):
+        table = cli.Table("t", "m", tuple(f"c{i}" for i in range(len(cells))),
+                          rows, {"n_types": 1, "w": math.nan}, passed=True)
+        assert "".join(table.json_lines(config)) == \
+            _reference_json(config, table)
+        lines = "".join(table.csv_lines()).splitlines()
+        assert lines[len(lines) - len(rows) - 1:] == _reference_csv_rows(table)
+
+
+def test_mc_reads_s_only_in_conditional_mode(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--n", "5", "--replicates", "50", "--s", "0.5",
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "reads --s only with --m" in err and "field: s" in err
     assert not out.exists()
 
 
