@@ -17,10 +17,10 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,12 +49,13 @@ __all__ = ["RunRequest", "main", "run"]
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One fully resolved CLI invocation.
+    """One CLI invocation.
 
     ``command`` is the subcommand; ``target`` carries the theorem or
     lemma id when the command takes one.  ``model`` is either a stock
-    model name or a path to a YAML config.  Overrides left at None
-    fall back to per-command defaults.
+    model name or a path to a YAML config.  A field named in ``_FLAGS``
+    is None unless given; ``_READS`` states which of them each command
+    reads and their defaults.
     """
 
     command: str
@@ -66,12 +67,12 @@ class RunRequest:
     lam: float | None = None
     s: float | None = None
     x: float | None = None
-    seed: int = 0
+    seed: int | None = None
     replicates: int | None = None
-    workers: int = 1
+    workers: int | None = None
     output: str | None = None
     format: str = "csv"
-    plotdata: bool = False
+    plotdata: bool | None = None
 
 
 class UsageError(Exception):
@@ -102,6 +103,7 @@ _EXAMPLES = {
     "conditional":
         "branchlab conditional --model two_type_cascade --n 200 --m 150 --s 0.6",
     "mc": "branchlab mc --model two_type_cascade --n 30 --replicates 100000",
+    "mc --m": "branchlab mc --model two_type_cascade --n 30 --m 20 --s 0.5",
     "theorem": "branchlab theorem death --n 20000 --k 200 --lambda 1",
     "lemma": "branchlab lemma laplace --model two_type_cascade",
 }
@@ -176,18 +178,11 @@ def _resolve_model(name_or_path: str) -> ProcessSpec:
         field="model", stanza=_MODEL_STANZA)
 
 
-def _require(req: RunRequest, *names: str) -> None:
-    for name in names:
-        if getattr(req, name) is None:
-            raise UsageError(
-                f"command '{req.command}' requires --{name}",
-                field=name, stanza="  " + _EXAMPLES[req.command])
-
-
-def _check_request(req: RunRequest) -> None:
+def _check_request(req: RunRequest) -> Mapping[str, object]:
+    """Refuse a malformed request; returns what its command reads."""
     if req.format not in ("csv", "json"):
         raise UsageError(f"unknown format '{req.format}'", field="format")
-    if req.workers < 1:
+    if req.workers is not None and req.workers < 1:
         raise UsageError("workers must be at least 1", field="workers")
     if req.replicates is not None and req.replicates < 1:
         raise UsageError(
@@ -203,18 +198,29 @@ def _check_request(req: RunRequest) -> None:
         raise UsageError("x must lie in (0, 1)", field="x")
     if req.lam is not None and req.lam < 0.0:
         raise UsageError("lambda must be nonnegative", field="lambda")
-    reads = _READS[req.target if req.command in ("theorem", "lemma")
-                   else req.command]
+    if req.command in ("theorem", "lemma"):
+        key, what = req.target, f"{req.command} {req.target}"
+    else:
+        key = what = "mc --m" if req.command == "mc" and req.m is not None \
+            else req.command
+    reads = _READS[key]
     for name, flag in _FLAGS.items():
-        if getattr(req, name) is not None and name not in reads:
-            what = " ".join(filter(None, (req.command, req.target)))
+        value = getattr(req, name)
+        if value is not None and name not in reads:
+            if key == "mc" and name in _READS["mc --m"]:
+                raise UsageError(f"'mc' reads --{flag} only with --m",
+                                 field=flag)
             raise UsageError(f"'{what}' does not read --{flag}", field=flag)
+        if value is None and reads.get(name) is _REQUIRED:
+            raise UsageError(f"command '{req.command}' requires --{flag}",
+                             field=flag, stanza="  " + _EXAMPLES[key])
+    return reads
 
 
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_validate(req: RunRequest, spec: ProcessSpec, resolved: dict):
+def _cmd_validate(req: RunRequest, spec: ProcessSpec):
     md = _collect_moments(spec)
     violations = check_assumptions(spec)
     bad = {(v.kind, v.type_index) for v in violations}
@@ -243,7 +249,7 @@ def _cmd_validate(req: RunRequest, spec: ProcessSpec, resolved: dict):
     return table
 
 
-def _cmd_constants(req: RunRequest, spec: ProcessSpec, resolved: dict):
+def _cmd_constants(req: RunRequest, spec: ProcessSpec):
     from .model import validate_hypothesis_A
 
     cs = constant_set(validate_hypothesis_A(spec))
@@ -261,11 +267,10 @@ def _cmd_constants(req: RunRequest, spec: ProcessSpec, resolved: dict):
                  rows, {"n_types": cs.n_types})
 
 
-def _cmd_extinction(req: RunRequest, spec: ProcessSpec, resolved: dict):
-    n = req.n if req.n is not None else 1000
+def _cmd_extinction(req: RunRequest, spec: ProcessSpec):
+    n = req.n
     if n < 1:
         raise UsageError("n must be at least 1", field="n")
-    resolved["n"] = n
     table = build_survival_table(spec, n)
     table._check(1, n)  # a truncated table raises PrecisionLoss here
     types = range(1, spec.n_types + 1)
@@ -283,12 +288,10 @@ def _cmd_extinction(req: RunRequest, spec: ProcessSpec, resolved: dict):
                  {"n_types": spec.n_types}, curves=curves)
 
 
-def _cmd_conditional(req: RunRequest, spec: ProcessSpec, resolved: dict):
-    _require(req, "n", "m", "s")
+def _cmd_conditional(req: RunRequest, spec: ProcessSpec):
     if not req.m < req.n:
         raise UsageError("m must be smaller than n", field="m",
                          stanza="  " + _EXAMPLES["conditional"])
-    resolved.update(n=req.n, m=req.m, s=req.s)
     table = build_survival_table(spec, req.n)
     args = (1.0,) * (spec.n_types - 1) + (req.s,)
     value = conditional_transform(spec, table, args, m=req.m, n=req.n)
@@ -297,28 +300,18 @@ def _cmd_conditional(req: RunRequest, spec: ProcessSpec, resolved: dict):
                  {"n_types": spec.n_types})
 
 
-def _mc_config(req: RunRequest, n: int, snapshots=()) -> SimConfig:
-    return SimConfig(master_seed=req.seed,
-                     replicates=req.replicates if req.replicates is not None
-                     else 10_000,
-                     max_steps=n, snapshot_times=snapshots)
-
-
-def _cmd_mc(req: RunRequest, spec: ProcessSpec, resolved: dict):
-    n = req.n if req.n is not None else 30
+def _cmd_mc(req: RunRequest, spec: ProcessSpec):
+    n = req.n
     if n < 1:
         raise UsageError("n must be at least 1", field="n")
-    resolved.update(n=n, seed=req.seed, workers=req.workers,
-                    replicates=req.replicates if req.replicates is not None
-                    else 10_000)
+    if req.m is not None and not req.m < n:
+        raise UsageError("m must be smaller than n", field="m")
+    config = SimConfig(master_seed=req.seed, replicates=req.replicates,
+                       max_steps=n,
+                       snapshot_times=() if req.m is None else (req.m,))
 
     if req.m is not None:
         # conditional mode: E[s^(last-type count at m) | extinction at n]
-        _require(req, "s")
-        if not req.m < n:
-            raise UsageError("m must be smaller than n", field="m")
-        resolved.update(m=req.m, s=req.s)
-        config = _mc_config(req, n, snapshots=(req.m,))
         est = conditional_estimate(
             spec, config, n,
             lambda summary: req.s ** summary.snapshots[req.m][-1],
@@ -335,9 +328,6 @@ def _cmd_mc(req: RunRequest, spec: ProcessSpec, resolved: dict):
                      rows, {"replicates": config.replicates,
                             "seed": req.seed, "mode": "conditional"})
 
-    if req.s is not None:
-        raise UsageError("'mc' reads --s only with --m", field="s")
-    config = _mc_config(req, n)
     estimates = estimate_pmf_T(spec, config, workers=req.workers)
     table = build_survival_table(spec, n)
     rows = []
@@ -393,40 +383,52 @@ def _lemma_grid(n: int) -> tuple[int, ...]:
     return _log_grid(max(100, n // 10), n, 3)
 
 
-# command or theorem/lemma target -> the request fields it reads; a
-# target maps each to its driver keyword and conversion
-_READS: dict[str, Collection[str] | Mapping[str, tuple[str, Callable]]] = {
-    "validate": (),
-    "constants": (),
-    "extinction": ("n",),
-    "conditional": ("n", "m", "s"),
-    "mc": ("n", "m", "s", "replicates"),
-    "foster": {"n": ("n_grid", _power_grid)},
-    "local": {"n": ("n_grid", _power_grid)},
-    "finalstage": {"n": ("n", _same), "lam": ("lam", _same),
-                   "x": ("xs", _single)},
-    "death": {"n": ("n", _same), "k": ("k", _same),
-              "lam": ("lambdas", _single)},
-    "deathfin": {"n": ("n", _same), "k": ("ks", _single),
-                 "s": ("s_grid", _single)},
-    "laplace": {},
-    "diff": {"n": ("n_grid", _lemma_grid), "lam": ("lam", _same)},
+class _Driver(NamedTuple):
+    """A target's field: given, it reaches the driver as
+    ``keyword=convert(value)``; otherwise the driver's default holds."""
+
+    keyword: str
+    convert: Callable = _same
+
+
+_REQUIRED = object()  # a field the command needs and has no default for
+
+_MC = {"n": 30, "replicates": 10_000, "seed": 0, "workers": 1}
+
+# command, mc mode or theorem/lemma target -> {request field it reads:
+# its default}; a None default leaves the field unset unless given, and
+# every set field but `plotdata` goes into the `# config:` header
+_READS: dict[str, Mapping[str, object]] = {
+    "validate": {},
+    "constants": {},
+    "extinction": {"n": 1000, "plotdata": None},
+    "conditional": {"n": _REQUIRED, "m": _REQUIRED, "s": _REQUIRED},
+    "mc": {**_MC, "plotdata": None},
+    "mc --m": {**_MC, "m": _REQUIRED, "s": _REQUIRED},
+    "foster": {"n": _Driver("n_grid", _power_grid), "plotdata": None},
+    "local": {"n": _Driver("n_grid", _power_grid), "plotdata": None},
+    "finalstage": {"n": _Driver("n"), "lam": _Driver("lam"),
+                   "x": _Driver("xs", _single), "plotdata": None},
+    "death": {"n": _Driver("n"), "k": _Driver("k"),
+              "lam": _Driver("lambdas", _single), "plotdata": None},
+    "deathfin": {"n": _Driver("n"), "k": _Driver("ks", _single),
+                 "s": _Driver("s_grid", _single), "plotdata": None},
+    "laplace": {"plotdata": None},
+    "diff": {"n": _Driver("n_grid", _lemma_grid), "lam": _Driver("lam"),
+             "plotdata": None},
 }
 
 # request field -> its flag, for the fields a command may read
 _FLAGS = {"n": "n", "m": "m", "k": "k", "lam": "lambda", "s": "s", "x": "x",
-          "replicates": "replicates"}
+          "seed": "seed", "replicates": "replicates", "workers": "workers",
+          "plotdata": "plotdata"}
 
 
-def _cmd_experiment(req: RunRequest, spec: ProcessSpec, resolved: dict):
+def _cmd_experiment(req: RunRequest, spec: ProcessSpec):
     fn = (_THEOREMS if req.command == "theorem" else _LEMMAS)[req.target]
-    kwargs = {}
-    for name, (keyword, convert) in _READS[req.target].items():
-        value = getattr(req, name)
-        if value is not None:
-            resolved[name] = value
-            kwargs[keyword] = convert(value)
-    return fn(spec, **kwargs)
+    return fn(spec, **{arg.keyword: arg.convert(getattr(req, name))
+                       for name, arg in _READS[req.target].items()
+                       if arg is not None and getattr(req, name) is not None})
 
 
 # ------------------------------------------------------------ artifact I/O
@@ -513,13 +515,18 @@ def _print_usage_error(exc: UsageError) -> None:
 def run(request: RunRequest) -> int:
     """Execute one request; returns the process exit status."""
     try:
-        _check_request(request)
+        reads = _check_request(request)
         spec = _resolve_model(request.model)
-        resolved = {"command": request.command, "model": request.model,
-                    "format": request.format}
-        if request.target is not None:
-            resolved["target"] = request.target
-        payload = _HANDLERS[request.command](request, spec, resolved)
+        request = replace(request, **{
+            name: default for name, default in reads.items()
+            if getattr(request, name) is None
+            and not isinstance(default, _Driver)})
+        # --plotdata adds .dat files and leaves the artifact as it is
+        resolved = {name: getattr(request, name) for name in
+                    ("command", "target", "model", "format", *reads)
+                    if name != "plotdata"
+                    and getattr(request, name) is not None}
+        payload = _HANDLERS[request.command](request, spec)
         code, _ = _emit(request, resolved, payload)
         return code
     except UsageError as exc:
@@ -558,13 +565,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lambda", dest="lam", type=float)
     common.add_argument("--s", type=float)
     common.add_argument("--x", type=float)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int)
     common.add_argument("--replicates", type=int)
+    common.add_argument("--workers", type=int,
+                        help="worker processes for the mc replicate "
+                             "chunks (at most one per core)")
     common.add_argument("--output", help="artifact path (default: "
                         "<experiment>_<model>_<timestamp>.<format> under "
                         "$BRANCHLAB_OUTDIR or the working directory)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--plotdata", action="store_true",
+    common.add_argument("--plotdata", action="store_true", default=None,
                         help="also write two-column .dat files per curve")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -574,13 +584,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("extinction", "tabulate survival and extinction-time pmf"),
         ("conditional", "conditional pgf of the last type at time m "
                         "given extinction at n"),
+        ("mc", "Monte Carlo estimates against exact values"),
     ]:
         sub.add_parser(name, parents=[common], help=helptext)
-    p_mc = sub.add_parser("mc", parents=[common],
-                          help="Monte Carlo estimates against exact values")
-    p_mc.add_argument("--workers", type=int, default=1,
-                      help="worker processes for the replicate chunks "
-                           "(at most one per core; default 1)")
     p_theorem = sub.add_parser("theorem", parents=[common],
                                help="run a limit-theorem experiment")
     p_theorem.add_argument("target", choices=sorted(_THEOREMS))
@@ -595,13 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    request = RunRequest(
-        command=args.command, target=getattr(args, "target", None),
-        model=args.model, n=args.n, m=args.m, k=args.k, lam=args.lam,
-        s=args.s, x=args.x, seed=args.seed, replicates=args.replicates,
-        workers=getattr(args, "workers", 1), output=args.output,
-        format=args.format, plotdata=args.plotdata)
-    return run(request)
+    return run(RunRequest(**vars(args)))
 
 
 if __name__ == "__main__":

@@ -102,18 +102,10 @@ class ProductLaw:
             row[child - 1] = law.mean
         return row
 
-    def second_moment_matrix(self, n_types: int) -> np.ndarray:
-        """E[eta_j * eta_k] for all child-type pairs (j, k)."""
-        out = np.zeros((n_types, n_types))
-        for cj, lj in self.children.items():
-            for ck, lk in self.children.items():
-                if cj == ck:
-                    out[cj - 1, cj - 1] = (
-                        lj.second_factorial_moment + lj.mean
-                    )
-                else:
-                    out[cj - 1, ck - 1] = lj.mean * lk.mean
-        return out
+    def own_second_moment(self) -> float:
+        """E[eta_i^2] for the parent's own type i."""
+        own = self.own_marginal()
+        return own.second_factorial_moment + own.mean
 
     def own_marginal(self) -> Marginal:
         """The own-type family; no own-type children is a point mass at 0."""
@@ -217,12 +209,9 @@ class TableLaw:
                 row[j] += p * c
         return row
 
-    def second_moment_matrix(self, n_types: int) -> np.ndarray:
-        out = np.zeros((n_types, n_types))
-        for counts, p in self.rows:
-            w = np.asarray(counts, dtype=float)
-            out += p * np.outer(w, w)
-        return out
+    def own_second_moment(self) -> float:
+        """E[eta_i^2] for the parent's own type i, summed in row order."""
+        return sum(p * counts[self.parent - 1] ** 2 for counts, p in self.rows)
 
     def own_marginal(self) -> _OwnColumn:
         """The own-type column of the table, as a scalar law."""
@@ -317,18 +306,15 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class MomentData:
-    """First and second offspring moments of a validated model.
+    """First offspring moments and own-type variances of a validated model.
 
     ``b`` holds half the own-type variances, the quadratic
     coefficients that govern every asymptotic rate in the engine.
-    ``second_moments[i-1][j, k]`` is E[eta_j * eta_k] for a type-i
-    parent.
     """
 
     n_types: int
     mean_matrix: np.ndarray
     b: tuple[float, ...]
-    second_moments: tuple[np.ndarray, ...]
 
     @property
     def link_means(self) -> tuple[float, ...]:
@@ -348,23 +334,15 @@ _VIOLATION_EXC = {
 def _collect_moments(spec: ProcessSpec) -> MomentData:
     n = spec.n_types
     mean = np.zeros((n, n))
-    seconds = []
     b = []
     for i in range(1, n + 1):
         law = spec.law(i)
         mean[i - 1] = law.mean_row(n)
-        sm = law.second_moment_matrix(n)
-        seconds.append(sm)
-        own_var = sm[i - 1, i - 1] - mean[i - 1, i - 1] ** 2
+        own_var = law.own_second_moment() - mean[i - 1, i - 1] ** 2
         # roundoff can push an exact-zero variance slightly negative;
         # Python floats, so no numpy scalar leaks into derived values
         b.append(float(max(own_var, 0.0) / 2.0))
-    return MomentData(
-        n_types=n,
-        mean_matrix=mean,
-        b=tuple(b),
-        second_moments=tuple(seconds),
-    )
+    return MomentData(n_types=n, mean_matrix=mean, b=tuple(b))
 
 
 def check_assumptions(spec: ProcessSpec) -> list[Violation]:

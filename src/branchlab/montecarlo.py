@@ -174,7 +174,6 @@ def _run_chunk(spec: ProcessSpec, config: SimConfig, stream_index: int,
         zt = z[idx]
         new = np.zeros_like(zt)
         feed = np.zeros(idx.size, dtype=np.int64)
-        own_last = np.zeros(idx.size, dtype=np.int64)
         flow_mat = np.zeros((n, n), dtype=np.int64) if flows is not None else None
         for i, law in enumerate(spec.laws):
             sub = np.flatnonzero(zt[:, i] > 0)
@@ -182,17 +181,10 @@ def _run_chunk(spec: ProcessSpec, config: SimConfig, stream_index: int,
                 continue
             for j, vals in law.draws(zt[sub, i], rng):
                 new[sub, j] += vals
-                if j == n - 1:
-                    if i < n - 1:
-                        feed[sub] += vals
-                    else:
-                        own_last[sub] += vals
+                if j == n - 1 and i < n - 1:
+                    feed[sub] += vals
                 if flow_mat is not None:
                     flow_mat[i, j] += int(vals.sum())
-        if n == 2 and not np.array_equal(new[:, 1] - own_last, feed):
-            # two routes to the same count: direct tally of type-1 draws
-            # vs. total type-2 births minus own-type births
-            raise AssertionError("last-type immigrant counters disagree")
         if flows is not None:
             flows(t, zt[0].copy(), flow_mat, new[0].copy())
 

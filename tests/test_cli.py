@@ -5,6 +5,7 @@ so no test touches the working directory or the environment except
 where the default-naming behavior itself is under test.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -248,6 +249,7 @@ _UNREAD = {
     "extinction": ("--k", "3", "k"),
     "conditional": ("--x", "0.3", "x"),
     "mc": ("--lambda", "2", "lambda"),
+    "mc --m": ("--x", "0.3", "x"),
     "foster": ("--k", "5", "k"),
     "local": ("--lambda", "1", "lambda"),
     "finalstage": ("--s", "0.5", "s"),
@@ -265,6 +267,8 @@ _COMMAND_RUNS = {
     "extinction": ["extinction", "--n", "5"],
     "conditional": ["conditional", "--n", "20", "--m", "10", "--s", "0.5"],
     "mc": ["mc", "--n", "5", "--replicates", "50"],
+    "mc --m": ["mc", "--n", "5", "--m", "3", "--s", "0.5",
+               "--replicates", "50"],
 }
 
 
@@ -277,6 +281,65 @@ def test_a_flag_the_target_does_not_read_exits_2(target, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"does not read {flag}" in err and f"field: {field}" in err
     assert not out.exists()
+
+
+# the commands and modes that read --seed and --workers, and those whose
+# artifact has curves for --plotdata
+_SEEDED = {"mc", "mc --m"}
+_CURVED = {"extinction", "mc", *cli._THEOREMS, *cli._LEMMAS}
+
+
+def _request(argv, **fields):
+    return RunRequest(**{**vars(cli._build_parser().parse_args(argv)),
+                         **fields})
+
+
+@pytest.mark.parametrize("target", sorted(cli._READS))
+def test_seed_plotdata_and_workers_show_or_exit_2(target, tmp_path, capsys):
+    argv = {**_SMALL_RUNS, **_COMMAND_RUNS}[target]
+    for field, extra, reads in (
+            ("seed", {"seed": 1}, target in _SEEDED),
+            ("plotdata", {"plotdata": True}, target in _CURVED),
+            ("workers", {"workers": 2}, target in _SEEDED)):
+        out = tmp_path / f"{field}.csv"
+        code = run(_request(argv + ["--output", str(out)], **extra))
+        err = capsys.readouterr().err
+        dats = list(tmp_path.glob(f"{field}_*.dat"))
+        if not reads:
+            assert code == 2 and f"field: {field}" in err
+            assert not out.exists() and not dats
+        elif field == "plotdata":
+            assert code in (0, 1) and dats
+        else:
+            assert code == 0
+            assert f"# config:{field}={extra[field]}\n" in out.read_text()
+
+
+@pytest.mark.parametrize("argv", [["conditional", "--n", "60", "--m", "40"],
+                                  ["mc", "--m", "6"]])
+def test_a_missing_flag_exits_2_with_an_example(argv, tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "requires --s" in err and "field: s" in err
+    assert f"example:\n  branchlab {argv[0]} " in err
+    assert not out.exists()
+
+
+def test_the_parser_gives_every_request_field_and_leaves_flags_unset():
+    # a flag the parser defaults cannot be told from a given one, so the
+    # flag table could not refuse it
+    fields = {f.name: f.default for f in dataclasses.fields(RunRequest)}
+    unset = dict.fromkeys(cli._FLAGS)
+    assert {name: fields[name] for name in cli._FLAGS} == unset
+    targets = {"theorem": [min(cli._THEOREMS)], "lemma": [min(cli._LEMMAS)]}
+    seen = set()
+    for command in cli._HANDLERS:
+        args = vars(cli._build_parser().parse_args(
+            [command] + targets.get(command, [])))
+        assert {name: args[name] for name in cli._FLAGS} == unset
+        seen |= args.keys()
+    assert seen == fields.keys()
 
 
 # the reference encoders: the whole document through json.dumps, and

@@ -15,8 +15,7 @@ def synthetic_moments(b, links):
     mean = np.eye(n)
     for i, li in enumerate(links):
         mean[i, i + 1] = li
-    return MomentData(n_types=n, mean_matrix=mean, b=tuple(b),
-                      second_moments=())
+    return MomentData(n_types=n, mean_matrix=mean, b=tuple(b))
 
 
 def test_decay_exponents_by_depth():
