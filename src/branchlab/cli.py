@@ -180,6 +180,19 @@ def _resolve_model(name_or_path: str) -> ProcessSpec:
 
 def _check_request(req: RunRequest) -> Mapping[str, object]:
     """Refuse a malformed request; returns what its command reads."""
+    if req.command not in _HANDLERS:
+        raise UsageError(f"unknown command '{req.command}'", field="command")
+    targets = {"theorem": _THEOREMS, "lemma": _LEMMAS}.get(req.command, {})
+    if targets and req.target not in targets:
+        known = ", ".join(sorted(targets))
+        problem = (f"command '{req.command}' requires a target"
+                   if req.target is None
+                   else f"unknown {req.command} target '{req.target}'")
+        raise UsageError(f"{problem} (one of {known})", field="target",
+                         stanza="  " + _EXAMPLES[req.command])
+    if not targets and req.target is not None:
+        raise UsageError(f"command '{req.command}' takes no target",
+                         field="target")
     if req.format not in ("csv", "json"):
         raise UsageError(f"unknown format '{req.format}'", field="format")
     if req.workers is not None and req.workers < 1:

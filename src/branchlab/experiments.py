@@ -278,7 +278,7 @@ def limit_deathfin(s_N: float, k: int, u_eval: Callable[[float], float],
     return u_eval(s_N * q_k1) - u_eval(s_N * q_k)
 
 
-def make_u_evaluator(spec: ProcessSpec, n_u: int = 10**5):
+def make_u_evaluator(spec: ProcessSpec, n_u: int = 10**4):
     """Harmonic-measure evaluator at a fixed large horizon, memoized."""
 
     @lru_cache(maxsize=256)
@@ -535,7 +535,7 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
 def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
                     ks: Sequence[int] = (0, 1, 2, 5),
                     s_grid: Sequence[float] = (0.3, 0.6, 0.9),
-                    n_u: int = 10**5) -> ConvergenceReport:
+                    n_u: int = 10**4) -> ConvergenceReport:
     """Last-type pgf a fixed number of steps before extinction.
 
     The finite-n side conditions at m = n - (k+1) so that the window

@@ -1,17 +1,18 @@
 """Single-coordinate offspring count distributions.
 
 Each family knows its generating function, low-order moments, a
-cancellation-free survival form, a cancellation-free difference form,
-and how to draw the sum of ``z`` independent copies in one call
-(``z`` an int, or an array of positive parent counts drawn
-elementwise).
+cancellation-free paired form, and how to draw the sum of ``z``
+independent copies in one call (``z`` an int, or an array of positive
+parent counts drawn elementwise).
 ``pgf`` also accepts mpmath numbers, for the extended-precision table.
 
-The survival form ``survival(d) = 1 - pgf(1 - d)`` and the difference
-form ``pgf_diff(da, delta) = pgf(a) - pgf(b)`` (with ``a = 1 - da`` and
-``b = a - delta``) are the primitives the exact engine is built on:
-both stay accurate when their inputs are 1e-300-sized, where the naive
-expressions would return zero or noise.
+The paired form ``pair(da, delta)`` is the primitive the exact engine is
+built on.  With ``a = 1 - da`` and ``b = a - delta`` it returns, in one
+call that shares its intermediates, the survival forms ``1 - pgf(a)``
+and ``1 - pgf(b)`` and the difference form ``pgf(a) - pgf(b)``: all
+three stay accurate when their inputs are 1e-300-sized, where the
+naive expressions would return zero or noise.  ``survival(d)`` and
+``pgf_diff(da, delta)`` are its projections.
 """
 
 from __future__ import annotations
@@ -40,13 +41,19 @@ class Geometric:
     def pgf(self, s: float) -> float:
         return 1.0 / (1.0 + self.mean * (1.0 - s))
 
+    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
+        m = self.mean
+        ma = m * da
+        mb = m * (da + delta)
+        up = 1.0 + ma
+        low = 1.0 + mb
+        return ma / up, mb / low, m * delta / (up * low)
+
     def survival(self, d: float) -> float:
-        md = self.mean * d
-        return md / (1.0 + md)
+        return self.pair(d, 0.0)[0]
 
     def pgf_diff(self, da: float, delta: float) -> float:
-        m = self.mean
-        return m * delta / ((1.0 + m * da) * (1.0 + m * (da + delta)))
+        return self.pair(da, delta)[2]
 
     @property
     def second_factorial_moment(self) -> float:
@@ -74,12 +81,18 @@ class Poisson:
         # an mpmath argument brings its own exp
         return getattr(s, "context", math).exp(self.mean * (s - 1.0))
 
+    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
+        m = -self.mean
+        xa = m * da
+        # exp(-m*da) - exp(-m*(da+delta)), both exponents <= 0
+        return (-math.expm1(xa), -math.expm1(m * (da + delta)),
+                math.exp(xa) * -math.expm1(m * delta))
+
     def survival(self, d: float) -> float:
-        return -math.expm1(-self.mean * d)
+        return self.pair(d, 0.0)[0]
 
     def pgf_diff(self, da: float, delta: float) -> float:
-        # exp(-m*da) - exp(-m*(da+delta)), both exponents <= 0
-        return math.exp(-self.mean * da) * -math.expm1(-self.mean * delta)
+        return self.pair(da, delta)[2]
 
     @property
     def second_factorial_moment(self) -> float:
@@ -103,11 +116,15 @@ class Bernoulli:
         # never forms 1 - p, which would round before s is seen
         return 1.0 + self.p * (s - 1.0)
 
+    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
+        p = self.p
+        return p * da, p * (da + delta), p * delta
+
     def survival(self, d: float) -> float:
-        return self.p * d
+        return self.pair(d, 0.0)[0]
 
     def pgf_diff(self, da: float, delta: float) -> float:
-        return self.p * delta
+        return self.pair(da, delta)[2]
 
     @property
     def mean(self) -> float:
@@ -134,12 +151,16 @@ class PointMass:
     def pgf(self, s: float) -> float:
         return s**self.k
 
+    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
+        k = self.k
+        return (power_complement(da, k), power_complement(da + delta, k),
+                power_diff(1.0 - da, delta, k))
+
     def survival(self, d: float) -> float:
-        return power_complement(d, self.k)
+        return self.pair(d, 0.0)[0]
 
     def pgf_diff(self, da: float, delta: float) -> float:
-        a = 1.0 - da
-        return power_diff(a, delta, self.k)
+        return self.pair(da, delta)[2]
 
     @property
     def mean(self) -> float:

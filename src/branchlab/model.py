@@ -80,20 +80,18 @@ class ProductLaw:
         acc = 0.0
         total = 0.0
         lower = 1.0
-        for j, survival, pgf_diff in self._factors:
-            x = da[j]
-            y = delta[j]
-            sa = survival(x)
+        for j, pair in self._factors:
+            sa, sb, gap = pair(da[j], delta[j])
             # running telescope: earlier factors at b, later ones at a
-            total = total * (1.0 - sa) + lower * pgf_diff(x, y)
-            lower *= 1.0 - survival(x + y)
+            total = total * (1.0 - sa) + lower * gap
+            lower *= 1.0 - sb
             acc = 1.0 if sa >= 1.0 else acc + sa * (1.0 - acc)
-        return min(acc, 1.0), total
+        return 1.0 if 1.0 < acc else acc, total
 
     @cached_property
     def _factors(self):
-        # (0-based child type, survival, pgf_diff) per child factor
-        return tuple((child - 1, law.survival, law.pgf_diff)
+        # (0-based child type, fused pair method) per child factor
+        return tuple((child - 1, law.pair)
                      for child, law in self.children.items())
 
     def mean_row(self, n_types: int) -> np.ndarray:
@@ -239,19 +237,21 @@ class TableLaw:
 class _OwnColumn:
     """A table law restricted to its own-type coordinate.
 
-    Scalar survival and difference forms of the column's (count,
-    probability) pairs, matching the table's vector forms bit for bit
-    when every other coordinate is inert.
+    The scalar paired form of the column's (count, probability) pairs,
+    laid out like a family's ``pair``; its survival at ``a`` and its gap
+    match the table's vector forms bit for bit when every other
+    coordinate is inert.
     """
 
     rows: tuple[tuple[int, float], ...]
 
-    def survival(self, d: float) -> float:
-        return neumaier_sum(p * power_complement(d, c) for c, p in self.rows)
-
-    def pgf_diff(self, da: float, delta: float) -> float:
+    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
         a = 1.0 - da
-        return neumaier_sum(p * power_diff(a, delta, c) for c, p in self.rows)
+        db = da + delta
+        rows = self.rows
+        return (neumaier_sum(p * power_complement(da, c) for c, p in rows),
+                neumaier_sum(p * power_complement(db, c) for c, p in rows),
+                neumaier_sum(p * power_diff(a, delta, c) for c, p in rows))
 
 
 OffspringLaw = ProductLaw | TableLaw

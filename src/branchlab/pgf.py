@@ -63,10 +63,11 @@ def _terminal_b(spec: ProcessSpec) -> float:
 
 def _terminal_pair(chain, da: float, delta: float,
                    steps: int) -> tuple[float, float]:
-    """Advance the terminal chain's (complement, gap) pair ``steps`` times."""
+    """Advance the terminal chain's (complement, gap) pair ``steps`` times,
+    one call of its fused ``pair`` per step."""
+    pair = chain.pair
     for _ in range(steps):
-        delta = chain.pgf_diff(da, delta)
-        da = chain.survival(da)
+        da, _, delta = pair(da, delta)
     return da, delta
 
 
@@ -267,9 +268,7 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
     chain = spec.law(n_types).own_marginal()
     s_term = sv[n_types - 1]
     if n is None:
-        du = 1.0 - s_term
-        for _ in range(m - t):
-            du = chain.survival(du)
+        du = _terminal_pair(chain, 1.0 - s_term, 0.0, m - t)[0]
         dvec = [1.0] * (n_types - 1) + [du]
         return 1.0 - _advance_pair(spec, dvec, [0.0] * n_types, t)[0][0]
 
@@ -311,11 +310,15 @@ def _require_same_model(spec: ProcessSpec, table: SurvivalTable) -> None:
 
 @dataclass(frozen=True)
 class HarmonicResult:
-    """Finite-horizon harmonic value with its own convergence estimate.
+    """Extrapolated harmonic value with its own convergence estimate.
 
-    ``value`` approximates the increasing limit of b * n^2 * (h_n(s) -
-    h_n(0)) for the terminal chain; ``convergence_estimate`` is the
-    change from horizon n/2 to n, an empirical error proxy.
+    ``value`` approximates the increasing limit U(s) of the scaled gap
+    U_h = b * h^2 * terminal_gap(s, h) of the terminal chain: the
+    extrapolation of U_h from the horizons n/2 and n that removes the
+    1/n term.
+    ``convergence_estimate`` is the gap between that value and the same
+    extrapolation from n/4 and n/2, an error bound taken from the orbit
+    itself.
     """
 
     value: float
@@ -335,10 +338,13 @@ def terminal_gap(spec: ProcessSpec, s: float, m: int) -> float:
 
 
 def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
-    """Scaled gap b * n^2 * (h_n(s) - h_n(0)) of the terminal chain.
+    """Harmonic function U(s) of the terminal chain, extrapolated in n.
 
-    The returned estimate compares the horizon-n value with the
-    horizon-n/2 value along the same orbit.
+    One orbit of the terminal pair gives the scaled gaps U_h = b * h^2 *
+    terminal_gap(s, h) at h = n//4, n//2 and n.  Since U_h = U + c/h +
+    O(1/h^2), the value is (h3 U3 - h2 U2) / (h3 - h2), which cancels
+    the 1/h term for any two horizons (odd n included); the estimate is
+    its distance to the same extrapolation from (h1, h2).
     """
     if not (0.0 <= s < 1.0):
         raise ValueError(f"need 0 <= s < 1, got {s}")
@@ -350,19 +356,24 @@ def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
         return HarmonicResult(value=0.0, convergence_estimate=0.0,
                               horizon=n, precision_ok=True)
     chain = spec.law(spec.n_types).own_marginal()
-    half = n // 2
-    da, delta = _terminal_pair(chain, 1.0 - s, s, half)
-    u_half = b * half * half * delta
-    da, delta = _terminal_pair(chain, da, delta, n - half)
-    value = b * float(n) * float(n) * delta
-    ok = delta > 0.0 and n <= DOUBLE_PRECISION_HORIZON
+    h1, h2, h3 = n // 4, n // 2, n
+    da, delta = 1.0 - s, s
+    scaled = []
+    done = 0
+    for h in (h1, h2, h3):
+        da, delta = _terminal_pair(chain, da, delta, h - done)
+        done = h
+        scaled.append(b * h * h * delta)
     if delta == 0.0:
         raise PrecisionLoss(n, "harmonic gap underflowed")
+    u1, u2, u3 = scaled
+    value = (h3 * u3 - h2 * u2) / (h3 - h2)
+    coarse = (h2 * u2 - h1 * u1) / (h2 - h1)
     return HarmonicResult(
         value=value,
-        convergence_estimate=abs(value - u_half),
+        convergence_estimate=abs(value - coarse),
         horizon=n,
-        precision_ok=ok,
+        precision_ok=delta > 0.0 and n <= DOUBLE_PRECISION_HORIZON,
     )
 
 

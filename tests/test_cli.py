@@ -326,6 +326,22 @@ def test_a_missing_flag_exits_2_with_an_example(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields,field", [
+    ({"command": "theorem"}, "target"),
+    ({"command": "theorem", "target": "nosuch"}, "target"),
+    ({"command": "lemma", "target": "foster"}, "target"),
+    ({"command": "nosuch"}, "command"),
+    ({"command": "validate", "target": "death"}, "target"),
+])
+def test_an_unknown_command_or_target_exits_2(fields, field, tmp_path,
+                                              capsys):
+    # requests built directly, which the parser's choices never see
+    out = tmp_path / "a.csv"
+    assert run(RunRequest(**fields, output=str(out))) == 2
+    assert f"field: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_the_parser_gives_every_request_field_and_leaves_flags_unset():
     # a flag the parser defaults cannot be told from a given one, so the
     # flag table could not refuse it

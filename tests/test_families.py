@@ -41,9 +41,11 @@ def test_survival_matches_pgf(marg, d):
     # the oracle itself cancels in 1 - pgf(1 - d)
     with mp.workdps(350):
         ref = 1 - mp_pgf(marg, 1 - mp.mpf(d))
-    got = marg.survival(d)
-    rel = abs(mp.mpf(got) / ref - 1) if ref != 0 else abs(mp.mpf(got))
-    assert rel <= 1e-13
+    # the projection, and the fused pair's survival at either point
+    for got in (marg.survival(d), marg.pair(d, 0.0)[0],
+                marg.pair(0.0, d)[1]):
+        rel = abs(mp.mpf(got) / ref - 1) if ref != 0 else abs(mp.mpf(got))
+        assert rel <= 1e-13
 
 
 @pytest.mark.parametrize("marg", ALL)
@@ -55,10 +57,16 @@ def test_pgf_diff_relative_accuracy(marg, da, frac):
         a = 1 - mp.mpf(da)
         b = a - mp.mpf(delta)
         ref = mp_pgf(marg, a) - mp_pgf(marg, b)
-        got = marg.pgf_diff(da, delta)
-        assert got >= 0.0
-        rel = abs(mp.mpf(got) / ref - 1) if ref != 0 else abs(mp.mpf(got))
-    assert rel <= 1e-12
+        survival_a, survival_b, gap = marg.pair(da, delta)
+        for got in (marg.pgf_diff(da, delta), gap):
+            assert got >= 0.0
+            rel = abs(mp.mpf(got) / ref - 1) if ref != 0 else abs(mp.mpf(got))
+            assert rel <= 1e-12
+        # the fused pair's survival forms at both points of the pair
+        for got, point in ((survival_a, a), (survival_b, b)):
+            want = 1 - mp_pgf(marg, point)
+            rel = abs(mp.mpf(got) / want - 1) if want != 0 else abs(mp.mpf(got))
+            assert rel <= 1e-12
 
 
 def _variance(marg) -> float:

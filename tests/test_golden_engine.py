@@ -4,7 +4,9 @@ The values were captured from the engine before its orbits went through
 the laws' fused ``pair_step``; every stock model must reproduce them
 bit for bit.  A three-type product model whose type 1 has three child
 factors (where the telescoped gap's running recurrence reassociates
-the sum) must match them to 1e-14 relative.
+the sum) must match them to 1e-14 relative.  The ``harmonic_U``
+entries alone were re-captured when ``harmonic_U`` started returning
+the value extrapolated from three horizons of its orbit.
 
 Floats are stored as ``float.hex`` strings; ``d_sha``/``pmf_sha`` are
 the sha256 of ``build_survival_table(spec, 3000)``'s array bytes.
@@ -101,8 +103,8 @@ GOLDEN = {
             "0x1.913f70b52c2ebp-20"
         ],
         "harmonic_U": [
-            "0x1.7f543511e9da8p+0",
-            "0x1.56a172c487a00p-9"
+            "0x1.7fff85cb4c1e5p+0",
+            "0x1.6cb8021e80000p-16"
         ]
     },
     "two_type_cascade": {
@@ -155,8 +157,8 @@ GOLDEN = {
             "0x1.913f70b52c2ebp-20"
         ],
         "harmonic_U": [
-            "0x1.7f543511e9da8p+0",
-            "0x1.56a172c487a00p-9"
+            "0x1.7fff85cb4c1e5p+0",
+            "0x1.6cb8021e80000p-16"
         ]
     },
     "three_type_chain": {
@@ -220,8 +222,8 @@ GOLDEN = {
             "0x1.913f70b52c2ebp-20"
         ],
         "harmonic_U": [
-            "0x1.7f543511e9da8p+0",
-            "0x1.56a172c487a00p-9"
+            "0x1.7fff85cb4c1e5p+0",
+            "0x1.6cb8021e80000p-16"
         ]
     },
     "micro_table": {
@@ -274,8 +276,8 @@ GOLDEN = {
             "0x1.cab0955e460aep-19"
         ],
         "harmonic_U": [
-            "0x1.b916e991d741cp+0",
-            "0x1.d30d2f7d9ec80p-7"
+            "0x1.bcbd03f0d27f5p+0",
+            "0x1.6d0f7de2efe00p-9"
         ]
     },
     "three_children": {
@@ -339,8 +341,8 @@ GOLDEN = {
             "0x1.913f70b52c2ebp-20"
         ],
         "harmonic_U": [
-            "0x1.7f543511e9da8p+0",
-            "0x1.56a172c487a00p-9"
+            "0x1.7fff85cb4c1e5p+0",
+            "0x1.6cb8021e80000p-16"
         ]
     }
 }

@@ -3,11 +3,14 @@
 Offspring families live in ``families.py`` and law shapes in
 ``model.py``; ``pgf.py`` and ``montecarlo.py`` call the methods those
 define (a law's ``pgf``, ``pair_step``, ``own_marginal`` and ``draws``;
-the scalar ``survival`` and ``pgf_diff`` of its own-type view) and never
-dispatch on a family or a law class themselves.  There is one way to
-advance a vector orbit: the engine steps through each law's
-``pair_step``, never through the model maps ``survival_map`` and
-``pair_diff_map``, its projections kept for the per-layer probe.
+the fused scalar ``pair`` of its own-type view) and never dispatch on a
+family or a law class themselves.  There is one way to advance a vector
+orbit: the engine steps through each law's ``pair_step``, never through
+the model maps ``survival_map`` and ``pair_diff_map``, its projections
+kept for the per-layer probe.  One step costs one call per child
+factor: ``ProductLaw.pair_step`` calls each factor's fused ``pair``
+once, and the engine never steps a chain through the ``survival`` and
+``pgf_diff`` projections.
 
 No dead code: every top-level function and class of the package is
 named somewhere in ``src/`` or ``perfbench/`` besides its own
@@ -72,6 +75,73 @@ def test_the_check_sees_what_it_looks_for():
     assert list(_imported_modules(tree)) == ["families", "model", "model"]
     assert SHAPES <= set(_named(tree))
     assert MAPS <= set(_named(tree))
+
+
+STEPS = {"survival", "pgf_diff"}
+
+
+def _projection_calls(tree):
+    """Lines that call ``.survival(`` or ``.pgf_diff(`` on anything but
+    a parameter annotated ``SurvivalTable`` (whose ``survival(i, n)`` is
+    a table lookup, not a step)."""
+    lines = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        tables = {arg.arg for arg in func.args.args
+                  if arg.annotation is not None
+                  and ast.unparse(arg.annotation) == "SurvivalTable"}
+        lines += [node.lineno for node in ast.walk(func)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in STEPS
+                  and not (isinstance(node.func.value, ast.Name)
+                           and node.func.value.id in tables)]
+    return sorted(set(lines))
+
+
+def _family_calls_per_factor(source):
+    """Calls in ``ProductLaw.pair_step``'s loop over its child factors
+    that reach a family: a callable the loop binds, or a family method
+    by name."""
+    law = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == "ProductLaw")
+    step = next(node for node in law.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "pair_step")
+    loops = [node for node in ast.walk(step) if isinstance(node, ast.For)]
+    assert [ast.unparse(loop.iter) for loop in loops] == ["self._factors"]
+    bound = {node.id for node in ast.walk(loops[0].target)
+             if isinstance(node, ast.Name)}
+    return sum(1 for stmt in loops[0].body for node in ast.walk(stmt)
+               if isinstance(node, ast.Call)
+               and ((isinstance(node.func, ast.Name) and node.func.id in bound)
+                    or (isinstance(node.func, ast.Attribute)
+                        and node.func.attr in STEPS | {"pair"})))
+
+
+def test_one_family_call_per_factor_and_step():
+    assert _projection_calls(ast.parse((SRC / "pgf.py").read_text())) == []
+    assert _family_calls_per_factor((SRC / "model.py").read_text()) == 1
+
+
+def test_the_step_guard_sees_what_it_looks_for():
+    tree = ast.parse("def f(table: SurvivalTable, chain, law):\n"
+                     "    table.survival(1, 2)\n"
+                     "    chain.survival(d)\n"
+                     "    law.pgf_diff(da, delta)\n")
+    assert _projection_calls(tree) == [3, 4]
+    three_calls = (
+        "class ProductLaw:\n"
+        "    def pair_step(self, da, delta):\n"
+        "        for j, survival, pgf_diff in self._factors:\n"
+        "            sa = survival(da[j])\n"
+        "            total = total * (1.0 - sa) + pgf_diff(da[j], delta[j])\n"
+        "            lower *= 1.0 - survival(da[j] + delta[j])\n")
+    assert _family_calls_per_factor(three_calls) == 3
+    by_name = three_calls.replace("survival(da[j] + delta[j])",
+                                  "self.children[j + 1].survival(da[j])")
+    assert _family_calls_per_factor(by_name) == 3
 
 
 def _unused_definitions(modules, others):

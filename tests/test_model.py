@@ -188,8 +188,9 @@ def table_models(draw):
 @settings(max_examples=150, deadline=None)
 def test_property_own_marginal_is_the_terminal_coordinate(spec, lower, gaps,
                                                           frac):
-    # the terminal law ignores the lower coordinates, so its scalar view
-    # must reproduce the fused vector step bit for bit whatever they hold
+    # the terminal law ignores the lower coordinates, so its scalar view's
+    # fused pair must reproduce the fused vector step bit for bit
+    # whatever they hold
     n = spec.n_types
     law = spec.law(n)
     own = law.own_marginal()
@@ -198,8 +199,9 @@ def test_property_own_marginal_is_the_terminal_coordinate(spec, lower, gaps,
     da_vec = list(lower[:n - 1]) + [d]
     delta_vec = [g * (1.0 - x) for g, x in zip(gaps, lower[:n - 1])] + [delta]
     survival, gap = law.pair_step(da_vec, delta_vec)
-    assert own.survival(d).hex() == survival.hex()
-    assert own.pgf_diff(d, delta).hex() == gap.hex()
+    own_survival, _, own_gap = own.pair(d, delta)
+    assert own_survival.hex() == survival.hex()
+    assert own_gap.hex() == gap.hex()
 
 
 def test_product_own_marginal_is_the_own_family():

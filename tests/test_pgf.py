@@ -278,18 +278,36 @@ def test_harmonic_increment_identity():
 
 @pytest.mark.parametrize("make", [two_type_cascade, micro_table])
 def test_harmonic_follows_the_terminal_gap_orbit(make):
-    # the horizon-n value and the half-horizon estimate come from the
-    # same paired iteration as terminal_gap, bit for bit (odd n splits
-    # the orbit unevenly)
+    # the scaled gaps at n//4, n//2 and n come from the same paired
+    # iteration as terminal_gap, bit for bit (odd n splits the orbit
+    # unevenly), and the value and estimate are their extrapolations
     spec, n, s = make(), 1001, 0.6
     b = _terminal_b(spec)
     r = harmonic_U(spec, s, n)
     # a numpy scalar here would leak into every report built on U
     assert type(r.value) is float
-    assert r.value == b * float(n) * float(n) * terminal_gap(spec, s, n)
-    half = n // 2
-    u_half = b * half * half * terminal_gap(spec, s, half)
-    assert r.convergence_estimate == abs(r.value - u_half)
+    h1, h2, h3 = n // 4, n // 2, n
+    u1, u2, u3 = (b * h * h * terminal_gap(spec, s, h) for h in (h1, h2, h3))
+    assert r.value == (h3 * u3 - h2 * u2) / (h3 - h2)
+    coarse = (h2 * u2 - h1 * u1) / (h2 - h1)
+    assert r.convergence_estimate == abs(r.value - coarse)
+
+
+def test_harmonic_extrapolation_is_accurate_and_bounded():
+    # single_geometric: U(s) = s / (1 - s) exactly; micro_table: the
+    # extrapolation at 16 times the horizon stands in for the limit
+    sg, n = single_geometric(), 10**4
+    for s in np.arange(0.05, 0.951, 0.05):
+        s = float(s)
+        r = harmonic_U(sg, s, n)
+        error = abs(r.value - s / (1.0 - s))
+        assert error <= 2e-5 * (s / (1.0 - s))
+        assert r.convergence_estimate >= error
+    mt = micro_table()
+    for s in (0.3, 0.6, 0.9):
+        r = harmonic_U(mt, s, n)
+        error = abs(r.value - harmonic_U(mt, s, 16 * n).value)
+        assert r.convergence_estimate >= error
 
 
 def test_harmonic_input_validation():
