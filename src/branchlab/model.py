@@ -240,18 +240,19 @@ class _OwnColumn:
     The scalar paired form of the column's (count, probability) pairs,
     laid out like a family's ``pair``; its survival at ``a`` and its gap
     match the table's vector forms bit for bit when every other
-    coordinate is inert.
+    coordinate is inert.  The survival at ``b`` is returned as the
+    survival at ``a`` plus the gap, equal in exact arithmetic; the
+    terminal chain never reads it.
     """
 
     rows: tuple[tuple[int, float], ...]
 
     def pair(self, da: float, delta: float) -> tuple[float, float, float]:
         a = 1.0 - da
-        db = da + delta
         rows = self.rows
-        return (neumaier_sum(p * power_complement(da, c) for c, p in rows),
-                neumaier_sum(p * power_complement(db, c) for c, p in rows),
-                neumaier_sum(p * power_diff(a, delta, c) for c, p in rows))
+        sa = neumaier_sum(p * power_complement(da, c) for c, p in rows)
+        gap = neumaier_sum(p * power_diff(a, delta, c) for c, p in rows)
+        return sa, sa + gap, gap
 
 
 OffspringLaw = ProductLaw | TableLaw

@@ -14,8 +14,9 @@ Everything in this module is built on two orbit primitives:
   would return noise.
 
 Both advance through each law's fused ``pair_step(da, delta) ->
-(survival, gap)``, bound once per call; inputs are checked once, at
-entry, and a complement orbit is a paired one with a zero gap.
+(survival, gap)``, in one in-place sweep in type order per step (see
+``_advance_pair``); inputs are checked once, at entry, and a complement
+orbit is a paired one with a zero gap.
 
 Conditioning identities used throughout (start state is one type-1
 particle; T is the first generation with an empty population):
@@ -130,35 +131,36 @@ def build_survival_table(spec: ProcessSpec, n_max: int, *,
         return _build_table_extended(spec, n_max)
 
     n_types = spec.n_types
-    steppers = [law.pair_step for law in spec.laws]
+    sweep = tuple(enumerate(law.pair_step for law in spec.laws))
     d = np.empty((n_types, n_max + 1))
     pmf = np.zeros((n_types, n_max + 1))
-    dcur = (1.0,) * n_types
+    da = [1.0] * n_types
     # pi(1) = q(1) = f(0); from there the gap advances by the pair step,
     # whose gap at n = 1 is discarded
-    picur = tuple(law.pgf([0.0] * n_types) for law in spec.laws)
-    d[:, 0] = dcur
+    pi = [law.pgf([0.0] * n_types) for law in spec.laws]
+    d[:, 0] = da
     truncated_at = None
     for n in range(1, n_max + 1):
-        dnew, gap = zip(*[step(dcur, picur) for step in steppers])
-        if n > 1:
-            picur = gap
-        # deterministic feed links keep early death mass at exactly
-        # zero, which is structure, not precision loss; a stall only
-        # counts once the complement has left 1
-        stalled = any(
-            new > cur or not (new > 0.0)
-            or (cur < 1.0 and (new == cur or not (pi > 0.0)))
-            for new, cur, pi in zip(dnew, dcur, picur)
-        )
-        if stalled:
-            truncated_at = n
+        # the in-place sweep of _advance_pair, each coordinate checked
+        # for a stall before it is overwritten; deterministic feed
+        # links keep early death mass at exactly zero, which is
+        # structure, not precision loss, so a stall only counts once
+        # the complement has left 1
+        for i, step in sweep:
+            new, gap = step(da, pi)
+            if n > 1:
+                pi[i] = gap
+            cur = da[i]
+            if (new > cur or not (new > 0.0)
+                    or (cur < 1.0 and (new == cur or not (pi[i] > 0.0)))):
+                truncated_at = n
+                break
+            da[i] = d[i, n] = new
+            pmf[i, n] = pi[i]
+        if truncated_at is not None:
             d[:, n:] = np.nan
             pmf[:, n:] = np.nan
             break
-        d[:, n] = dnew
-        pmf[:, n] = picur
-        dcur = dnew
     return SurvivalTable(spec=spec, n_max=n_max, d=d, pmf=pmf,
                          truncated_at=truncated_at, precision=precision)
 
@@ -212,12 +214,21 @@ def iterate_point(spec: ProcessSpec, s: Sequence[float], m: int
 
 def _advance_pair(spec: ProcessSpec, da: Sequence[float],
                   delta: Sequence[float], steps: int) -> tuple:
-    """Advance the (complement, gap) pair ``steps`` times; with a zero
-    gap this is the complement orbit."""
-    steppers = [law.pair_step for law in spec.laws]
+    """Advance the (complement, gap) pair ``steps`` times, on copies of
+    the caller's sequences; with a zero gap this is the complement orbit.
+
+    Each step is one sweep in type order that overwrites coordinate i
+    as soon as law i has stepped.  That is the simultaneous update bit
+    for bit because the process is decomposable: law i reads only
+    coordinates i..N (a table law reads lower ones only at count zero),
+    and those still hold the previous step's values when it runs.
+    """
+    da, delta = list(da), list(delta)
+    sweep = tuple(enumerate(law.pair_step for law in spec.laws))
     for _ in range(steps):
-        da, delta = zip(*[step(da, delta) for step in steppers])
-    return da, delta
+        for i, step in sweep:
+            da[i], delta[i] = step(da, delta)
+    return tuple(da), tuple(delta)
 
 
 def conditional_transform(spec: ProcessSpec, table: SurvivalTable,

@@ -10,7 +10,10 @@ the model maps ``survival_map`` and ``pair_diff_map``, its projections
 kept for the per-layer probe.  One step costs one call per child
 factor: ``ProductLaw.pair_step`` calls each factor's fused ``pair``
 once, and the engine never steps a chain through the ``survival`` and
-``pgf_diff`` projections.
+``pgf_diff`` projections.  Each vector orbit steps in place, one
+coordinate at a time in type order (``_advance_pair`` and
+``build_survival_table``), never by transposing a list of whole-vector
+steps with ``zip(*...)``.
 
 No dead code: every top-level function and class of the package is
 named somewhere in ``src/`` or ``perfbench/`` besides its own
@@ -142,6 +145,94 @@ def test_the_step_guard_sees_what_it_looks_for():
     by_name = three_calls.replace("survival(da[j] + delta[j])",
                                   "self.children[j + 1].survival(da[j])")
     assert _family_calls_per_factor(by_name) == 3
+
+
+def _transposed_steps(tree):
+    """Lines that transpose a comprehension of calls, ``zip(*[step(da,
+    delta) for step in steppers])``: the simultaneous vector update."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "zip"
+                  and any(isinstance(arg, ast.Starred)
+                          and isinstance(arg.value, (ast.ListComp,
+                                                     ast.GeneratorExp))
+                          and isinstance(arg.value.elt, ast.Call)
+                          for arg in node.args))
+
+
+def _in_place_sweeps(tree):
+    """Functions holding an in-place sweep: ``for i, step in sweep``
+    over ``enumerate`` of the laws in type order, whose body calls
+    ``step(da, ...)`` and stores into ``da[i]``."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {target.id: ast.unparse(node.value)
+                 for node in ast.walk(func) if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for loop in ast.walk(func):
+            if not (isinstance(loop, ast.For)
+                    and isinstance(loop.iter, ast.Name)
+                    and isinstance(loop.target, ast.Tuple)
+                    and len(loop.target.elts) == 2
+                    and all(isinstance(e, ast.Name)
+                            for e in loop.target.elts)):
+                continue
+            order = bound.get(loop.iter.id, "")
+            if "enumerate(" not in order or "spec.laws" not in order \
+                    or "reversed(" in order or "sorted(" in order:
+                continue
+            index, step = (e.id for e in loop.target.elts)
+            body = [node for stmt in loop.body for node in ast.walk(stmt)]
+            read = {call.args[0].id for call in body
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == step and call.args
+                    and isinstance(call.args[0], ast.Name)}
+            stored = {sub.value.id for sub in body
+                      if isinstance(sub, ast.Subscript)
+                      and isinstance(sub.ctx, ast.Store)
+                      and isinstance(sub.value, ast.Name)
+                      and isinstance(sub.slice, ast.Name)
+                      and sub.slice.id == index}
+            if read & stored:
+                found.add(func.name)
+    return found
+
+
+def test_vector_orbits_step_in_place_in_type_order():
+    tree = ast.parse((SRC / "pgf.py").read_text())
+    assert _transposed_steps(tree) == []
+    assert {"_advance_pair", "build_survival_table"} <= _in_place_sweeps(tree)
+
+
+def test_the_sweep_guard_sees_what_it_looks_for():
+    tree = ast.parse(
+        "def simultaneous(spec, da, delta):\n"
+        "    steppers = [law.pair_step for law in spec.laws]\n"
+        "    da, delta = zip(*[step(da, delta) for step in steppers])\n"
+        "\n"
+        "def into_new_lists(spec, da, delta):\n"
+        "    sweep = tuple(enumerate(law.pair_step for law in spec.laws))\n"
+        "    out, gaps = list(da), list(delta)\n"
+        "    for i, step in sweep:\n"
+        "        out[i], gaps[i] = step(da, delta)\n"
+        "\n"
+        "def backwards(spec, da, delta):\n"
+        "    sweep = reversed(tuple(enumerate(law.pair_step\n"
+        "                                     for law in spec.laws)))\n"
+        "    for i, step in sweep:\n"
+        "        da[i], delta[i] = step(da, delta)\n"
+        "\n"
+        "def in_place(spec, da, delta):\n"
+        "    sweep = tuple(enumerate(law.pair_step for law in spec.laws))\n"
+        "    for i, step in sweep:\n"
+        "        new, gap = step(da, delta)\n"
+        "        da[i] = new\n")
+    assert _transposed_steps(tree) == [3]
+    assert _in_place_sweeps(tree) == {"in_place"}
 
 
 def _unused_definitions(modules, others):

@@ -321,3 +321,33 @@ def test_property_pair_step_consistency(spec, point, shrink, pin):
 @settings(max_examples=120, deadline=None)
 def test_property_moment_structure(spec):
     properties.check_moment_structure(spec)
+
+
+@given(properties.model_specs(max_types=4), properties.unit_points(4),
+       properties.unit_points(4), properties.unit_points(4),
+       properties.unit_points(4))
+@settings(max_examples=150, deadline=None)
+def test_property_laws_ignore_the_lower_coordinates(spec, point, gaps,
+                                                    other_da, other_delta):
+    # decomposability, which the engine's in-place sweep relies on: law i
+    # must return the same bits whatever coordinates 1..i-1 hold
+    n = spec.n_types
+    da = [1.0 - x for x in point[:n]]
+    delta = [g * x for g, x in zip(gaps, point[:n])]
+    for i, law in enumerate(spec.laws):
+        survival, gap = law.pair_step(da, delta)
+        da_other = list(other_da[:i]) + da[i:]
+        delta_other = list(other_delta[:i]) + delta[i:]
+        other_survival, other_gap = law.pair_step(da_other, delta_other)
+        assert other_survival.hex() == survival.hex()
+        assert other_gap.hex() == gap.hex()
+
+
+def test_own_column_survival_at_b_is_survival_at_a_plus_gap():
+    own = micro_table().law(2).own_marginal()
+    for d, delta in ((0.3, 0.2), (1e-9, 1e-12), (1.0, 0.0)):
+        sa, sb, gap = own.pair(d, delta)
+        assert sb == sa + gap
+        # 1 - f(b) for f(s) = (1 + s^2) / 2, with db = 1 - b
+        db = d + delta
+        assert sb == pytest.approx(0.5 * db * (2.0 - db), rel=1e-12)

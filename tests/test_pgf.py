@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchlab.errors import PrecisionLoss, SlowConvergence, UnreachableEvent
+from branchlab.families import Geometric
+from branchlab.model import ProcessSpec, ProductLaw
 from branchlab.pgf import (
     SurvivalTable,
+    _advance_pair,
     _terminal_b,
     build_survival_table,
     censored_transform,
@@ -20,6 +23,7 @@ from branchlab.pgf import (
     w_weighted_mean,
 )
 from branchlab.zoo import (
+    STOCK_MODELS,
     micro_table,
     single_geometric,
     three_type_chain,
@@ -406,3 +410,103 @@ def test_property_semigroup(spec, m1, m2, point):
 @settings(max_examples=60, deadline=None)
 def test_property_conditional_range(spec, point, m, n):
     properties.check_conditional_range(spec, point[:spec.n_types], m, n)
+
+
+# --- the in-place sweep against the simultaneous update ---------------------
+#
+# The engine steps each vector orbit in place, one coordinate at a time
+# in type order.  The oracle below is the simultaneous update it
+# replaced: every law reads the previous step's whole vector.
+
+def simultaneous_pair(spec, da, delta, steps):
+    steppers = [law.pair_step for law in spec.laws]
+    for _ in range(steps):
+        da, delta = zip(*[step(da, delta) for step in steppers])
+    return tuple(da), tuple(delta)
+
+
+def simultaneous_table(spec, n_max):
+    n_types = spec.n_types
+    steppers = [law.pair_step for law in spec.laws]
+    d = np.empty((n_types, n_max + 1))
+    pmf = np.zeros((n_types, n_max + 1))
+    dcur = (1.0,) * n_types
+    picur = tuple(law.pgf([0.0] * n_types) for law in spec.laws)
+    d[:, 0] = dcur
+    truncated_at = None
+    for n in range(1, n_max + 1):
+        dnew, gap = zip(*[step(dcur, picur) for step in steppers])
+        if n > 1:
+            picur = gap
+        stalled = any(
+            new > cur or not (new > 0.0)
+            or (cur < 1.0 and (new == cur or not (pi > 0.0)))
+            for new, cur, pi in zip(dnew, dcur, picur)
+        )
+        if stalled:
+            truncated_at = n
+            d[:, n:] = np.nan
+            pmf[:, n:] = np.nan
+            break
+        d[:, n] = dnew
+        pmf[:, n] = picur
+        dcur = dnew
+    return d, pmf, truncated_at
+
+
+def assert_sweep_matches_oracle(spec, point, gaps, steps, n_max):
+    da = [1.0 - x for x in point]
+    delta = [g * x for g, x in zip(gaps, point)]
+    da_in, delta_in = list(da), list(delta)
+    got = _advance_pair(spec, da, delta, steps)
+    # the caller's lists are copied, never stepped in place
+    assert (da, delta) == (da_in, delta_in)
+    want = simultaneous_pair(spec, da, delta, steps)
+    assert [[x.hex() for x in v] for v in got] == \
+        [[x.hex() for x in v] for v in want]
+    table = build_survival_table(spec, n_max)
+    d, pmf, truncated_at = simultaneous_table(spec, n_max)
+    assert table.truncated_at == truncated_at
+    assert table.d.tobytes() == d.tobytes()
+    assert table.pmf.tobytes() == pmf.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_MODELS))
+def test_sweep_is_the_simultaneous_update_on_stock_models(name):
+    spec = STOCK_MODELS[name]()
+    point = [0.3 + 0.2 * j for j in range(spec.n_types)]
+    gaps = [0.5 / (j + 1) for j in range(spec.n_types)]
+    for steps, n_max in ((0, 1), (1, 2), (3, 3), (500, 2000)):
+        assert_sweep_matches_oracle(spec, point, gaps, steps, n_max)
+
+
+@given(properties.model_specs(max_types=4), properties.unit_points(4),
+       properties.unit_points(4), st.integers(0, 40), st.integers(1, 60))
+@settings(max_examples=100, deadline=None)
+def test_property_sweep_is_the_simultaneous_update(spec, point, gaps, steps,
+                                                   n_max):
+    n = spec.n_types
+    assert_sweep_matches_oracle(spec, point[:n], gaps[:n], steps, n_max)
+
+
+@pytest.mark.parametrize("mean, n_max, stall", [
+    # subcritical: the complement underflows past the last subnormal
+    (0.5, 5000, 1074),
+    # supercritical: the complement settles on the survival probability
+    # 1/2 and stops moving
+    (2.0, 500, 52),
+])
+def test_table_truncates_where_the_recurrence_stalls(mean, n_max, stall):
+    spec = ProcessSpec(n_types=1, laws=(
+        ProductLaw(parent=1, children={1: Geometric(mean)}),))
+    table = build_survival_table(spec, n_max)
+    assert table.truncated_at == stall
+    assert table.usable_n() == stall - 1
+    assert np.isnan(table.d[:, stall:]).all()
+    assert np.isnan(table.pmf[:, stall:]).all()
+    assert np.isfinite(table.d[:, :stall]).all()
+    assert np.isfinite(table.pmf[:, :stall]).all()
+    d, pmf, truncated_at = simultaneous_table(spec, n_max)
+    assert truncated_at == stall
+    assert table.d.tobytes() == d.tobytes()
+    assert table.pmf.tobytes() == pmf.tobytes()
