@@ -20,7 +20,8 @@ import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (Callable, Collection, Iterable, Iterator, Mapping,
+                    NamedTuple, Sequence)
 
 import numpy as np
 
@@ -114,16 +115,18 @@ class Table:
     """Tabular artifact for the non-experiment commands.
 
     Field names follow ``ConvergenceReport`` so that ``_emit`` serves
-    both; ``passed`` is None for commands without a verdict.
+    both; ``passed`` is None for commands without a verdict.  ``rows``
+    is any re-iterable with ``len`` whose cells are Python scalars, and
+    each curve is an iterable of ``(x, y)`` pairs.
     """
 
     experiment: str
     model: str
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: Collection[tuple]
     meta: dict
     passed: bool | None = None
-    curves: Mapping[str, list[tuple[float, float]]] | None = None
+    curves: Mapping[str, Iterable[tuple[float, float]]] | None = None
 
     def csv_lines(self) -> Iterator[str]:
         """The CSV artifact, one newline-terminated line at a time."""
@@ -161,6 +164,28 @@ class Table:
             opening = ",\n"
         yield "\n    ]" if self.rows else "[]"
         yield tail + "\n"
+
+
+_BLOCK = 4096  # rows that _TableRows converts to Python floats at a time
+
+
+class _TableRows:
+    """Rows ``(n, columns[0][n - 1], columns[1][n - 1], ...)`` for n = 1,
+    2, ... over equal-length 1-D float arrays, converted to Python
+    scalars one block at a time: only the arrays and one block of rows
+    are ever held, and every pass walks the arrays afresh."""
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[tuple]:
+        for lo in range(0, len(self), _BLOCK):
+            hi = min(lo + _BLOCK, len(self))
+            yield from zip(range(lo + 1, hi + 1),
+                           *[c[lo:hi].tolist() for c in self.columns])
 
 
 # ------------------------------------------------------------- model lookup
@@ -290,14 +315,12 @@ def _cmd_extinction(req: RunRequest, spec: ProcessSpec):
     cols = ["n"]
     cols += [f"survival:type={i}" for i in types]
     cols += [f"pmf:type={i}" for i in types]
-    rows = list(zip(range(1, n + 1), *table.d[:, 1:].tolist(),
-                    *table.pmf[:, 1:].tolist()))
+    columns = (*table.d[:, 1:], *table.pmf[:, 1:])
     curves = None
     if req.plotdata:
         # one curve per value column, against n
-        curves = {label: [(float(row[0]), row[c]) for row in rows]
-                  for c, label in enumerate(cols[1:], start=1)}
-    return Table("extinction", spec.name, tuple(cols), rows,
+        curves = {label: _TableRows(c) for label, c in zip(cols[1:], columns)}
+    return Table("extinction", spec.name, tuple(cols), _TableRows(*columns),
                  {"n_types": spec.n_types}, curves=curves)
 
 
@@ -463,7 +486,7 @@ def _slug(label: str) -> str:
     return re.sub(r"[^0-9A-Za-z._=+-]+", "-", label).strip("-") or "curve"
 
 
-def _write_plotdata(stem: Path, curves: Mapping[str, Sequence[tuple]]) -> list[Path]:
+def _write_plotdata(stem: Path, curves: Mapping[str, Iterable[tuple]]) -> list[Path]:
     written = []
     for label in sorted(curves):
         path = stem.parent / f"{stem.name}_{_slug(label)}.dat"

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from branchlab import cli
 from branchlab.cli import RunRequest, main, run
 from branchlab.experiments import _fmt, verify_death, verify_deathfin
 from branchlab.pgf import build_survival_table, extinction_time_pmf
-from branchlab.zoo import STOCK_MODELS, two_type_cascade
+from branchlab.zoo import STOCK_MODELS, stock_model, two_type_cascade
 
 GOOD_YAML = """\
 types: 2
@@ -449,6 +450,79 @@ def test_every_kind_of_cell_is_written_as_json_writes_it():
             _reference_json(config, table)
         lines = "".join(table.csv_lines()).splitlines()
         assert lines[len(lines) - len(rows) - 1:] == _reference_csv_rows(table)
+
+
+# `extinction` hands _emit a view over the table arrays; the rows and
+# curves it once assembled in full stay here as the oracle
+
+_B = cli._BLOCK
+
+
+def _assembled_rows(table, n):
+    return list(zip(range(1, n + 1), *table.d[:, 1:].tolist(),
+                    *table.pmf[:, 1:].tolist()))
+
+
+def _assembled_curves(columns, rows):
+    return {label: [(float(row[0]), row[c]) for row in rows]
+            for c, label in enumerate(columns[1:], start=1)}
+
+
+@pytest.mark.parametrize("model", ["micro_table", "three_type_chain"])
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
+def test_extinction_view_writes_what_the_assembled_rows_write(
+        model, n, tmp_path, monkeypatch):
+    seen = []
+    emit = cli._emit
+
+    def capture(req, resolved, payload):
+        seen.append((req, resolved, payload))
+        return emit(req, resolved, payload)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    rows = _assembled_rows(build_survival_table(stock_model(model), n), n)
+    for fmt in ("csv", "json"):
+        view_dir, old_dir = tmp_path / fmt / "view", tmp_path / fmt / "old"
+        assert main(["extinction", "--model", model, "--n", str(n),
+                     "--format", fmt, "--plotdata",
+                     "--output", str(view_dir / f"ext.{fmt}")]) == 0
+        req, resolved, table = seen.pop()
+        old = dataclasses.replace(
+            table, rows=rows, curves=_assembled_curves(table.columns, rows))
+        emit(dataclasses.replace(req, output=str(old_dir / f"ext.{fmt}")),
+             resolved, old)
+        written = {p.name: p.read_bytes() for p in view_dir.iterdir()}
+        assert len(written) == 1 + 2 * stock_model(model).n_types
+        assert written == {p.name: p.read_bytes() for p in old_dir.iterdir()}
+
+        view = table.rows
+        assert len(view) == n
+        assert list(view) == rows and list(view) == rows
+        assert all(type(row[0]) is int
+                   and all(type(c) is float for c in row[1:]) for row in view)
+
+
+@pytest.mark.parametrize("plotdata", [None, True])
+def test_extinction_holds_only_the_table_arrays_and_one_block(plotdata,
+                                                              tmp_path):
+    n = 50_000
+    table = build_survival_table(stock_model("three_type_chain"), n)
+    arrays = table.d.nbytes + table.pmf.nbytes
+    del table
+
+    def extinction(n, name):
+        return run(RunRequest("extinction", model="three_type_chain", n=n,
+                              format="json", plotdata=plotdata,
+                              output=str(tmp_path / name)))
+
+    assert extinction(5, "warm.json") == 0  # imports and caches load here
+    tracemalloc.start()
+    try:
+        assert extinction(n, "ext.json") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays + 1_500_000
 
 
 def test_mc_reads_s_only_in_conditional_mode(tmp_path, capsys):
