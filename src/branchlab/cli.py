@@ -137,9 +137,17 @@ class Table:
         for key in sorted(self.meta):
             yield f"# {key}={_fmt(self.meta[key])}\n"
         yield ",".join(self.columns) + "\n"
+        # a row of one int followed by floats, as every extinction row
+        # is, goes through one format; '%d' and '%.17g' write what
+        # _fmt writes for those types
+        plain = (int,) + (float,) * (len(self.columns) - 1)
+        line = "%d" + ",%.17g" * (len(self.columns) - 1) + "\n"
         for row in self.rows:
-            yield ",".join([format(c, ".17g") if type(c) is float else _fmt(c)
-                            for c in row]) + "\n"
+            if tuple(map(type, row)) == plain:
+                yield line % row
+            else:
+                yield ",".join([format(c, ".17g") if type(c) is float
+                                else _fmt(c) for c in row]) + "\n"
 
     def json_lines(self, config: dict) -> Iterator[str]:
         """The JSON artifact, byte for byte what ``json.dump`` writes with
@@ -491,8 +499,8 @@ def _write_plotdata(stem: Path, curves: Mapping[str, Iterable[tuple]]) -> list[P
     for label in sorted(curves):
         path = stem.parent / f"{stem.name}_{_slug(label)}.dat"
         with open(path, "w") as fh:
-            fh.writelines(f"{_fmt(float(x))} {_fmt(float(y))}\n"
-                          for x, y in curves[label])
+            # '%.17g' formats an int n as float(n), as _fmt(float(n)) does
+            fh.writelines("%.17g %.17g\n" % point for point in curves[label])
         written.append(path)
     return written
 

@@ -6,25 +6,57 @@ independent copies in one call (``z`` an int, or an array of positive
 parent counts drawn elementwise).
 ``pgf`` also accepts mpmath numbers, for the extended-precision table.
 
-The paired form ``pair(da, delta)`` is the primitive the exact engine is
-built on.  With ``a = 1 - da`` and ``b = a - delta`` it returns, in one
-call that shares its intermediates, the survival forms ``1 - pgf(a)``
-and ``1 - pgf(b)`` and the difference form ``pgf(a) - pgf(b)``: all
-three stay accurate when their inputs are 1e-300-sized, where the
-naive expressions would return zero or noise.  ``survival(d)`` and
-``pgf_diff(da, delta)`` are its projections.
+The paired form is the primitive the exact engine is built on.  With
+``a = 1 - da`` and ``b = a - delta`` it gives, sharing its
+intermediates, the survival forms ``1 - pgf(a)`` and ``1 - pgf(b)`` and
+the difference form ``pgf(a) - pgf(b)``: all three stay accurate when
+their inputs are 1e-300-sized, where the naive expressions would return
+zero or noise.  Each family writes it once, as the straight-line source
+template ``PAIR``, the one definition of its arithmetic: the family's
+``pair(da, delta)`` method is compiled from it, reading the parameters
+off ``self``, and the model kernel inlines it with the parameters as
+literals (``pair_source``).  ``survival(d)`` and ``pgf_diff(da, delta)``
+are projections of ``pair``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import textwrap
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import power_complement, power_diff
+from .numerics import compile_step
 
 
+# A PAIR template is straight-line code over the fields {da} and
+# {delta} (the names of the inputs), {t} (a prefix for temporaries) and
+# the family's own dataclass fields; it leaves its results in sa, sb
+# and gap.
+
+def _paired(cls):
+    """Compile the family's ``pair`` method from its ``PAIR`` template."""
+    body = cls.PAIR.format(da="da", delta="delta", t="",
+                           **{f.name: f"self.{f.name}" for f in fields(cls)})
+    source = ("def pair(self, da, delta):\n" + textwrap.indent(body, "    ")
+              + "    return sa, sb, gap\n")
+    cls.pair = compile_step(source, "pair", f"{cls.__name__}.pair")
+    cls.pair.__qualname__ = f"{cls.__name__}.pair"
+    return cls
+
+
+def pair_source(law: Marginal, da: str, delta: str, prefix: str) -> str:
+    """``law``'s ``PAIR`` template with its parameters as literals,
+    reading the names ``da`` and ``delta``, its temporaries prefixed
+    with ``prefix``."""
+    params = {f.name: getattr(law, f.name) for f in fields(law)}
+    return law.PAIR.format(da=da, delta=delta, t=prefix, **{
+        name: f"({float(v) if isinstance(v, float) else v!r})"
+        for name, v in params.items()})
+
+
+@_paired
 @dataclass(frozen=True)
 class Geometric:
     """Geometric law on {0, 1, 2, ...} parameterised by its mean.
@@ -41,13 +73,16 @@ class Geometric:
     def pgf(self, s: float) -> float:
         return 1.0 / (1.0 + self.mean * (1.0 - s))
 
-    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
-        m = self.mean
-        ma = m * da
-        mb = m * (da + delta)
-        up = 1.0 + ma
-        low = 1.0 + mb
-        return ma / up, mb / low, m * delta / (up * low)
+    PAIR = """\
+{t}m = {mean}
+{t}ma = {t}m * {da}
+{t}mb = {t}m * ({da} + {delta})
+{t}up = 1.0 + {t}ma
+{t}low = 1.0 + {t}mb
+sa = {t}ma / {t}up
+sb = {t}mb / {t}low
+gap = {t}m * {delta} / ({t}up * {t}low)
+"""
 
     def survival(self, d: float) -> float:
         return self.pair(d, 0.0)[0]
@@ -67,6 +102,7 @@ class Geometric:
         return rng.negative_binomial(z, 1.0 / (1.0 + self.mean))
 
 
+@_paired
 @dataclass(frozen=True)
 class Poisson:
     """Poisson law; pgf(s) = exp(mean * (s - 1))."""
@@ -81,12 +117,14 @@ class Poisson:
         # an mpmath argument brings its own exp
         return getattr(s, "context", math).exp(self.mean * (s - 1.0))
 
-    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
-        m = -self.mean
-        xa = m * da
-        # exp(-m*da) - exp(-m*(da+delta)), both exponents <= 0
-        return (-math.expm1(xa), -math.expm1(m * (da + delta)),
-                math.exp(xa) * -math.expm1(m * delta))
+    # the gap is exp(-mean*da) - exp(-mean*(da+delta)), both exponents <= 0
+    PAIR = """\
+{t}m = -{mean}
+{t}xa = {t}m * {da}
+sa = -expm1({t}xa)
+sb = -expm1({t}m * ({da} + {delta}))
+gap = exp({t}xa) * -expm1({t}m * {delta})
+"""
 
     def survival(self, d: float) -> float:
         return self.pair(d, 0.0)[0]
@@ -102,6 +140,7 @@ class Poisson:
         return rng.poisson(self.mean * z)
 
 
+@_paired
 @dataclass(frozen=True)
 class Bernoulli:
     """Bernoulli law on {0, 1}; pgf(s) = 1 - p + p * s."""
@@ -116,9 +155,12 @@ class Bernoulli:
         # never forms 1 - p, which would round before s is seen
         return 1.0 + self.p * (s - 1.0)
 
-    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
-        p = self.p
-        return p * da, p * (da + delta), p * delta
+    PAIR = """\
+{t}p = {p}
+sa = {t}p * {da}
+sb = {t}p * ({da} + {delta})
+gap = {t}p * {delta}
+"""
 
     def survival(self, d: float) -> float:
         return self.pair(d, 0.0)[0]
@@ -138,6 +180,7 @@ class Bernoulli:
         return rng.binomial(z, self.p)
 
 
+@_paired
 @dataclass(frozen=True)
 class PointMass:
     """Deterministic count; pgf(s) = s ** k."""
@@ -151,10 +194,12 @@ class PointMass:
     def pgf(self, s: float) -> float:
         return s**self.k
 
-    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
-        k = self.k
-        return (power_complement(da, k), power_complement(da + delta, k),
-                power_diff(1.0 - da, delta, k))
+    PAIR = """\
+{t}k = {k}
+sa = power_complement({da}, {t}k)
+sb = power_complement({da} + {delta}, {t}k)
+gap = power_diff(1.0 - {da}, {delta}, {t}k)
+"""
 
     def survival(self, d: float) -> float:
         return self.pair(d, 0.0)[0]

@@ -13,11 +13,19 @@ Two law shapes are supported per parent type:
 * ``TableLaw`` -- an explicit finite joint table of count vectors.
 
 Each shape answers the same questions: the vector pgf, one fused
-paired step ``pair_step`` (the survival and difference forms in one
-pass), moments, a scalar view of its own-type coordinate
-(``own_marginal``), and batched offspring draws (``draws``).  The
-engine and the sampler call these methods and never look at the shape;
-``survival_map``/``pair_diff_map`` project ``pair_step`` for probes.
+paired step (the survival and difference forms in one pass), moments,
+a scalar view of its own-type coordinate (``own_marginal``), and
+batched offspring draws (``draws``).  The engine and the sampler call
+these and never look at the shape.
+
+The paired step is written once per law, as straight-line source over
+local variables (``_block``): a product law inlines each child
+family's ``PAIR`` template, a table law unrolls its rows.  A spec
+compiles its laws' blocks, in type order, into one kernel on first use
+(``ProcessSpec.kernel``), which is the one stepper of every vector
+orbit and of the survival table; ``pair_step`` is a law's block
+compiled alone, and ``survival_map``/``pair_diff_map`` project it for
+probes.
 
 All public operations take the process spec as their first argument
 and are plain functions, mirroring how the engine modules consume
@@ -27,9 +35,9 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,10 +47,28 @@ from .errors import (
     ModelStructureError,
     NonCritical,
 )
-from .families import Marginal, PointMass
-from .numerics import neumaier_sum, power_complement, power_diff
+from .families import Marginal, PointMass, pair_source
+from .numerics import compile_step, neumaier_sum, power_complement, power_diff
 
 CRITICALITY_TOL = 1e-10
+
+
+def _fields_only(self) -> dict:
+    # pickled state: compiled steps do not pickle, and are rebuilt on
+    # first use after unpickling
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _step_alone(law) -> Callable:
+    """A law's block compiled alone: ``pair_step(da, delta) -> (1 - f(a),
+    f(a) - f(b))`` for a = 1 - da, b = a - delta."""
+    reads, lines, survival, gap = law._block()
+    source = "\n".join([
+        "def pair_step(da, delta):",
+        *(f"    d{j} = da[{j}]\n    e{j} = delta[{j}]" for j in reads),
+        *(f"    {line}" for line in lines),
+        f"    return {survival}, {gap}", ""])
+    return compile_step(source, "pair_step", f"type {law.parent} pair_step")
 
 
 @dataclass(frozen=True)
@@ -55,6 +81,8 @@ class ProductLaw:
 
     parent: int
     children: Mapping[int, Marginal]
+
+    __getstate__ = _fields_only
 
     def __post_init__(self):
         object.__setattr__(self, "children", dict(self.children))
@@ -71,28 +99,39 @@ class ProductLaw:
             out *= law.pgf(s[child - 1])
         return out
 
-    def pair_step(self, da: Sequence[float],
-                  delta: Sequence[float]) -> tuple[float, float]:
-        """(1 - f(a), f(a) - f(b)) for a = 1 - da, b = a - delta, in one
-        pass: the survival by the pairwise complement rule (a certain
-        child line pins it at exactly 1), the gap telescoped over the
-        child factors, so no nearby numbers are ever subtracted."""
-        acc = 0.0
-        total = 0.0
-        lower = 1.0
-        for j, pair in self._factors:
-            sa, sb, gap = pair(da[j], delta[j])
-            # running telescope: earlier factors at b, later ones at a
-            total = total * (1.0 - sa) + lower * gap
-            lower *= 1.0 - sb
-            acc = 1.0 if sa >= 1.0 else acc + sa * (1.0 - acc)
-        return 1.0 if 1.0 < acc else acc, total
-
     @cached_property
-    def _factors(self):
-        # (0-based child type, fused pair method) per child factor
-        return tuple((child - 1, law.pair)
-                     for child, law in self.children.items())
+    def pair_step(self) -> Callable:
+        """This law's block compiled alone, see ``_block``."""
+        return _step_alone(self)
+
+    def _block(self) -> tuple[list[int], list[str], str, str]:
+        """The paired step as straight-line source over the locals d{j}
+        (complement) and e{j} (gap) of the 0-based child coordinates j:
+        (coordinates read, statements, survival expression, gap
+        expression).  Each child factor's ``PAIR`` template is inlined
+        once, in child order.  The survival follows the pairwise
+        complement rule, pinned at exactly 1 by a certain child line;
+        the gap is telescoped over the factors (earlier ones at b, later
+        ones at a), so no nearby numbers are ever subtracted.  The
+        first factor starts from acc = total = 0 and lower = 1, with
+        only the exact products by 1.0 left out."""
+        reads, lines = [], []
+        last = len(self.children) - 1
+        for k, (child, law) in enumerate(self.children.items()):
+            j = child - 1
+            reads.append(j)
+            lines += pair_source(law, f"d{j}", f"e{j}", f"c{j}_").splitlines()
+            if k == 0:
+                lines += ["total = 0.0 * (1.0 - sa) + gap",
+                          "acc = 1.0 if sa >= 1.0 else 0.0 + sa"]
+            else:
+                lines += ["total = total * (1.0 - sa) + lower * gap",
+                          "acc = 1.0 if sa >= 1.0 else acc + sa * (1.0 - acc)"]
+            if k < last:
+                lines.append("lower = 1.0 - sb" if k == 0 else "lower *= 1.0 - sb")
+        if not lines:
+            return reads, lines, "0.0", "0.0"
+        return reads, lines, "1.0 if 1.0 < acc else acc", "total"
 
     def mean_row(self, n_types: int) -> np.ndarray:
         row = np.zeros(n_types)
@@ -127,6 +166,8 @@ class TableLaw:
 
     parent: int
     rows: tuple[tuple[tuple[int, ...], float], ...]
+
+    __getstate__ = _fields_only
 
     def __post_init__(self):
         rows = tuple((tuple(int(c) for c in counts), float(p))
@@ -166,39 +207,52 @@ class TableLaw:
             for counts, p in self.rows
         )
 
-    def pair_step(self, da: Sequence[float],
-                  delta: Sequence[float]) -> tuple[float, float]:
-        """(1 - f(a), f(a) - f(b)) for a = 1 - da, b = a - delta: the
-        survival as sum_w p_w (1 - prod_j (1-d_j)^w_j), using sum p_w = 1,
-        the gap telescoped over each row's nonzero coordinates."""
-        a = [1.0 - x for x in da]
-        b = [1.0 - (x + y) for x, y in zip(da, delta)]
-        logs = [math.log1p(-x) if x < 1.0 else -math.inf for x in da]
-        survs = []
-        gaps = []
-        for p, telescope in self._nonzero_rows:
-            expo = 0
-            row = 0.0
-            for j, c, before, after in telescope:
-                expo += c * logs[j]
-                step = power_diff(a[j], delta[j], c)
-                for l, cl in before:
-                    step *= b[l] ** cl
-                for l, cl in after:
-                    step *= a[l] ** cl
-                row += step
-            survs.append(p * -math.expm1(expo))
-            gaps.append(p * row)
-        return neumaier_sum(survs), neumaier_sum(gaps)
-
     @cached_property
-    def _nonzero_rows(self):
-        # per row: p, then per nonzero (type, count) pair the pairs
-        # before and after it in the telescope
-        nonzero = [(p, [(j, c) for j, c in enumerate(w) if c])
-                   for w, p in self.rows]
-        return [(p, [(j, c, nz[:k], nz[k + 1:])
-                     for k, (j, c) in enumerate(nz)]) for p, nz in nonzero]
+    def pair_step(self) -> Callable:
+        """This law's block compiled alone, see ``_block``."""
+        return _step_alone(self)
+
+    def _block(self) -> tuple[list[int], list[str], str, str]:
+        """The paired step as straight-line source over the locals d{j}
+        (complement) and e{j} (gap) of the coordinates j the rows emit:
+        (coordinates read, statements, survival expression, gap
+        expression).  The survival is sum_w p_w (1 - prod_j
+        (1-d_j)^w_j), using sum p_w = 1, with log1p(-d_j) once per
+        coordinate and -inf standing for a certain child line; the gap
+        is telescoped over each row's nonzero coordinates.  Rows are
+        unrolled in table order and both sums written out with
+        Neumaier's compensation in that order; an all-zero row
+        contributes constants."""
+        rows = [(p, [(j, c) for j, c in enumerate(w) if c])
+                for w, p in self.rows]
+        reads = sorted({j for _, nz in rows for j, _ in nz})
+        # a_j = 1 - d_j enters power_diff (count > 1) and later factors of
+        # the telescope, b_j = 1 - (d_j + e_j) its earlier factors
+        uses_a = sorted({j for _, nz in rows for k, (j, c) in enumerate(nz)
+                         if c > 1 or k > 0})
+        uses_b = sorted({l for _, nz in rows for l, _ in nz[:-1]})
+        lines = [f"l{j} = log1p(-d{j}) if d{j} < 1.0 else -inf"
+                 for j in reads]
+        lines += [f"a{j} = 1.0 - d{j}" for j in uses_a]
+        lines += [f"b{j} = 1.0 - (d{j} + e{j})" for j in uses_b]
+        survs, gaps = [], []
+        for r, (p, nz) in enumerate(rows):
+            if not nz:
+                survs.append(repr(p * -math.expm1(0)))
+                gaps.append(repr(p * 0.0))
+                continue
+            expo = " + ".join(["0", *(f"{c} * l{j}" for j, c in nz)])
+            steps = [" * ".join([
+                f"e{j}" if c == 1 else f"power_diff(a{j}, e{j}, {c})",
+                *(f"b{l} ** {cl}" for l, cl in nz[:k]),
+                *(f"a{l} ** {cl}" for l, cl in nz[k + 1:])])
+                for k, (j, c) in enumerate(nz)]
+            lines += [f"s{r} = {p!r} * -expm1({expo})",
+                      f"g{r} = {p!r} * ({' + '.join(['0.0', *steps])})"]
+            survs.append(f"s{r}")
+            gaps.append(f"g{r}")
+        return (reads, lines + _neumaier_lines(survs, "ss", "sc")
+                + _neumaier_lines(gaps, "gs", "gc"), "ss + sc", "gs + gc")
 
     def mean_row(self, n_types: int) -> np.ndarray:
         row = np.zeros(n_types)
@@ -233,6 +287,18 @@ class TableLaw:
             yield j, kids[..., j]
 
 
+def _neumaier_lines(values: list[str], total: str, carry: str) -> list[str]:
+    """``neumaier_sum`` of ``values`` (names or literals) written out in
+    order; the sum is then ``total + carry``."""
+    lines = [f"{total} = 0.0", f"{carry} = 0.0"]
+    for v in values:
+        lines += [f"t = {total} + {v}",
+                  f"{carry} += ({total} - t) + {v} if abs({total}) >= abs({v})"
+                  f" else ({v} - t) + {total}",
+                  f"{total} = t"]
+    return lines
+
+
 @dataclass(frozen=True)
 class _OwnColumn:
     """A table law restricted to its own-type coordinate.
@@ -258,6 +324,67 @@ class _OwnColumn:
 OffspringLaw = ProductLaw | TableLaw
 
 
+class Kernel(NamedTuple):
+    """A spec's paired sweep, compiled.
+
+    ``advance(da, delta, steps) -> (da, delta)`` steps the (complement,
+    gap) pair ``steps`` times and returns tuples; ``table(d, pmf, pi)``
+    fills columns 1.. of the survival table arrays from d[:, 0] and the
+    gaps ``pi`` at n = 1, and returns the truncation index or None.
+    ``source`` is the code both were compiled from.
+    """
+
+    advance: Callable
+    table: Callable
+    source: str
+
+
+def _compile_kernel(spec: ProcessSpec) -> Kernel:
+    # Each step is one sweep in type order that overwrites coordinate i
+    # as soon as law i's block has run.  That is the simultaneous update
+    # bit for bit because the process is decomposable: law i reads only
+    # coordinates i..N (a table's rows are zero below its own type), and
+    # those still hold the previous step's values when it runs.
+    sweep, checked = [], []
+    for i, law in enumerate(spec.laws):
+        _, lines, survival, gap = law._block()
+        sweep += [*lines, f"d{i} = {survival}", f"e{i} = {gap}"]
+        # the table's pair step discards its gap at n = 1, where pi
+        # already holds q(1) = f(0); deterministic feed links keep
+        # early death mass at exactly zero, which is structure, not
+        # precision loss, so a stall only counts once the complement
+        # has left 1
+        checked += [*lines, f"new = {survival}",
+                    "if n > 1:", f"    e{i} = {gap}",
+                    f"if (new > d{i} or not (new > 0.0) or (d{i} < 1.0 and "
+                    f"(new == d{i} or not (e{i} > 0.0)))):",
+                    "    break",
+                    f"d{i} = D{i}[n] = new", f"P{i}[n] = e{i}"]
+
+    def names(letter):
+        return "".join(f"{letter}{i}, " for i in range(spec.n_types))
+
+    ds, es = names("d"), names("e")
+    advance = "\n".join([
+        "def advance(da, delta, steps):",
+        f"    {ds}= da", f"    {es}= delta",
+        "    for _ in range(steps):",
+        *(f"        {line}" for line in sweep),
+        f"    return ({ds}), ({es})", ""])
+    table = "\n".join([
+        "def table(d, pmf, pi):",
+        f"    {names('D')}= d", f"    {names('P')}= pmf",
+        f"    {ds}= d[:, 0].tolist()", f"    {es}= pi",
+        "    for n in range(1, d.shape[1]):",
+        *(f"        {line}" for line in checked),
+        "    else:", "        return None",
+        "    d[:, n:] = nan", "    pmf[:, n:] = nan", "    return n", ""])
+    label = f"{spec.name} kernel"
+    return Kernel(advance=compile_step(advance, "advance", label),
+                  table=compile_step(table, "table", label),
+                  source=advance + "\n" + table)
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
     """A complete cascade model: one offspring law per type, 1..N."""
@@ -265,6 +392,8 @@ class ProcessSpec:
     n_types: int
     laws: tuple[OffspringLaw, ...]
     name: str = "model"
+
+    __getstate__ = _fields_only
 
     def __post_init__(self):
         if self.n_types < 1:
@@ -292,6 +421,11 @@ class ProcessSpec:
 
     def law(self, i: int) -> OffspringLaw:
         return self.laws[i - 1]
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The laws' paired steps compiled into one sweep, on first use."""
+        return _compile_kernel(self)
 
 
 class Violation(NamedTuple):

@@ -4,7 +4,8 @@ Everything here exists to avoid cancellation: probabilities close to
 one are always carried as complements, sums of many small terms use
 compensated accumulation, and differences of nearby transform values
 are propagated as first-class quantities instead of being recomputed
-by subtraction.
+by subtraction.  ``compile_step`` turns the generated source of a paired
+step into a function over these helpers and the ``math`` functions.
 """
 
 from __future__ import annotations
@@ -84,3 +85,18 @@ def richardson_derivative(f: Callable[[float], float], x: float,
     d1 = (f(x + step) - f(x - step)) / (2.0 * step)
     d2 = (f(x + 2.0 * step) - f(x - 2.0 * step)) / (4.0 * step)
     return (4.0 * d1 - d2) / 3.0
+
+
+# the names generated step source may call
+_STEP_NAMES = {"exp": math.exp, "expm1": math.expm1, "log1p": math.log1p,
+               "inf": math.inf, "nan": math.nan,
+               "power_complement": power_complement, "power_diff": power_diff}
+
+
+def compile_step(source: str, name: str, label: str) -> Callable:
+    """The function ``name`` defined by ``source``, generated step code
+    that calls only the helpers above and ``math``'s ``exp``, ``expm1``
+    and ``log1p``; ``label`` names it in tracebacks."""
+    namespace = dict(_STEP_NAMES)
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace[name]

@@ -443,13 +443,27 @@ def test_every_kind_of_cell_is_written_as_json_writes_it():
              -math.inf, None, True, False, "a,\"b\"\\\t", "\u00e9", "",
              np.float64(0.3), np.float64(math.nan))
     config = {"command": "x", "model": "m", "n": 3}
-    for rows in ([cells, cells[::-1]], [cells[:1]], []):
-        table = cli.Table("t", "m", tuple(f"c{i}" for i in range(len(cells))),
+    # rows of one int followed by floats, next to rows that only nearly are
+    plain = (1, 0.1, -0.0, 1e-300, 1.5e300, math.nan, -math.inf)
+    plain_rows = [plain, (2**70,) + plain[1:], (True,) + plain[1:],
+                  (1.0,) + plain[1:], plain[:-1] + (np.float64(0.3),),
+                  plain[:-1] + (7,)]
+    for rows in ([cells, cells[::-1]], [cells[:1]], [], plain_rows):
+        width = len(rows[0]) if rows else len(cells)
+        table = cli.Table("t", "m", tuple(f"c{i}" for i in range(width)),
                           rows, {"n_types": 1, "w": math.nan}, passed=True)
         assert "".join(table.json_lines(config)) == \
             _reference_json(config, table)
         lines = "".join(table.csv_lines()).splitlines()
         assert lines[len(lines) - len(rows) - 1:] == _reference_csv_rows(table)
+
+
+def test_plotdata_points_are_written_as_each_cell_was(tmp_path):
+    points = [(1, 0.1), (100_000, 1e-300), (2**60 + 1, -0.0),
+              (0.5, math.nan), (3.0, -math.inf), (7, np.float64(0.3))]
+    cli._write_plotdata(tmp_path / "p", {"a curve": points})
+    assert (tmp_path / "p_a-curve.dat").read_text() == "".join(
+        f"{_fmt(float(x))} {_fmt(float(y))}\n" for x, y in points)
 
 
 # `extinction` hands _emit a view over the table arrays; the rows and

@@ -1,0 +1,153 @@
+"""The compiled kernel against the interpretive reference, bit for bit.
+
+``tests/reference_step.py`` keeps the loops the kernel replaced: each
+family's fused pair, each law shape's pair step, the in-place sweep and
+the table loop.  On random product and table models (no criticality
+assumed), the compiled ``pair_step``, ``_advance_pair`` and
+``build_survival_table`` must return the same bits, ``truncated_at``
+included.
+"""
+
+import pickle
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_step as ref
+from branchlab.families import Bernoulli, Geometric, PointMass, Poisson
+from branchlab.model import ProcessSpec, ProductLaw, TableLaw
+from branchlab.pgf import _advance_pair, build_survival_table
+from branchlab.zoo import STOCK_MODELS
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+means = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
+
+families = st.one_of(
+    means.map(Geometric),
+    means.map(Poisson),
+    unit.map(Bernoulli),
+    st.integers(0, 5).map(PointMass),
+)
+
+
+@st.composite
+def product_laws(draw, parent, n_types):
+    # 1-3 child factors in a drawn order, which fixes the telescope's
+    children = draw(st.lists(st.integers(parent, n_types), min_size=1,
+                             max_size=3, unique=True))
+    return ProductLaw(parent=parent,
+                      children={c: draw(families) for c in children})
+
+
+@st.composite
+def table_laws(draw, parent, n_types):
+    # counts 0-3 on the parent's type and above, the lower coordinates
+    # present at count zero, often with an all-zero row
+    width = n_types - parent + 1
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=width,
+                                  max_size=width), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * width)
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(rows),
+                            max_size=len(rows)))
+    weights = [w + 1e-3 for w in weights]
+    total = sum(weights)
+    return TableLaw(parent=parent, rows=tuple(
+        ((0,) * (parent - 1) + tuple(counts), w / total)
+        for counts, w in zip(rows, weights)))
+
+
+@st.composite
+def models(draw, max_types=4):
+    n = draw(st.integers(1, max_types))
+    laws = tuple(draw(st.one_of(product_laws(i, n), table_laws(i, n)))
+                 for i in range(1, n + 1))
+    return ProcessSpec(n_types=n, laws=laws, name="random")
+
+
+@st.composite
+def pairs(draw, n=4):
+    """(da, delta) with 0 <= delta <= 1 - da: pinned certain child lines
+    (da = 1), zero gaps and 1e-300-sized entries among them."""
+    da, delta = [], []
+    for _ in range(n):
+        d = draw(st.one_of(unit, st.just(1.0), st.just(1e-300),
+                           st.just(0.0)))
+        frac = draw(st.one_of(unit, st.just(0.0)))
+        da.append(d)
+        delta.append(frac * (1.0 - d))
+    return da, delta
+
+
+def hexes(values):
+    return [x.hex() for x in values]
+
+
+@given(models(), pairs(), pairs())
+@settings(max_examples=300, deadline=None)
+def test_compiled_pair_step_is_the_reference(spec, pair, lower):
+    da, delta = pair
+    for i, law in enumerate(spec.laws):
+        want = ref.pair_step(law, da, delta)
+        assert hexes(law.pair_step(da, delta)) == hexes(want)
+        # whatever the lower coordinates hold
+        other_da = lower[0][:i] + da[i:]
+        other_delta = lower[1][:i] + delta[i:]
+        assert hexes(law.pair_step(other_da, other_delta)) == hexes(want)
+
+
+@given(models(), pairs(), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_kernel_advance_is_the_reference_sweep(spec, pair, steps):
+    n = spec.n_types
+    da, delta = pair[0][:n], pair[1][:n]
+    got = _advance_pair(spec, da, delta, steps)
+    want = ref.advance_pair(spec, da, delta, steps)
+    assert [hexes(v) for v in got] == [hexes(v) for v in want]
+    assert (list(da), list(delta)) == (pair[0][:n], pair[1][:n])
+
+
+def assert_table_is_the_reference(spec, n_max):
+    table = build_survival_table(spec, n_max)
+    d, pmf, truncated_at = ref.survival_table(spec, n_max)
+    assert table.truncated_at == truncated_at
+    assert table.d.tobytes() == d.tobytes()
+    assert table.pmf.tobytes() == pmf.tobytes()
+    return table
+
+
+@given(models(), st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_kernel_table_is_the_reference_loop(spec, n_max):
+    assert_table_is_the_reference(spec, n_max)
+
+
+def test_kernel_table_truncates_where_the_reference_does():
+    spec = ProcessSpec(n_types=1, laws=(
+        ProductLaw(parent=1, children={1: Geometric(2.0)}),))
+    table = assert_table_is_the_reference(spec, 500)
+    assert table.truncated_at == 52
+
+
+def test_stock_kernels_are_the_reference():
+    for make in STOCK_MODELS.values():
+        spec = make()
+        assert_table_is_the_reference(spec, 2000)
+        da = [0.7 - 0.2 * j for j in range(spec.n_types)]
+        delta = [0.1 / (j + 1) for j in range(spec.n_types)]
+        got = _advance_pair(spec, da, delta, 300)
+        want = ref.advance_pair(spec, da, delta, 300)
+        assert [hexes(v) for v in got] == [hexes(v) for v in want]
+
+
+def test_a_spec_with_its_kernel_built_still_pickles():
+    # the Monte Carlo pool pickles specs the engine has already stepped
+    for make in STOCK_MODELS.values():
+        spec = make()
+        build_survival_table(spec, 10)
+        spec.law(1).pair_step([0.5] * spec.n_types, [0.0] * spec.n_types)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        table = build_survival_table(copy, 10)
+        assert np.array_equal(table.d, build_survival_table(spec, 10).d)

@@ -1,19 +1,20 @@
 """Layering: the engine and the sampler go through the laws' methods.
 
 Offspring families live in ``families.py`` and law shapes in
-``model.py``; ``pgf.py`` and ``montecarlo.py`` call the methods those
-define (a law's ``pgf``, ``pair_step``, ``own_marginal`` and ``draws``;
-the fused scalar ``pair`` of its own-type view) and never dispatch on a
-family or a law class themselves.  There is one way to advance a vector
-orbit: the engine steps through each law's ``pair_step``, never through
-the model maps ``survival_map`` and ``pair_diff_map``, its projections
-kept for the per-layer probe.  One step costs one call per child
-factor: ``ProductLaw.pair_step`` calls each factor's fused ``pair``
-once, and the engine never steps a chain through the ``survival`` and
-``pgf_diff`` projections.  Each vector orbit steps in place, one
-coordinate at a time in type order (``_advance_pair`` and
-``build_survival_table``), never by transposing a list of whole-vector
-steps with ``zip(*...)``.
+``model.py``; ``pgf.py`` and ``montecarlo.py`` call what those define
+(a law's ``pgf``, ``own_marginal`` and ``draws``, the fused scalar
+``pair`` of its own-type view, and the spec's compiled ``kernel``) and
+never dispatch on a family or a law class themselves.  There is one
+way to advance a vector orbit: the engine steps through the spec's
+kernel, built from the laws' own blocks (each law's ``pair_step`` is
+its block compiled alone), never through the model maps
+``survival_map`` and ``pair_diff_map``, projections kept for the
+per-layer probe.  A kernel step inlines each child factor's ``PAIR``
+template exactly once per law, and the engine never steps a chain
+through the ``survival`` and ``pgf_diff`` projections.  Each kernel
+loop steps in place, one coordinate at a time in type order: law i's
+block, then the store of coordinate i, never a transposed list of
+whole-vector steps.
 
 No dead code: every top-level function and class of the package is
 named somewhere in ``src/`` or ``perfbench/`` besides its own
@@ -29,11 +30,46 @@ from pathlib import Path
 import pytest
 
 import branchlab
+from branchlab.families import Bernoulli, Geometric, PointMass, Poisson, pair_source
+from branchlab.model import ProcessSpec, ProductLaw
+from branchlab.zoo import STOCK_MODELS
 
 SRC = Path(branchlab.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = {"ProductLaw", "TableLaw"}
 MAPS = {"survival_map", "pair_diff_map"}
+
+
+def _all_families():
+    # every family, and laws with one, two and three child factors
+    return ProcessSpec(n_types=3, laws=(
+        ProductLaw(parent=1, children={1: Geometric(1.0), 2: Poisson(0.8),
+                                       3: PointMass(3)}),
+        ProductLaw(parent=2, children={2: Bernoulli(0.5), 3: Poisson(1.0)}),
+        ProductLaw(parent=3, children={3: Geometric(1.0)}),
+    ), name="all_families")
+
+
+SPECS = [make() for make in STOCK_MODELS.values()] + [_all_families()]
+
+
+def _loops(source):
+    """Function name -> unparsed statements of its loop body, for each
+    function of a kernel's source."""
+    return {func.name: [ast.unparse(stmt) for stmt in loop.body]
+            for func in ast.parse(source).body
+            if isinstance(func, ast.FunctionDef)
+            for loop in func.body if isinstance(loop, ast.For)}
+
+
+def _statements(source):
+    return [ast.unparse(stmt) for stmt in ast.parse(source).body]
+
+
+def _count(body, block):
+    """Places where ``block`` (unparsed statements) runs whole in ``body``."""
+    return sum(body[k:k + len(block)] == block
+               for k in range(len(body) - len(block) + 1))
 
 
 def _imported_modules(tree):
@@ -66,7 +102,16 @@ def test_engine_and_sampler_never_see_families_or_law_shapes(module):
 def test_engine_advances_orbits_only_through_pair_step():
     names = set(_named(ast.parse((SRC / "pgf.py").read_text())))
     assert MAPS.isdisjoint(names)
-    assert "pair_step" in names
+    assert {"kernel", "advance", "table"} <= names
+    assert "pair_step" not in names
+    for spec in SPECS:
+        kernel = set(_named(ast.parse(spec.kernel.source)))
+        assert MAPS.isdisjoint(kernel)
+        assert "pair_step" not in kernel
+        # every loop runs each law's block, which pair_step compiles alone
+        for body in _loops(spec.kernel.source).values():
+            for law in spec.laws:
+                assert _count(body, _statements("\n".join(law._block()[1]))) == 1
 
 
 def test_the_check_sees_what_it_looks_for():
@@ -103,29 +148,41 @@ def _projection_calls(tree):
     return sorted(set(lines))
 
 
-def _family_calls_per_factor(source):
-    """Calls in ``ProductLaw.pair_step``'s loop over its child factors
-    that reach a family: a callable the loop binds, or a family method
-    by name."""
-    law = next(node for node in ast.parse(source).body
-               if isinstance(node, ast.ClassDef) and node.name == "ProductLaw")
-    step = next(node for node in law.body
-                if isinstance(node, ast.FunctionDef)
-                and node.name == "pair_step")
-    loops = [node for node in ast.walk(step) if isinstance(node, ast.For)]
-    assert [ast.unparse(loop.iter) for loop in loops] == ["self._factors"]
-    bound = {node.id for node in ast.walk(loops[0].target)
-             if isinstance(node, ast.Name)}
-    return sum(1 for stmt in loops[0].body for node in ast.walk(stmt)
-               if isinstance(node, ast.Call)
-               and ((isinstance(node.func, ast.Name) and node.func.id in bound)
-                    or (isinstance(node.func, ast.Attribute)
-                        and node.func.attr in STEPS | {"pair"})))
+def _factor_runs(source, factors):
+    """Per kernel loop, how often each child factor's template runs in
+    it; ``factors`` lists one rendered ``PAIR`` template per (law, child
+    factor)."""
+    return {name: {factor: _count(body, _statements(factor))
+                   for factor in factors}
+            for name, body in _loops(source).items()}
+
+
+def _step_calls(source):
+    """Lines of a kernel's source that step through a method instead of
+    inlined code: a family's ``pair`` or its projections, or a law's
+    ``pair_step``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in STEPS | {"pair", "pair_step"})
+
+
+def _rendered_factors(spec):
+    return [pair_source(family, f"d{child - 1}", f"e{child - 1}",
+                        f"c{child - 1}_")
+            for law in spec.laws if isinstance(law, ProductLaw)
+            for child, family in law.children.items()]
 
 
 def test_one_family_call_per_factor_and_step():
     assert _projection_calls(ast.parse((SRC / "pgf.py").read_text())) == []
-    assert _family_calls_per_factor((SRC / "model.py").read_text()) == 1
+    for spec in SPECS:
+        factors = _rendered_factors(spec)
+        # a factor held by two laws runs once in each law's block
+        wanted = {factor: factors.count(factor) for factor in factors}
+        assert _step_calls(spec.kernel.source) == []
+        assert _factor_runs(spec.kernel.source, factors) == {
+            "advance": wanted, "table": wanted}
 
 
 def test_the_step_guard_sees_what_it_looks_for():
@@ -134,17 +191,30 @@ def test_the_step_guard_sees_what_it_looks_for():
                      "    chain.survival(d)\n"
                      "    law.pgf_diff(da, delta)\n")
     assert _projection_calls(tree) == [3, 4]
-    three_calls = (
-        "class ProductLaw:\n"
-        "    def pair_step(self, da, delta):\n"
-        "        for j, survival, pgf_diff in self._factors:\n"
-        "            sa = survival(da[j])\n"
-        "            total = total * (1.0 - sa) + pgf_diff(da[j], delta[j])\n"
-        "            lower *= 1.0 - survival(da[j] + delta[j])\n")
-    assert _family_calls_per_factor(three_calls) == 3
-    by_name = three_calls.replace("survival(da[j] + delta[j])",
-                                  "self.children[j + 1].survival(da[j])")
-    assert _family_calls_per_factor(by_name) == 3
+    factor = pair_source(Geometric(1.0), "d0", "e0", "c0_")
+    inlined = factor.splitlines()
+
+    def kernel(*body):
+        return ("def advance(da, delta, steps):\n"
+                "    d0, = da\n"
+                "    e0, = delta\n"
+                "    for _ in range(steps):\n"
+                + "".join(f"        {line}\n" for line in body)
+                + "    return (d0,), (e0,)\n")
+
+    once = kernel(*inlined, "d0 = sa", "e0 = gap")
+    assert _factor_runs(once, [factor]) == {"advance": {factor: 1}}
+    assert _step_calls(once) == []
+    # the survival and the gap from two inlined copies of the template
+    twice = kernel(*inlined, "d1 = sa", *inlined, "d0 = d1", "e0 = gap")
+    assert _factor_runs(twice, [factor]) == {"advance": {factor: 2}}
+    # a family call per factor and step instead of the inlined template
+    called = kernel("sa, sb, gap = law.children[1].pair(d0, e0)",
+                    "d0 = sa", "e0 = gap")
+    assert _factor_runs(called, [factor]) == {"advance": {factor: 0}}
+    assert _step_calls(called) == [5]
+    by_projection = kernel(*inlined, "d0 = law.survival(d0)", "e0 = gap")
+    assert _step_calls(by_projection) == [13]
 
 
 def _transposed_steps(tree):
@@ -161,78 +231,67 @@ def _transposed_steps(tree):
                           for arg in node.args))
 
 
-def _in_place_sweeps(tree):
-    """Functions holding an in-place sweep: ``for i, step in sweep``
-    over ``enumerate`` of the laws in type order, whose body calls
-    ``step(da, ...)`` and stores into ``da[i]``."""
+def _in_place_sweeps(source, blocks):
+    """Functions of a kernel's source whose loop steps in place in type
+    order: law 0's block, then a store of coordinate ``d0``, then law
+    1's block, then a store of ``d1``, and so on, each block run whole
+    and once.  ``blocks[i]`` is law i's block as unparsed statements."""
     found = set()
-    for func in ast.walk(tree):
-        if not isinstance(func, ast.FunctionDef):
-            continue
-        bound = {target.id: ast.unparse(node.value)
-                 for node in ast.walk(func) if isinstance(node, ast.Assign)
-                 for target in node.targets if isinstance(target, ast.Name)}
-        for loop in ast.walk(func):
-            if not (isinstance(loop, ast.For)
-                    and isinstance(loop.iter, ast.Name)
-                    and isinstance(loop.target, ast.Tuple)
-                    and len(loop.target.elts) == 2
-                    and all(isinstance(e, ast.Name)
-                            for e in loop.target.elts)):
+    for name, body in _loops(source).items():
+        events, k = [], 0
+        while k < len(body):
+            law = next((i for i, block in enumerate(blocks)
+                        if body[k:k + len(block)] == block), None)
+            if law is not None:
+                events.append(("block", law))
+                k += len(blocks[law])
                 continue
-            order = bound.get(loop.iter.id, "")
-            if "enumerate(" not in order or "spec.laws" not in order \
-                    or "reversed(" in order or "sorted(" in order:
-                continue
-            index, step = (e.id for e in loop.target.elts)
-            body = [node for stmt in loop.body for node in ast.walk(stmt)]
-            read = {call.args[0].id for call in body
-                    if isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Name)
-                    and call.func.id == step and call.args
-                    and isinstance(call.args[0], ast.Name)}
-            stored = {sub.value.id for sub in body
-                      if isinstance(sub, ast.Subscript)
-                      and isinstance(sub.ctx, ast.Store)
-                      and isinstance(sub.value, ast.Name)
-                      and isinstance(sub.slice, ast.Name)
-                      and sub.slice.id == index}
-            if read & stored:
-                found.add(func.name)
+            events += [("store", int(node.id[1:]))
+                       for node in ast.walk(ast.parse(body[k]))
+                       if isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Store)
+                       and re.fullmatch(r"d\d+", node.id)]
+            k += 1
+        if events == [(kind, i) for i in range(len(blocks))
+                      for kind in ("block", "store")]:
+            found.add(name)
     return found
 
 
 def test_vector_orbits_step_in_place_in_type_order():
-    tree = ast.parse((SRC / "pgf.py").read_text())
-    assert _transposed_steps(tree) == []
-    assert {"_advance_pair", "build_survival_table"} <= _in_place_sweeps(tree)
+    assert _transposed_steps(ast.parse((SRC / "pgf.py").read_text())) == []
+    for spec in SPECS:
+        blocks = [_statements("\n".join(law._block()[1])) for law in spec.laws]
+        assert _transposed_steps(ast.parse(spec.kernel.source)) == []
+        assert _in_place_sweeps(spec.kernel.source, blocks) == {"advance",
+                                                                "table"}
 
 
 def test_the_sweep_guard_sees_what_it_looks_for():
     tree = ast.parse(
         "def simultaneous(spec, da, delta):\n"
         "    steppers = [law.pair_step for law in spec.laws]\n"
-        "    da, delta = zip(*[step(da, delta) for step in steppers])\n"
-        "\n"
-        "def into_new_lists(spec, da, delta):\n"
-        "    sweep = tuple(enumerate(law.pair_step for law in spec.laws))\n"
-        "    out, gaps = list(da), list(delta)\n"
-        "    for i, step in sweep:\n"
-        "        out[i], gaps[i] = step(da, delta)\n"
-        "\n"
-        "def backwards(spec, da, delta):\n"
-        "    sweep = reversed(tuple(enumerate(law.pair_step\n"
-        "                                     for law in spec.laws)))\n"
-        "    for i, step in sweep:\n"
-        "        da[i], delta[i] = step(da, delta)\n"
-        "\n"
-        "def in_place(spec, da, delta):\n"
-        "    sweep = tuple(enumerate(law.pair_step for law in spec.laws))\n"
-        "    for i, step in sweep:\n"
-        "        new, gap = step(da, delta)\n"
-        "        da[i] = new\n")
+        "    da, delta = zip(*[step(da, delta) for step in steppers])\n")
     assert _transposed_steps(tree) == [3]
-    assert _in_place_sweeps(tree) == {"in_place"}
+    blocks = [["x = d0 + d1"], ["y = d1 * 2.0"]]
+
+    def kernel(name, *body):
+        return (f"def {name}(da, delta, steps):\n    d0, d1 = da\n"
+                "    for _ in range(steps):\n"
+                + "".join(f"        {line}\n" for line in body))
+
+    source = "\n".join([
+        kernel("simultaneous", "x = d0 + d1", "y = d1 * 2.0",
+               "d0 = x", "d1 = y"),
+        kernel("into_new_lists", "x = d0 + d1", "out0 = x", "y = d1 * 2.0",
+               "out1 = y", "d0, d1 = out0, out1"),
+        kernel("backwards", "y = d1 * 2.0", "d1 = y", "x = d0 + d1",
+               "d0 = x"),
+        kernel("twice", "x = d0 + d1", "d0 = x", "y = d1 * 2.0",
+               "y = d1 * 2.0", "d1 = y"),
+        kernel("in_place", "x = d0 + d1", "d0 = x", "y = d1 * 2.0",
+               "d1 = y")])
+    assert _in_place_sweeps(source, blocks) == {"in_place"}
 
 
 def _unused_definitions(modules, others):
