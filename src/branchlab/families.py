@@ -51,6 +51,7 @@ def pair_source(law: Marginal, da: str, delta: str, prefix: str) -> str:
     reading the names ``da`` and ``delta``, its temporaries prefixed
     with ``prefix``."""
     params = {f.name: getattr(law, f.name) for f in fields(law)}
+    # float() makes a numpy float, whose repr is no literal, a plain one
     return law.PAIR.format(da=da, delta=delta, t=prefix, **{
         name: f"({float(v) if isinstance(v, float) else v!r})"
         for name, v in params.items()})
