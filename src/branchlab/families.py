@@ -15,8 +15,9 @@ zero or noise.  Each family writes it once, as the straight-line source
 template ``PAIR``, the one definition of its arithmetic: the family's
 ``pair(da, delta)`` method is compiled from it, reading the parameters
 off ``self``, and the model kernel inlines it with the parameters as
-literals (``pair_source``).  ``survival(d)`` and ``pgf_diff(da, delta)``
-are projections of ``pair``.
+literals where they are used, a factor of 1.0 left out
+(``pair_source``).  ``survival(d)`` and ``pgf_diff(da, delta)`` are
+projections of ``pair``.
 """
 
 from __future__ import annotations
@@ -33,15 +34,35 @@ from .numerics import compile_step
 # A PAIR template is straight-line code over the fields {da} and
 # {delta} (the names of the inputs), {t} (a prefix for temporaries) and
 # the family's own dataclass fields; it leaves its results in sa, sb
-# and gap.
+# and gap.  A parameter enters as ``{mean}`` where it is an operand and
+# as ``{mean:*}x`` where it multiplies x: the kernel writes the product
+# of a literal 1.0 as plain x, which is the same bits (and ``-x`` for
+# ``-{mean:*}x``).
+
+
+class _Param:
+    """How a parameter is written into a rendered template: ``text``,
+    and ``text * `` before a factor, or nothing when it is the literal
+    one."""
+
+    def __init__(self, text: str, one: bool = False):
+        self.text, self.one = text, one
+
+    def __format__(self, spec: str) -> str:
+        if spec == "*":
+            return "" if self.one else f"{self.text} * "
+        return self.text
+
 
 def _paired(cls):
     """Compile the family's ``pair`` method from its ``PAIR`` template."""
+    names = [f.name for f in fields(cls)]
     body = cls.PAIR.format(da="da", delta="delta", t="",
-                           **{f.name: f"self.{f.name}" for f in fields(cls)})
-    source = ("def pair(self, da, delta):\n" + textwrap.indent(body, "    ")
-              + "    return sa, sb, gap\n")
-    cls.pair = compile_step(source, "pair", f"{cls.__name__}.pair")
+                           **{name: _Param(name) for name in names})
+    source = ("def pair(self, da, delta):\n"
+              + "".join(f"    {name} = self.{name}\n" for name in names)
+              + textwrap.indent(body, "    ") + "    return sa, sb, gap\n")
+    cls.pair = compile_step(source, f"{cls.__name__}.pair")["pair"]
     cls.pair.__qualname__ = f"{cls.__name__}.pair"
     return cls
 
@@ -50,11 +71,13 @@ def pair_source(law: Marginal, da: str, delta: str, prefix: str) -> str:
     """``law``'s ``PAIR`` template with its parameters as literals,
     reading the names ``da`` and ``delta``, its temporaries prefixed
     with ``prefix``."""
-    params = {f.name: getattr(law, f.name) for f in fields(law)}
-    # float() makes a numpy float, whose repr is no literal, a plain one
-    return law.PAIR.format(da=da, delta=delta, t=prefix, **{
-        name: f"({float(v) if isinstance(v, float) else v!r})"
-        for name, v in params.items()})
+    params = {}
+    for f in fields(law):
+        v = getattr(law, f.name)
+        # float() makes a numpy float, whose repr is no literal, a plain one
+        params[f.name] = _Param(repr(float(v) if isinstance(v, float) else v),
+                                one=v == 1)
+    return law.PAIR.format(da=da, delta=delta, t=prefix, **params)
 
 
 @_paired
@@ -75,14 +98,11 @@ class Geometric:
         return 1.0 / (1.0 + self.mean * (1.0 - s))
 
     PAIR = """\
-{t}m = {mean}
-{t}ma = {t}m * {da}
-{t}mb = {t}m * ({da} + {delta})
-{t}up = 1.0 + {t}ma
-{t}low = 1.0 + {t}mb
-sa = {t}ma / {t}up
-sb = {t}mb / {t}low
-gap = {t}m * {delta} / ({t}up * {t}low)
+{t}up = 1.0 + {mean:*}{da}
+{t}low = 1.0 + {mean:*}({da} + {delta})
+sa = {mean:*}{da} / {t}up
+sb = {mean:*}({da} + {delta}) / {t}low
+gap = {mean:*}{delta} / ({t}up * {t}low)
 """
 
     def survival(self, d: float) -> float:
@@ -120,11 +140,10 @@ class Poisson:
 
     # the gap is exp(-mean*da) - exp(-mean*(da+delta)), both exponents <= 0
     PAIR = """\
-{t}m = -{mean}
-{t}xa = {t}m * {da}
+{t}xa = -{mean:*}{da}
 sa = -expm1({t}xa)
-sb = -expm1({t}m * ({da} + {delta}))
-gap = exp({t}xa) * -expm1({t}m * {delta})
+sb = -expm1(-{mean:*}({da} + {delta}))
+gap = exp({t}xa) * -expm1(-{mean:*}{delta})
 """
 
     def survival(self, d: float) -> float:
@@ -157,10 +176,9 @@ class Bernoulli:
         return 1.0 + self.p * (s - 1.0)
 
     PAIR = """\
-{t}p = {p}
-sa = {t}p * {da}
-sb = {t}p * ({da} + {delta})
-gap = {t}p * {delta}
+sa = {p:*}{da}
+sb = {p:*}({da} + {delta})
+gap = {p:*}{delta}
 """
 
     def survival(self, d: float) -> float:
@@ -196,10 +214,9 @@ class PointMass:
         return s**self.k
 
     PAIR = """\
-{t}k = {k}
-sa = power_complement({da}, {t}k)
-sb = power_complement({da} + {delta}, {t}k)
-gap = power_diff(1.0 - {da}, {delta}, {t}k)
+sa = power_complement({da}, {k})
+sb = power_complement({da} + {delta}, {k})
+gap = power_diff(1.0 - {da}, {delta}, {k})
 """
 
     def survival(self, d: float) -> float:

@@ -20,12 +20,19 @@ these and never look at the shape.
 
 The paired step is written once per law, as straight-line source over
 local variables (``_block``): a product law inlines each child
-family's ``PAIR`` template, a table law unrolls its rows.  A spec
+family's ``PAIR`` template, a table law unrolls its rows.  A block
+holds only arithmetic that is read and that changes bits: parameters
+are literals and a factor of 1.0 is left out, the last factor's
+survival at b is dropped, a table's all-zero rows leave its Neumaier
+sums, which start from their first term, and ``power_diff`` is written
+out in its loop's order without ``** 1``, ``** 0`` or ``1 *``.  A spec
 compiles its laws' blocks, in type order, into one kernel on first use
 (``ProcessSpec.kernel``), which is the one stepper of every vector
-orbit and of the survival table; ``pair_step`` is a law's block
-compiled alone, and ``survival_map``/``pair_diff_map`` project it for
-probes.
+orbit, of the survival table (step n = 1, whose gap is dropped, runs
+before the loop, which stores through memoryviews of the rows) and of
+the terminal type's scalar chain (its own loop, ``terminal``);
+``pair_step`` is a law's block compiled alone, and
+``survival_map``/``pair_diff_map`` project it for probes.
 
 All public operations take the process spec as their first argument
 and are plain functions, mirroring how the engine modules consume
@@ -48,7 +55,7 @@ from .errors import (
     NonCritical,
 )
 from .families import Marginal, PointMass, pair_source
-from .numerics import compile_step, neumaier_sum, power_complement, power_diff
+from .numerics import compile_step, neumaier_sum
 
 CRITICALITY_TOL = 1e-10
 
@@ -68,7 +75,7 @@ def _step_alone(law) -> Callable:
         *(f"    d{j} = da[{j}]\n    e{j} = delta[{j}]" for j in reads),
         *(f"    {line}" for line in lines),
         f"    return {survival}, {gap}", ""])
-    return compile_step(source, "pair_step", f"type {law.parent} pair_step")
+    return compile_step(source, f"type {law.parent} pair_step")["pair_step"]
 
 
 @dataclass(frozen=True)
@@ -112,26 +119,40 @@ class ProductLaw:
         once, in child order.  The survival follows the pairwise
         complement rule, pinned at exactly 1 by a certain child line;
         the gap is telescoped over the factors (earlier ones at b, later
-        ones at a), so no nearby numbers are ever subtracted.  The
-        first factor starts from acc = total = 0 and lower = 1, with
-        only the exact products by 1.0 left out."""
+        ones at a), so no nearby numbers are ever subtracted.
+
+        Only what changes bits is written: the first factor starts from
+        acc = total = 0 and lower = 1 without the products by 1.0 (the
+        sums with 0.0 stay, they turn -0.0 into 0.0); the last factor's
+        update of acc and total is the returned expression, and its
+        survival at b, never read, is left out (its ``expm1`` argument
+        is <= 0, so it cannot raise).  For one factor the survival pin
+        is the factor's own: ``0.0 + sa`` is below 1 whenever sa is."""
         reads, lines = [], []
         last = len(self.children) - 1
+        survival = gap = "0.0"
         for k, (child, law) in enumerate(self.children.items()):
             j = child - 1
             reads.append(j)
-            lines += pair_source(law, f"d{j}", f"e{j}", f"c{j}_").splitlines()
+            factor = pair_source(law, f"d{j}", f"e{j}", f"c{j}_").splitlines()
+            if k == last:
+                factor = [line for line in factor if not line.startswith("sb = ")]
+            lines += factor
             if k == 0:
-                lines += ["total = 0.0 * (1.0 - sa) + gap",
-                          "acc = 1.0 if sa >= 1.0 else 0.0 + sa"]
+                gap = "0.0 * (1.0 - sa) + gap"
+                acc = "1.0 if sa >= 1.0 else 0.0 + sa"
             else:
-                lines += ["total = total * (1.0 - sa) + lower * gap",
-                          "acc = 1.0 if sa >= 1.0 else acc + sa * (1.0 - acc)"]
+                gap = "total * (1.0 - sa) + lower * gap"
+                acc = "1.0 if sa >= 1.0 else acc + sa * (1.0 - acc)"
             if k < last:
-                lines.append("lower = 1.0 - sb" if k == 0 else "lower *= 1.0 - sb")
-        if not lines:
-            return reads, lines, "0.0", "0.0"
-        return reads, lines, "1.0 if 1.0 < acc else acc", "total"
+                lines += [f"total = {gap}", f"acc = {acc}",
+                          "lower = 1.0 - sb" if k == 0 else "lower *= 1.0 - sb"]
+            elif k == 0:
+                survival = acc
+            else:
+                lines.append(f"acc = {acc}")
+                survival = "1.0 if 1.0 < acc else acc"
+        return reads, lines, survival, gap
 
     def mean_row(self, n_types: int) -> np.ndarray:
         row = np.zeros(n_types)
@@ -219,15 +240,23 @@ class TableLaw:
         expression).  The survival is sum_w p_w (1 - prod_j
         (1-d_j)^w_j), using sum p_w = 1, with log1p(-d_j) once per
         coordinate and -inf standing for a certain child line; the gap
-        is telescoped over each row's nonzero coordinates.  Rows are
+        is telescoped over each row's nonzero coordinates, with
+        ``power_diff`` written out in its loop's order.  Rows are
         unrolled in table order and both sums written out with
-        Neumaier's compensation in that order; an all-zero row
-        contributes constants."""
+        Neumaier's compensation in that order.
+
+        Only what changes bits is written: no ``** 1``, ``1 *`` or
+        factor 1.0, no leading ``0 +`` or ``0.0 +`` in a row, and an
+        all-zero row, whose terms are constant zeros, is left out of
+        both sums (see ``_neumaier``)."""
         rows = [(p, [(j, c) for j, c in enumerate(w) if c])
                 for w, p in self.rows]
+        rows = [(p, nz) for p, nz in rows if nz]
         reads = sorted({j for _, nz in rows for j, _ in nz})
         # a_j = 1 - d_j enters power_diff (count > 1) and later factors of
-        # the telescope, b_j = 1 - (d_j + e_j) its earlier factors
+        # the telescope, b_j = 1 - (d_j + e_j) its earlier factors, and
+        # power_diff's lower point is h_j = max(a_j - e_j, 0)
+        uses_h = sorted({j for _, nz in rows for j, c in nz if c > 1})
         uses_a = sorted({j for _, nz in rows for k, (j, c) in enumerate(nz)
                          if c > 1 or k > 0})
         uses_b = sorted({l for _, nz in rows for l, _ in nz[:-1]})
@@ -235,24 +264,21 @@ class TableLaw:
                  for j in reads]
         lines += [f"a{j} = 1.0 - d{j}" for j in uses_a]
         lines += [f"b{j} = 1.0 - (d{j} + e{j})" for j in uses_b]
+        # max(a - e, 0.0) as power_diff takes it, without the call
+        lines += [f"h{j} = 0.0 if a{j} < e{j} else a{j} - e{j}" for j in uses_h]
         survs, gaps = [], []
-        for r, (p, nz) in enumerate(rows):
-            if not nz:
-                survs.append(repr(p * -math.expm1(0)))
-                gaps.append(repr(p * 0.0))
-                continue
-            expo = " + ".join(["0", *(f"{c} * l{j}" for j, c in nz)])
+        for p, nz in rows:
+            expo = " + ".join(_times(c, f"l{j}") for j, c in nz)
             steps = [" * ".join([
-                f"e{j}" if c == 1 else f"power_diff(a{j}, e{j}, {c})",
-                *(f"b{l} ** {cl}" for l, cl in nz[:k]),
-                *(f"a{l} ** {cl}" for l, cl in nz[k + 1:])])
+                f"e{j}" if c == 1 else f"e{j} * ({_power_sum(j, c)})",
+                *(_power(f"b{l}", cl) for l, cl in nz[:k]),
+                *(_power(f"a{l}", cl) for l, cl in nz[k + 1:])])
                 for k, (j, c) in enumerate(nz)]
-            lines += [f"s{r} = {p!r} * -expm1({expo})",
-                      f"g{r} = {p!r} * ({' + '.join(['0.0', *steps])})"]
-            survs.append(f"s{r}")
-            gaps.append(f"g{r}")
-        return (reads, lines + _neumaier_lines(survs, "ss", "sc")
-                + _neumaier_lines(gaps, "gs", "gc"), "ss + sc", "gs + gc")
+            survs.append(_times(p, f"-expm1({expo})"))
+            gaps.append(_times(p, " + ".join(steps)))
+        survs, survival = _neumaier(survs, "s")
+        gaps, gap = _neumaier(gaps, "g")
+        return reads, lines + survs + gaps, survival, gap
 
     def mean_row(self, n_types: int) -> np.ndarray:
         row = np.zeros(n_types)
@@ -287,38 +313,62 @@ class TableLaw:
             yield j, kids[..., j]
 
 
-def _neumaier_lines(values: list[str], total: str, carry: str) -> list[str]:
-    """``neumaier_sum`` of ``values`` (names or literals) written out in
-    order; the sum is then ``total + carry``."""
-    lines = [f"{total} = 0.0", f"{carry} = 0.0"]
-    for v in values:
-        lines += [f"t = {total} + {v}",
-                  f"{carry} += ({total} - t) + {v} if abs({total}) >= abs({v})"
-                  f" else ({v} - t) + {total}",
-                  f"{total} = t"]
-    return lines
+def _times(factor, operand: str) -> str:
+    """``factor * (operand)``, just the operand for a factor of one."""
+    if factor == 1:
+        return operand
+    if not operand.isidentifier():
+        operand = f"({operand})"
+    return f"{factor!r} * {operand}"
+
+
+def _power(base: str, c: int) -> str:
+    return base if c == 1 else f"{base} ** {c}"
+
+
+def _power_sum(j: int, c: int) -> str:
+    """The sum in ``power_diff(a_j, e_j, c)``, sum_t a^t h^(c-1-t) over
+    t = 0..c-1, in its loop's order.  The powers 0, which are exactly
+    1.0, and the leading 0.0 are left out: h ** (c-1) is never -0.0."""
+    terms = []
+    for t in range(c):
+        powers = [_power(f"a{j}", t)] if t else []
+        if t < c - 1:
+            powers.append(_power(f"h{j}", c - 1 - t))
+        terms.append(" * ".join(powers))
+    return " + ".join(terms)
+
+
+def _neumaier(terms: list[str], name: str) -> tuple[list[str], str]:
+    """``neumaier_sum`` of ``terms`` (expressions) written out in order:
+    (statements, expression of the sum).  The running total and carry
+    of ``neumaier_sum`` stay +0.0 until its first nonzero term, so the
+    sum starts from the first term, takes its carry from the second
+    and ends with ``+ 0.0`` when there is one term (turning -0.0 into
+    0.0 as the running total would); a term that is a constant zero
+    changes neither total nor carry and is never passed here."""
+    if not terms:
+        return [], "0.0"
+    if len(terms) == 1:
+        return [], f"{terms[0]} + 0.0"
+    lines = [f"{name}0 = {terms[0]}"]
+    carry = f"{name}c"
+    for k, term in enumerate(terms[1:], start=1):
+        total, v, t = f"{name}{k - 1}", f"{name}v{k}", f"{name}{k}"
+        lines += [f"{v} = {term}", f"{t} = {total} + {v}",
+                  f"{carry} {'+=' if k > 1 else '='} ({total} - {t}) + {v} "
+                  f"if abs({total}) >= abs({v}) else ({v} - {t}) + {total}"]
+    return lines, f"{t} + {carry}"
 
 
 @dataclass(frozen=True)
 class _OwnColumn:
-    """A table law restricted to its own-type coordinate.
-
-    The scalar paired form of the column's (count, probability) pairs,
-    laid out like a family's ``pair``; its survival at ``a`` and its gap
-    match the table's vector forms bit for bit when every other
-    coordinate is inert.  The survival at ``b`` is returned as the
-    survival at ``a`` plus the gap, equal in exact arithmetic; the
-    terminal chain never reads it.
-    """
+    """A table law restricted to its own-type coordinate: the column's
+    (count, probability) pairs, in row order.  The terminal chain of a
+    table law steps the law's own block (``Kernel.terminal``), which
+    reads nothing else when the law is the terminal one."""
 
     rows: tuple[tuple[int, float], ...]
-
-    def pair(self, da: float, delta: float) -> tuple[float, float, float]:
-        a = 1.0 - da
-        rows = self.rows
-        sa = neumaier_sum(p * power_complement(da, c) for c, p in rows)
-        gap = neumaier_sum(p * power_diff(a, delta, c) for c, p in rows)
-        return sa, sa + gap, gap
 
 
 OffspringLaw = ProductLaw | TableLaw
@@ -330,13 +380,27 @@ class Kernel(NamedTuple):
     ``advance(da, delta, steps) -> (da, delta)`` steps the (complement,
     gap) pair ``steps`` times and returns tuples; ``table(d, pmf, pi)``
     fills columns 1.. of the survival table arrays from d[:, 0] and the
-    gaps ``pi`` at n = 1, and returns the truncation index or None.
-    ``source`` is the code both were compiled from.
+    gaps ``pi`` at n = 1, and returns the first column it could not
+    fill, or None; ``terminal(da, delta, steps) -> (da, delta)`` steps
+    the terminal type's scalar pair alone.  ``source`` is the code all
+    three were compiled from.
     """
 
     advance: Callable
     table: Callable
+    terminal: Callable
     source: str
+
+
+def _stall_check(i: int, new: str, n) -> list[str]:
+    """The table's stall test of the value ``new`` for coordinate i at
+    column n, then the store.  Deterministic feed links keep early death
+    mass at exactly zero, which is structure, not precision loss, so a
+    stall only counts once the complement has left 1."""
+    return [f"if ({new} > d{i} or not ({new} > 0.0) or (d{i} < 1.0 and "
+            f"({new} == d{i} or not (e{i} > 0.0)))):",
+            f"    return {n}",
+            f"d{i} = D{i}[{n}] = {new}", f"P{i}[{n}] = e{i}"]
 
 
 def _compile_kernel(spec: ProcessSpec) -> Kernel:
@@ -345,44 +409,55 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
     # bit for bit because the process is decomposable: law i reads only
     # coordinates i..N (a table's rows are zero below its own type), and
     # those still hold the previous step's values when it runs.
-    sweep, checked = [], []
+    sweep, first, checked = [], [], []
     for i, law in enumerate(spec.laws):
         _, lines, survival, gap = law._block()
         sweep += [*lines, f"d{i} = {survival}", f"e{i} = {gap}"]
-        # the table's pair step discards its gap at n = 1, where pi
-        # already holds q(1) = f(0); deterministic feed links keep
-        # early death mass at exactly zero, which is structure, not
-        # precision loss, so a stall only counts once the complement
-        # has left 1
-        checked += [*lines, f"new = {survival}",
-                    "if n > 1:", f"    e{i} = {gap}",
-                    f"if (new > d{i} or not (new > 0.0) or (d{i} < 1.0 and "
-                    f"(new == d{i} or not (e{i} > 0.0)))):",
-                    "    break",
-                    f"d{i} = D{i}[n] = new", f"P{i}[n] = e{i}"]
+        first += _stall_check(i, f"q{i}", 1)
+        checked += [*lines, f"new = {survival}", f"e{i} = {gap}",
+                    *_stall_check(i, "new", "n")]
+    # The terminal type reads only its own coordinate.  A table law's
+    # block is its own column's step; a product law's is its own
+    # family's ``pair`` as the chain has always computed it, without the
+    # pins and sums with 0.0 of the vector block, which turn a -0.0
+    # into 0.0.
+    j = spec.n_types - 1
+    if isinstance(law, ProductLaw):
+        lines = [line for line in pair_source(
+            law.own_marginal(), f"d{j}", f"e{j}", f"c{j}_").splitlines()
+            if not line.startswith("sb = ")]
+        survival, gap = "sa", "gap"
+    # else lines, survival and gap are still the terminal table's block
 
     def names(letter):
         return "".join(f"{letter}{i}, " for i in range(spec.n_types))
 
     ds, es = names("d"), names("e")
-    advance = "\n".join([
+    source = "\n".join([
         "def advance(da, delta, steps):",
         f"    {ds}= da", f"    {es}= delta",
         "    for _ in range(steps):",
         *(f"        {line}" for line in sweep),
-        f"    return ({ds}), ({es})", ""])
-    table = "\n".join([
+        f"    return ({ds}), ({es})", "",
         "def table(d, pmf, pi):",
-        f"    {names('D')}= d", f"    {names('P')}= pmf",
+        f"    {names('D')}= map(memoryview, d)",
+        f"    {names('P')}= map(memoryview, pmf)",
         f"    {ds}= d[:, 0].tolist()", f"    {es}= pi",
-        "    for n in range(1, d.shape[1]):",
+        # step n = 1 is one sweep whose gaps are dropped: pi already
+        # holds q(1) = f(0)
+        f"    ({names('q')}), _ = advance(({ds}), pi, 1)",
+        *(f"    {line}" for line in first),
+        "    for n in range(2, d.shape[1]):",
         *(f"        {line}" for line in checked),
-        "    else:", "        return None",
-        "    d[:, n:] = nan", "    pmf[:, n:] = nan", "    return n", ""])
-    label = f"{spec.name} kernel"
-    return Kernel(advance=compile_step(advance, "advance", label),
-                  table=compile_step(table, "table", label),
-                  source=advance + "\n" + table)
+        "    return None", "",
+        f"def terminal(d{j}, e{j}, steps):",
+        "    for _ in range(steps):",
+        *(f"        {line}" for line in lines),
+        f"        d{j} = {survival}", f"        e{j} = {gap}",
+        f"    return d{j}, e{j}", ""])
+    compiled = compile_step(source, f"{spec.name} kernel")
+    return Kernel(advance=compiled["advance"], table=compiled["table"],
+                  terminal=compiled["terminal"], source=source)
 
 
 @dataclass(frozen=True)

@@ -89,14 +89,15 @@ def richardson_derivative(f: Callable[[float], float], x: float,
 
 # the names generated step source may call
 _STEP_NAMES = {"exp": math.exp, "expm1": math.expm1, "log1p": math.log1p,
-               "inf": math.inf, "nan": math.nan,
-               "power_complement": power_complement, "power_diff": power_diff}
+               "inf": math.inf, "power_complement": power_complement,
+               "power_diff": power_diff}
 
 
-def compile_step(source: str, name: str, label: str) -> Callable:
-    """The function ``name`` defined by ``source``, generated step code
-    that calls only the helpers above and ``math``'s ``exp``, ``expm1``
-    and ``log1p``; ``label`` names it in tracebacks."""
+def compile_step(source: str, label: str) -> dict[str, Callable]:
+    """The namespace of ``source``, generated step code that calls only
+    the helpers above, ``math``'s ``exp``, ``expm1`` and ``log1p`` and
+    the functions it defines itself; ``label`` names it in
+    tracebacks."""
     namespace = dict(_STEP_NAMES)
     exec(compile(source, f"<{label}>", "exec"), namespace)
-    return namespace[name]
+    return namespace

@@ -16,8 +16,11 @@ Everything in this module is built on two orbit primitives:
 Both advance through the spec's compiled kernel (``spec.kernel``), the
 one stepper: every law's paired step as straight-line code, in one
 in-place sweep in type order per step.  ``_advance_pair`` and
-``build_survival_table`` are one call into it each; inputs are checked
-once, at entry, and a complement orbit is a paired one with a zero gap.
+``build_survival_table`` are one call into it each, and so is every
+walk of the terminal type's scalar chain (``harmonic_U``,
+``terminal_gap``, ``censored_transform``), through the kernel's
+``terminal`` loop; inputs are checked once, at entry, and a complement
+orbit is a paired one with a zero gap.
 
 Conditioning identities used throughout (start state is one type-1
 particle; T is the first generation with an empty population):
@@ -53,7 +56,7 @@ DOUBLE_PRECISION_HORIZON = 10**8
 # terminal-type scalar chain
 #
 # The terminal type only ever produces its own type, so its law acts on
-# scalars through ``own_marginal()``: a family, or a table's own column.
+# scalars: the kernel's terminal loop steps that pair alone.
 
 def _terminal_b(spec: ProcessSpec) -> float:
     """Half the own-type offspring variance of the terminal type."""
@@ -61,16 +64,6 @@ def _terminal_b(spec: ProcessSpec) -> float:
     if not (b > 0.0 and math.isfinite(b)):
         raise InvalidMoments(f"terminal-type quadratic coefficient {b!r}")
     return b
-
-
-def _terminal_pair(chain, da: float, delta: float,
-                   steps: int) -> tuple[float, float]:
-    """Advance the terminal chain's (complement, gap) pair ``steps`` times,
-    one call of its fused ``pair`` per step."""
-    pair = chain.pair
-    for _ in range(steps):
-        da, _, delta = pair(da, delta)
-    return da, delta
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +131,9 @@ def build_survival_table(spec: ProcessSpec, n_max: int, *,
     # pi(1) = q(1) = f(0); from there the gap advances by the paired step
     pi = [law.pgf([0.0] * n_types) for law in spec.laws]
     truncated_at = spec.kernel.table(d, pmf, pi)
+    if truncated_at is not None:
+        d[:, truncated_at:] = np.nan
+        pmf[:, truncated_at:] = np.nan
     return SurvivalTable(spec=spec, n_max=n_max, d=d, pmf=pmf,
                          truncated_at=truncated_at, precision=precision)
 
@@ -242,15 +238,15 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
             return iterate_point(spec, sv, m)[0]
         return conditional_transform(spec, table, sv, m, n)
 
-    chain = spec.law(n_types).own_marginal()
+    terminal = spec.kernel.terminal
     s_term = sv[n_types - 1]
     if n is None:
-        du = _terminal_pair(chain, 1.0 - s_term, 0.0, m - t)[0]
+        du = terminal(1.0 - s_term, 0.0, m - t)[0]
         dvec = [1.0] * (n_types - 1) + [du]
         return 1.0 - _advance_pair(spec, dvec, [0.0] * n_types, t)[0][0]
 
     da, delta, den = _conditioned_start(table, sv, m, n)
-    dx, ds = _terminal_pair(chain, da[-1], delta[-1], m - t)
+    dx, ds = terminal(da[-1], delta[-1], m - t)
     da = [1.0] * (n_types - 1) + [dx]
     delta = [0.0] * (n_types - 1) + [ds]
     da, delta = _advance_pair(spec, da, delta, t)
@@ -310,8 +306,7 @@ def terminal_gap(spec: ProcessSpec, s: float, m: int) -> float:
         raise ValueError(f"need 0 <= s < 1, got {s}")
     if m < 0:
         raise ValueError("horizon must be nonnegative")
-    chain = spec.law(spec.n_types).own_marginal()
-    return _terminal_pair(chain, 1.0 - s, s, m)[1]
+    return spec.kernel.terminal(1.0 - s, s, m)[1]
 
 
 def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
@@ -332,13 +327,13 @@ def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
         # the gap is identically zero along the whole orbit
         return HarmonicResult(value=0.0, convergence_estimate=0.0,
                               horizon=n, precision_ok=True)
-    chain = spec.law(spec.n_types).own_marginal()
+    terminal = spec.kernel.terminal
     h1, h2, h3 = n // 4, n // 2, n
     da, delta = 1.0 - s, s
     scaled = []
     done = 0
     for h in (h1, h2, h3):
-        da, delta = _terminal_pair(chain, da, delta, h - done)
+        da, delta = terminal(da, delta, h - done)
         done = h
         scaled.append(b * h * h * delta)
     if delta == 0.0:

@@ -1,10 +1,11 @@
 """Reference paired step: the interpretive loops the compiled kernel replaced.
 
 Each family's fused ``pair``, each law shape's ``pair_step``, the
-in-place sweep and the table loop, as plain Python loops over the
-model objects.  The engine compiles the same arithmetic into one
-straight-line kernel per model; the tests require it to agree with
-these bit for bit.
+in-place sweep, the table loop and the terminal chain (one scalar
+``pair`` per step, of the terminal law's own family or own column), as
+plain Python loops over the model objects.  The engine compiles the
+same arithmetic into one straight-line kernel per model; the tests
+require it to agree with these bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from branchlab.families import Bernoulli, Geometric, PointMass, Poisson
-from branchlab.model import ProductLaw
+from branchlab.model import ProductLaw, _OwnColumn
 from branchlab.numerics import neumaier_sum, power_complement, power_diff
 
 
@@ -39,6 +40,31 @@ def family_pair(law, da: float, delta: float) -> tuple[float, float, float]:
     k = law.k
     return (power_complement(da, k), power_complement(da + delta, k),
             power_diff(1.0 - da, delta, k))
+
+
+def own_column_pair(rows, da: float, delta: float
+                    ) -> tuple[float, float, float]:
+    """A table law's own-type column, (count, probability) pairs, laid
+    out like a family's pair; the survival at b is returned as the
+    survival at a plus the gap, equal in exact arithmetic, and never
+    read."""
+    a = 1.0 - da
+    sa = neumaier_sum(p * power_complement(da, c) for c, p in rows)
+    gap = neumaier_sum(p * power_diff(a, delta, c) for c, p in rows)
+    return sa, sa + gap, gap
+
+
+def terminal_pair(spec, da: float, delta: float,
+                  steps: int) -> tuple[float, float]:
+    """The terminal chain's (complement, gap) pair after ``steps`` steps,
+    one scalar pair of the terminal law's own-type view per step."""
+    own = spec.laws[-1].own_marginal()
+    for _ in range(steps):
+        if isinstance(own, _OwnColumn):
+            da, _, delta = own_column_pair(own.rows, da, delta)
+        else:
+            da, _, delta = family_pair(own, da, delta)
+    return da, delta
 
 
 def product_pair_step(law, da, delta) -> tuple[float, float]:

@@ -1,11 +1,15 @@
 """The compiled kernel against the interpretive reference, bit for bit.
 
 ``tests/reference_step.py`` keeps the loops the kernel replaced: each
-family's fused pair, each law shape's pair step, the in-place sweep and
-the table loop.  On random product and table models (no criticality
-assumed), the compiled ``pair_step``, ``_advance_pair`` and
-``build_survival_table`` must return the same bits, ``truncated_at``
-included.
+family's fused pair, each law shape's pair step, the in-place sweep,
+the table loop and the terminal chain.  On random product and table
+models (no criticality assumed), the compiled ``pair_step``,
+``_advance_pair``, ``build_survival_table`` and the kernel's terminal
+loop must return the same bits, ``truncated_at`` included.  The
+strategies reach every rule by which the kernel leaves arithmetic out:
+the parameters it folds (a mean or probability of exactly 1.0, the
+counts 0 and 1), a table's all-zero and single nonzero rows, counts up
+to 4, signed zeros, and tables that truncate at n = 1 and n = 2.
 """
 
 import pickle
@@ -28,6 +32,9 @@ families = st.one_of(
     means.map(Poisson),
     unit.map(Bernoulli),
     st.integers(0, 5).map(PointMass),
+    # the parameters the kernel writes without their arithmetic
+    st.sampled_from([Geometric(1.0), Poisson(1.0), Bernoulli(0.0),
+                     Bernoulli(1.0), PointMass(0), PointMass(1)]),
 )
 
 
@@ -42,11 +49,15 @@ def product_laws(draw, parent, n_types):
 
 @st.composite
 def table_laws(draw, parent, n_types):
-    # counts 0-3 on the parent's type and above, the lower coordinates
-    # present at count zero, often with an all-zero row
+    # counts 0-4 on the parent's type and above, the lower coordinates
+    # present at count zero, often with an all-zero row; a single
+    # nonzero row has probability 1.0 or shares it with that row
     width = n_types - parent + 1
-    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=width,
-                                  max_size=width), min_size=1, max_size=4))
+    counts = st.lists(st.integers(0, 4), min_size=width, max_size=width)
+    if draw(st.booleans()):
+        rows = [draw(counts.filter(any))]
+    else:
+        rows = draw(st.lists(counts, min_size=1, max_size=4))
     if draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), [0] * width)
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(rows),
@@ -67,14 +78,52 @@ def models(draw, max_types=4):
 
 
 @st.composite
+def stalling_models(draw):
+    """Random models with one law replaced so that the table truncates
+    at n = 1 or n = 2 (or earlier in type order): a law without
+    offspring stalls at n = 1, and a parent whose only children are of a
+    type with one certain child keeps its complement at n = 2."""
+    spec = draw(models())
+    n = spec.n_types
+    laws = list(spec.laws)
+    if n == 1 or draw(st.booleans()):
+        i = draw(st.integers(1, n))
+        laws[i - 1] = draw(st.sampled_from([
+            ProductLaw(parent=i, children={}),
+            ProductLaw(parent=i, children={i: PointMass(0)}),
+            TableLaw(parent=i, rows=(((0,) * n, 1.0),))]))
+    else:
+        laws[n - 1] = ProductLaw(parent=n, children={n: PointMass(1)})
+        laws[n - 2] = ProductLaw(parent=n - 1, children={n: draw(st.one_of(
+            means.map(Geometric), means.map(Poisson),
+            st.floats(0.01, 0.99).map(Bernoulli)))})
+    return ProcessSpec(n_types=n, laws=tuple(laws), name="stalling")
+
+
+@st.composite
+def terminal_specs(draw):
+    """Random models whose terminal law is any family alone, no
+    offspring, or an own column with counts 0-4."""
+    spec = draw(models(max_types=3))
+    n = spec.n_types
+    last = draw(st.one_of(
+        families.map(lambda f: ProductLaw(parent=n, children={n: f})),
+        st.just(ProductLaw(parent=n, children={})),
+        table_laws(n, n)))
+    return ProcessSpec(n_types=n, laws=spec.laws[:-1] + (last,),
+                       name="terminal")
+
+
+@st.composite
 def pairs(draw, n=4):
     """(da, delta) with 0 <= delta <= 1 - da: pinned certain child lines
-    (da = 1), zero gaps and 1e-300-sized entries among them."""
+    (da = 1), zero gaps, signed zeros and 1e-300-sized entries among
+    them."""
     da, delta = [], []
     for _ in range(n):
         d = draw(st.one_of(unit, st.just(1.0), st.just(1e-300),
-                           st.just(0.0)))
-        frac = draw(st.one_of(unit, st.just(0.0)))
+                           st.just(0.0), st.just(-0.0)))
+        frac = draw(st.one_of(unit, st.just(0.0), st.just(-0.0)))
         da.append(d)
         delta.append(frac * (1.0 - d))
     return da, delta
@@ -123,11 +172,41 @@ def test_kernel_table_is_the_reference_loop(spec, n_max):
     assert_table_is_the_reference(spec, n_max)
 
 
+@given(stalling_models(), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_kernel_table_stalls_early_where_the_reference_does(spec, n_max):
+    table = assert_table_is_the_reference(spec, n_max)
+    assert table.truncated_at in (1, 2) or n_max == 1
+
+
 def test_kernel_table_truncates_where_the_reference_does():
     spec = ProcessSpec(n_types=1, laws=(
         ProductLaw(parent=1, children={1: Geometric(2.0)}),))
     table = assert_table_is_the_reference(spec, 500)
     assert table.truncated_at == 52
+    # the step peeled out of the loop, n = 1, and the first in it
+    none = ProcessSpec(n_types=1, laws=(ProductLaw(parent=1, children={}),))
+    assert assert_table_is_the_reference(none, 5).truncated_at == 1
+    feed = ProcessSpec(n_types=2, laws=(
+        ProductLaw(parent=1, children={2: Geometric(0.5)}),
+        ProductLaw(parent=2, children={2: PointMass(1)})))
+    assert assert_table_is_the_reference(feed, 5).truncated_at == 2
+
+
+@given(terminal_specs(), pairs(1), st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_kernel_terminal_is_the_reference_chain(spec, pair, steps):
+    (da,), (delta,) = pair
+    got = spec.kernel.terminal(da, delta, steps)
+    assert hexes(got) == hexes(ref.terminal_pair(spec, da, delta, steps))
+
+
+@given(families, pairs(1))
+@settings(max_examples=300, deadline=None)
+def test_family_pair_methods_are_the_reference(family, pair):
+    (da,), (delta,) = pair
+    assert hexes(family.pair(da, delta)) == hexes(
+        ref.family_pair(family, da, delta))
 
 
 def test_stock_kernels_are_the_reference():
@@ -139,6 +218,10 @@ def test_stock_kernels_are_the_reference():
         got = _advance_pair(spec, da, delta, 300)
         want = ref.advance_pair(spec, da, delta, 300)
         assert [hexes(v) for v in got] == [hexes(v) for v in want]
+        for s in (0.3, 0.6, 0.95):
+            got = spec.kernel.terminal(1.0 - s, s, 10**4)
+            want = ref.terminal_pair(spec, 1.0 - s, s, 10**4)
+            assert hexes(got) == hexes(want)
 
 
 def test_a_spec_with_its_kernel_built_still_pickles():

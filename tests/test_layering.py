@@ -2,19 +2,20 @@
 
 Offspring families live in ``families.py`` and law shapes in
 ``model.py``; ``pgf.py`` and ``montecarlo.py`` call what those define
-(a law's ``pgf``, ``own_marginal`` and ``draws``, the fused scalar
-``pair`` of its own-type view, and the spec's compiled ``kernel``) and
-never dispatch on a family or a law class themselves.  There is one
-way to advance a vector orbit: the engine steps through the spec's
+(a law's ``pgf`` and ``draws``, and the spec's compiled ``kernel``)
+and never dispatch on a family or a law class themselves.  There is
+one way to advance a vector orbit: the engine steps through the spec's
 kernel, built from the laws' own blocks (each law's ``pair_step`` is
 its block compiled alone), never through the model maps
 ``survival_map`` and ``pair_diff_map``, projections kept for the
 per-layer probe.  A kernel step inlines each child factor's ``PAIR``
-template exactly once per law, and the engine never steps a chain
-through the ``survival`` and ``pgf_diff`` projections.  Each kernel
-loop steps in place, one coordinate at a time in type order: law i's
-block, then the store of coordinate i, never a transposed list of
-whole-vector steps.
+template exactly once per law, its terminal loop the terminal law's
+own factor once, and the engine never steps a chain through the
+``survival`` and ``pgf_diff`` projections.  Each vector loop steps in
+place, one coordinate at a time in type order: law i's block, then the
+store of coordinate i, never a transposed list of whole-vector steps.
+No kernel loop assigns a name that is not read before its next
+assignment.
 
 No dead code: every top-level function and class of the package is
 named somewhere in ``src/`` or ``perfbench/`` besides its own
@@ -31,7 +32,7 @@ import pytest
 
 import branchlab
 from branchlab.families import Bernoulli, Geometric, PointMass, Poisson, pair_source
-from branchlab.model import ProcessSpec, ProductLaw
+from branchlab.model import ProcessSpec, ProductLaw, TableLaw
 from branchlab.zoo import STOCK_MODELS
 
 SRC = Path(branchlab.__file__).parent
@@ -50,7 +51,18 @@ def _all_families():
     ), name="all_families")
 
 
-SPECS = [make() for make in STOCK_MODELS.values()] + [_all_families()]
+def _all_tables():
+    # a count above one (power_diff written out), a single nonzero
+    # row, an all-zero row and a table terminal
+    return ProcessSpec(n_types=2, laws=(
+        TableLaw(parent=1, rows=(((0, 0), 0.25), ((3, 1), 0.25),
+                                 ((1, 2), 0.5))),
+        TableLaw(parent=2, rows=(((0, 4), 1.0),)),
+    ), name="all_tables")
+
+
+SPECS = [make() for make in STOCK_MODELS.values()] + [_all_families(),
+                                                      _all_tables()]
 
 
 def _loops(source):
@@ -102,16 +114,22 @@ def test_engine_and_sampler_never_see_families_or_law_shapes(module):
 def test_engine_advances_orbits_only_through_pair_step():
     names = set(_named(ast.parse((SRC / "pgf.py").read_text())))
     assert MAPS.isdisjoint(names)
-    assert {"kernel", "advance", "table"} <= names
+    assert {"kernel", "advance", "table", "terminal"} <= names
     assert "pair_step" not in names
     for spec in SPECS:
         kernel = set(_named(ast.parse(spec.kernel.source)))
         assert MAPS.isdisjoint(kernel)
         assert "pair_step" not in kernel
-        # every loop runs each law's block, which pair_step compiles alone
-        for body in _loops(spec.kernel.source).values():
-            for law in spec.laws:
-                assert _count(body, _statements("\n".join(law._block()[1]))) == 1
+        loops = _loops(spec.kernel.source)
+        assert set(loops) == {"advance", "table", "terminal"}
+        # both vector loops run each law's block, which pair_step
+        # compiles alone; the terminal loop runs a terminal table law's
+        # block (a product law's own factor is counted below)
+        blocks = [_statements("\n".join(law._block()[1])) for law in spec.laws]
+        for name in ("advance", "table"):
+            assert [_count(loops[name], block) for block in blocks] == [1] * len(blocks)
+        if isinstance(spec.laws[-1], TableLaw):
+            assert _count(loops["terminal"], blocks[-1]) == 1
 
 
 def test_the_check_sees_what_it_looks_for():
@@ -167,22 +185,32 @@ def _step_calls(source):
                   and node.func.attr in STEPS | {"pair", "pair_step"})
 
 
-def _rendered_factors(spec):
-    return [pair_source(family, f"d{child - 1}", f"e{child - 1}",
-                        f"c{child - 1}_")
-            for law in spec.laws if isinstance(law, ProductLaw)
-            for child, family in law.children.items()]
+def _rendered_factors(law):
+    """A product law's child factors as its block inlines them: each
+    ``PAIR`` template with its parameters as literals, the last one
+    without its survival at b, which nothing reads."""
+    if not isinstance(law, ProductLaw):
+        return []
+    last = len(law.children) - 1
+    return ["".join(line for line in pair_source(
+                family, f"d{child - 1}", f"e{child - 1}", f"c{child - 1}_"
+            ).splitlines(keepends=True)
+                    if k < last or not line.startswith("sb = "))
+            for k, (child, family) in enumerate(law.children.items())]
 
 
 def test_one_family_call_per_factor_and_step():
     assert _projection_calls(ast.parse((SRC / "pgf.py").read_text())) == []
     for spec in SPECS:
-        factors = _rendered_factors(spec)
-        # a factor held by two laws runs once in each law's block
+        factors = [f for law in spec.laws for f in _rendered_factors(law)]
+        # a factor held by two laws runs once in each law's block; the
+        # terminal loop runs the terminal law's own factor alone
         wanted = {factor: factors.count(factor) for factor in factors}
+        own = _rendered_factors(spec.laws[-1])
         assert _step_calls(spec.kernel.source) == []
         assert _factor_runs(spec.kernel.source, factors) == {
-            "advance": wanted, "table": wanted}
+            "advance": wanted, "table": wanted,
+            "terminal": {factor: own.count(factor) for factor in factors}}
 
 
 def test_the_step_guard_sees_what_it_looks_for():
@@ -208,13 +236,18 @@ def test_the_step_guard_sees_what_it_looks_for():
     # the survival and the gap from two inlined copies of the template
     twice = kernel(*inlined, "d1 = sa", *inlined, "d0 = d1", "e0 = gap")
     assert _factor_runs(twice, [factor]) == {"advance": {factor: 2}}
+    # the template left out, or its statements in another order
+    missing = kernel("d0 = d0 / (1.0 + d0)", "e0 = e0")
+    assert _factor_runs(missing, [factor]) == {"advance": {factor: 0}}
+    reordered = kernel(*inlined[1:], inlined[0], "d0 = sa", "e0 = gap")
+    assert _factor_runs(reordered, [factor]) == {"advance": {factor: 0}}
     # a family call per factor and step instead of the inlined template
     called = kernel("sa, sb, gap = law.children[1].pair(d0, e0)",
                     "d0 = sa", "e0 = gap")
     assert _factor_runs(called, [factor]) == {"advance": {factor: 0}}
     assert _step_calls(called) == [5]
     by_projection = kernel(*inlined, "d0 = law.survival(d0)", "e0 = gap")
-    assert _step_calls(by_projection) == [13]
+    assert _step_calls(by_projection) == [5 + len(inlined)]
 
 
 def _transposed_steps(tree):
@@ -263,8 +296,10 @@ def test_vector_orbits_step_in_place_in_type_order():
     for spec in SPECS:
         blocks = [_statements("\n".join(law._block()[1])) for law in spec.laws]
         assert _transposed_steps(ast.parse(spec.kernel.source)) == []
-        assert _in_place_sweeps(spec.kernel.source, blocks) == {"advance",
-                                                                "table"}
+        # with one type the terminal loop is that type's whole sweep
+        sweeps = {"advance", "table"} | (
+            {"terminal"} if spec.n_types == 1 else set())
+        assert _in_place_sweeps(spec.kernel.source, blocks) == sweeps
 
 
 def test_the_sweep_guard_sees_what_it_looks_for():
@@ -292,6 +327,81 @@ def test_the_sweep_guard_sees_what_it_looks_for():
         kernel("in_place", "x = d0 + d1", "d0 = x", "y = d1 * 2.0",
                "d1 = y")])
     assert _in_place_sweeps(source, blocks) == {"in_place"}
+
+
+def _reads(stmt):
+    names = {node.id for node in ast.walk(stmt)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    if isinstance(stmt, ast.AugAssign):
+        names.add(stmt.target.id)
+    return names
+
+
+def _writes(stmt):
+    return {node.id for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def _read_first(name, stmts):
+    """True if ``name`` is read in ``stmts`` before it is assigned,
+    False if it is assigned first, None if neither."""
+    for stmt in stmts:
+        if name in _reads(stmt):
+            return True
+        if name in _writes(stmt):
+            return False
+    return None
+
+
+def _dead_stores(source):
+    """Statements of a kernel's loops that assign a name which is not
+    read before it is assigned again.  The loop body is taken as a
+    cycle, and what follows the loop counts as a read: a name assigned
+    in the last step may be returned."""
+    dead = []
+    for func in ast.parse(source).body:
+        for k, loop in enumerate(func.body):
+            if not isinstance(loop, ast.For):
+                continue
+            after = set().union(*map(_reads, func.body[k + 1:]))
+            body = loop.body
+            for i, stmt in enumerate(body):
+                for name in sorted(_writes(stmt)):
+                    live = _read_first(name, body[i + 1:])
+                    if live is None:
+                        live = name in after or _read_first(name, body[:i + 1])
+                    if not live:
+                        dead.append(f"{func.name}: {ast.unparse(stmt)}")
+    return dead
+
+
+def test_every_kernel_store_is_read():
+    for spec in SPECS:
+        assert _dead_stores(spec.kernel.source) == []
+
+
+def test_the_dead_store_guard_sees_what_it_looks_for():
+    factor = pair_source(Geometric(1.0), "d0", "e0", "c0_").splitlines()
+
+    def kernel(*body, returns="d0, e0"):
+        return ("def terminal(d0, e0, steps):\n"
+                "    for _ in range(steps):\n"
+                + "".join(f"        {line}\n" for line in body)
+                + f"    return {returns}\n")
+
+    lean = [line for line in factor if not line.startswith("sb = ")]
+    assert _dead_stores(kernel(*lean, "d0 = sa", "e0 = gap")) == []
+    # the last factor's survival at b, planted back
+    assert _dead_stores(kernel(*factor, "d0 = sa", "e0 = gap")) == [
+        "terminal: sb = (d0 + e0) / c0_low"]
+    # overwritten before any read, and never read at all
+    assert _dead_stores(kernel("t = d0", "t = e0", "d0 = t", "e0 = t")) == [
+        "terminal: t = d0"]
+    assert _dead_stores(kernel("d0 = d0 / 2.0", "x = d0", returns="d0")) == [
+        "terminal: x = d0"]
+    # a name read only after the loop, or again in the next step, is live
+    assert _dead_stores(kernel("x = d0", "d0 = d0 / 2.0", returns="x")) == []
+    assert _dead_stores(kernel("acc += d0", "d0 = acc", returns="d0")) == []
 
 
 def _unused_definitions(modules, others):

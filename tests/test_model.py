@@ -26,6 +26,7 @@ from branchlab.model import (
 from branchlab.zoo import micro_table, single_geometric, two_type_cascade
 
 import properties
+import reference_step as ref
 
 
 def test_product_pgf_values():
@@ -188,9 +189,9 @@ def table_models(draw):
 @settings(max_examples=150, deadline=None)
 def test_property_own_marginal_is_the_terminal_coordinate(spec, lower, gaps,
                                                           frac):
-    # the terminal law ignores the lower coordinates, so its scalar view's
-    # fused pair must reproduce the fused vector step bit for bit
-    # whatever they hold
+    # the terminal law ignores the lower coordinates, so its scalar
+    # view's fused pair, and one step of the kernel's terminal loop,
+    # must reproduce the fused vector step bit for bit whatever they hold
     n = spec.n_types
     law = spec.law(n)
     own = law.own_marginal()
@@ -199,9 +200,11 @@ def test_property_own_marginal_is_the_terminal_coordinate(spec, lower, gaps,
     da_vec = list(lower[:n - 1]) + [d]
     delta_vec = [g * (1.0 - x) for g, x in zip(gaps, lower[:n - 1])] + [delta]
     survival, gap = law.pair_step(da_vec, delta_vec)
-    own_survival, _, own_gap = own.pair(d, delta)
+    own_survival, _, own_gap = ref.own_column_pair(own.rows, d, delta)
     assert own_survival.hex() == survival.hex()
     assert own_gap.hex() == gap.hex()
+    assert [x.hex() for x in spec.kernel.terminal(d, delta, 1)] == [
+        survival.hex(), gap.hex()]
 
 
 def test_product_own_marginal_is_the_own_family():
@@ -344,9 +347,10 @@ def test_property_laws_ignore_the_lower_coordinates(spec, point, gaps,
 
 
 def test_own_column_survival_at_b_is_survival_at_a_plus_gap():
+    # the own column's pair, kept as the terminal chain's reference
     own = micro_table().law(2).own_marginal()
     for d, delta in ((0.3, 0.2), (1e-9, 1e-12), (1.0, 0.0)):
-        sa, sb, gap = own.pair(d, delta)
+        sa, sb, gap = ref.own_column_pair(own.rows, d, delta)
         assert sb == sa + gap
         # 1 - f(b) for f(s) = (1 + s^2) / 2, with db = 1 - b
         db = d + delta
