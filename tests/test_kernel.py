@@ -184,7 +184,10 @@ def test_kernel_table_truncates_where_the_reference_does():
         ProductLaw(parent=1, children={1: Geometric(2.0)}),))
     table = assert_table_is_the_reference(spec, 500)
     assert table.truncated_at == 52
-    # the step peeled out of the loop, n = 1, and the first in it
+
+
+def test_kernel_table_truncates_at_the_peeled_step_and_the_next():
+    # step n = 1 runs before the loop, n = 2 is the loop's first
     none = ProcessSpec(n_types=1, laws=(ProductLaw(parent=1, children={}),))
     assert assert_table_is_the_reference(none, 5).truncated_at == 1
     feed = ProcessSpec(n_types=2, laws=(
