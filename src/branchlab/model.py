@@ -416,18 +416,14 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
         first += _stall_check(i, f"q{i}", 1)
         checked += [*lines, f"new = {survival}", f"e{i} = {gap}",
                     *_stall_check(i, "new", "n")]
-    # The terminal type reads only its own coordinate.  A table law's
-    # block is its own column's step; a product law's is its own
-    # family's ``pair`` as the chain has always computed it, without the
-    # pins and sums with 0.0 of the vector block, which turn a -0.0
-    # into 0.0.
+    # The terminal type reads only its own coordinate, so the last
+    # law's block is its scalar step.  A product law has one factor
+    # there at most, and the chain takes that factor's sa and gap as its
+    # family's ``pair`` computes them, without the pin and the sum with
+    # 0.0, which turn -0.0 into 0.0.
     j = spec.n_types - 1
-    if isinstance(law, ProductLaw):
-        lines = [line for line in pair_source(
-            law.own_marginal(), f"d{j}", f"e{j}", f"c{j}_").splitlines()
-            if not line.startswith("sb = ")]
+    if isinstance(law, ProductLaw) and law.children:
         survival, gap = "sa", "gap"
-    # else lines, survival and gap are still the terminal table's block
 
     def names(letter):
         return "".join(f"{letter}{i}, " for i in range(spec.n_types))
