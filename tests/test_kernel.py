@@ -221,6 +221,11 @@ def test_stock_kernels_are_the_reference():
         got = _advance_pair(spec, da, delta, 300)
         want = ref.advance_pair(spec, da, delta, 300)
         assert [hexes(v) for v in got] == [hexes(v) for v in want]
+
+
+def test_stock_terminals_are_the_reference_chain():
+    for make in STOCK_MODELS.values():
+        spec = make()
         for s in (0.3, 0.6, 0.95):
             got = spec.kernel.terminal(1.0 - s, s, 10**4)
             want = ref.terminal_pair(spec, 1.0 - s, s, 10**4)
