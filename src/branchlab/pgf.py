@@ -20,7 +20,11 @@ in-place sweep in type order per step.  ``_advance_pair`` and
 walk of the terminal type's scalar chain (``harmonic_U``,
 ``terminal_gap``, ``censored_transform``), through the kernel's
 ``terminal`` loop; inputs are checked once, at entry, and a complement
-orbit is a paired one with a zero gap.
+orbit is a paired one with a zero gap.  The kernel holds only
+statements whose results are read and that change bits (literal
+parameters, no factor 1.0, no unread survival at b, table sums from
+their first term, ``power_diff`` written out; ``model`` lists the
+rules), so every orbit is the interpretive loop's bit for bit.
 
 Conditioning identities used throughout (start state is one type-1
 particle; T is the first generation with an empty population):
