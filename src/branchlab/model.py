@@ -12,9 +12,8 @@ Two law shapes are supported per parent type:
   from the families in :mod:`branchlab.families`;
 * ``TableLaw`` -- an explicit finite joint table of count vectors.
 
-Each shape answers the same questions: the vector pgf, one fused
-paired step (the survival and difference forms in one pass), moments,
-a scalar view of its own-type coordinate (``own_marginal``), and
+Each shape answers the same questions: the vector pgf, its paired
+step (the survival and difference forms in one pass), moments and
 batched offspring draws (``draws``).  The engine and the sampler call
 these and never look at the shape.
 
@@ -23,16 +22,17 @@ local variables (``_block``): a product law inlines each child
 family's ``PAIR`` template, a table law unrolls its rows.  A block
 holds only arithmetic that is read and that changes bits: parameters
 are literals and a factor of 1.0 is left out, the last factor's
-survival at b is dropped, a table's all-zero rows leave its Neumaier
-sums, which start from their first term, and ``power_diff`` is written
-out in its loop's order without ``** 1``, ``** 0`` or ``1 *``.  A spec
-compiles its laws' blocks, in type order, into one kernel on first use
-(``ProcessSpec.kernel``), which is the one stepper of every vector
-orbit, of the survival table (step n = 1, whose gap is dropped, runs
-before the loop, which stores through memoryviews of the rows) and of
-the terminal type's scalar chain (its own loop, ``terminal``);
-``pair_step`` is a law's block compiled alone, and
-``survival_map``/``pair_diff_map`` project it for probes.
+survival at b is dropped, the product survival has no pin at 1 and no
+clamp, a table's all-zero rows leave its Neumaier sums, which start
+from their first term, and ``power_diff`` is written out in its loop's
+order without ``** 1``, ``** 0`` or ``1 *``.  A spec compiles its
+laws' blocks, in type order, into one kernel on first use
+(``ProcessSpec.kernel``), which is the one stepper of the spec: of
+every vector orbit, of the survival table (step n = 1, whose gap is
+dropped, runs before the loop, which stores through memoryviews of the
+rows) and of the terminal type's scalar chain (its own loop,
+``terminal``).  ``survival_map`` and ``pair_diff_map`` are the two
+halves of one kernel step, kept for probes.
 
 All public operations take the process spec as their first argument
 and are plain functions, mirroring how the engine modules consume
@@ -61,21 +61,9 @@ CRITICALITY_TOL = 1e-10
 
 
 def _fields_only(self) -> dict:
-    # pickled state: compiled steps do not pickle, and are rebuilt on
-    # first use after unpickling
+    # pickled state: the fields only; a spec's kernel does not pickle,
+    # and cached values are rebuilt on first use after unpickling
     return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _step_alone(law) -> Callable:
-    """A law's block compiled alone: ``pair_step(da, delta) -> (1 - f(a),
-    f(a) - f(b))`` for a = 1 - da, b = a - delta."""
-    reads, lines, survival, gap = law._block()
-    source = "\n".join([
-        "def pair_step(da, delta):",
-        *(f"    d{j} = da[{j}]\n    e{j} = delta[{j}]" for j in reads),
-        *(f"    {line}" for line in lines),
-        f"    return {survival}, {gap}", ""])
-    return compile_step(source, f"type {law.parent} pair_step")["pair_step"]
 
 
 @dataclass(frozen=True)
@@ -88,8 +76,6 @@ class ProductLaw:
 
     parent: int
     children: Mapping[int, Marginal]
-
-    __getstate__ = _fields_only
 
     def __post_init__(self):
         object.__setattr__(self, "children", dict(self.children))
@@ -106,53 +92,50 @@ class ProductLaw:
             out *= law.pgf(s[child - 1])
         return out
 
-    @cached_property
-    def pair_step(self) -> Callable:
-        """This law's block compiled alone, see ``_block``."""
-        return _step_alone(self)
-
-    def _block(self) -> tuple[list[int], list[str], str, str]:
+    def _block(self) -> tuple[list[str], str, str]:
         """The paired step as straight-line source over the locals d{j}
         (complement) and e{j} (gap) of the 0-based child coordinates j:
-        (coordinates read, statements, survival expression, gap
-        expression).  Each child factor's ``PAIR`` template is inlined
-        once, in child order.  The survival follows the pairwise
-        complement rule, pinned at exactly 1 by a certain child line;
-        the gap is telescoped over the factors (earlier ones at b, later
-        ones at a), so no nearby numbers are ever subtracted.
+        (statements, survival expression, gap expression).  Each child
+        factor's ``PAIR`` template is inlined once, in child order.  The
+        survival follows the pairwise complement rule, acc + sa * (1 -
+        acc); the gap is telescoped over the factors (earlier ones at b,
+        later ones at a), so no nearby numbers are ever subtracted.
 
         Only what changes bits is written: the first factor starts from
         acc = total = 0 and lower = 1 without the products by 1.0 (the
         sums with 0.0 stay, they turn -0.0 into 0.0); the last factor's
         update of acc and total is the returned expression, and its
         survival at b, never read, is left out (its ``expm1`` argument
-        is <= 0, so it cannot raise).  For one factor the survival pin
-        is the factor's own: ``0.0 + sa`` is below 1 whenever sa is."""
-        reads, lines = [], []
+        is <= 0, so it cannot raise).  No pin or clamp at 1 is needed:
+        for da in [0, 1] each template gives sa in [0, 1] (Geometric
+        m*da / (1 + m*da), whose rounded denominator is at least its
+        numerator; Poisson and PointMass -expm1(x) for x <= 0, or 0 or
+        1; Bernoulli p*da, p in [0, 1]).  For acc in [0, 1], fl(1 - acc)
+        is exact if acc >= 1/2 (Sterbenz) and within 2^-54 otherwise, so
+        acc + 1.0 * (1.0 - acc) is exactly 1; rounding is monotone, so
+        each update stays in [0, 1], a factor with sa = 1 gives exactly
+        1 and later ones keep it (acc + sa * 0.0)."""
+        lines = []
         last = len(self.children) - 1
         survival = gap = "0.0"
         for k, (child, law) in enumerate(self.children.items()):
             j = child - 1
-            reads.append(j)
             factor = pair_source(law, f"d{j}", f"e{j}", f"c{j}_").splitlines()
             if k == last:
                 factor = [line for line in factor if not line.startswith("sb = ")]
             lines += factor
             if k == 0:
                 gap = "0.0 * (1.0 - sa) + gap"
-                acc = "1.0 if sa >= 1.0 else 0.0 + sa"
+                acc = "0.0 + sa"
             else:
                 gap = "total * (1.0 - sa) + lower * gap"
-                acc = "1.0 if sa >= 1.0 else acc + sa * (1.0 - acc)"
+                acc = "acc + sa * (1.0 - acc)"
             if k < last:
                 lines += [f"total = {gap}", f"acc = {acc}",
                           "lower = 1.0 - sb" if k == 0 else "lower *= 1.0 - sb"]
-            elif k == 0:
-                survival = acc
             else:
-                lines.append(f"acc = {acc}")
-                survival = "1.0 if 1.0 < acc else acc"
-        return reads, lines, survival, gap
+                survival = acc
+        return lines, survival, gap
 
     def mean_row(self, n_types: int) -> np.ndarray:
         row = np.zeros(n_types)
@@ -161,13 +144,10 @@ class ProductLaw:
         return row
 
     def own_second_moment(self) -> float:
-        """E[eta_i^2] for the parent's own type i."""
-        own = self.own_marginal()
+        """E[eta_i^2] for the parent's own type i; no own-type children
+        count as a point mass at 0."""
+        own = self.children.get(self.parent, PointMass(0))
         return own.second_factorial_moment + own.mean
-
-    def own_marginal(self) -> Marginal:
-        """The own-type family; no own-type children is a point mass at 0."""
-        return self.children.get(self.parent, PointMass(0))
 
     def draws(self, parents, rng):
         """(0-based child type, summed children of ``parents``) per child
@@ -228,22 +208,16 @@ class TableLaw:
             for counts, p in self.rows
         )
 
-    @cached_property
-    def pair_step(self) -> Callable:
-        """This law's block compiled alone, see ``_block``."""
-        return _step_alone(self)
-
-    def _block(self) -> tuple[list[int], list[str], str, str]:
+    def _block(self) -> tuple[list[str], str, str]:
         """The paired step as straight-line source over the locals d{j}
         (complement) and e{j} (gap) of the coordinates j the rows emit:
-        (coordinates read, statements, survival expression, gap
-        expression).  The survival is sum_w p_w (1 - prod_j
-        (1-d_j)^w_j), using sum p_w = 1, with log1p(-d_j) once per
-        coordinate and -inf standing for a certain child line; the gap
-        is telescoped over each row's nonzero coordinates, with
-        ``power_diff`` written out in its loop's order.  Rows are
-        unrolled in table order and both sums written out with
-        Neumaier's compensation in that order.
+        (statements, survival expression, gap expression).  The survival
+        is sum_w p_w (1 - prod_j (1-d_j)^w_j), using sum p_w = 1, with
+        log1p(-d_j) once per coordinate and -inf standing for a certain
+        child line; the gap is telescoped over each row's nonzero
+        coordinates, with ``power_diff`` written out in its loop's
+        order.  Rows are unrolled in table order and both sums written
+        out with Neumaier's compensation in that order.
 
         Only what changes bits is written: no ``** 1``, ``1 *`` or
         factor 1.0, no leading ``0 +`` or ``0.0 +`` in a row, and an
@@ -278,7 +252,7 @@ class TableLaw:
             gaps.append(_times(p, " + ".join(steps)))
         survs, survival = _neumaier(survs, "s")
         gaps, gap = _neumaier(gaps, "g")
-        return reads, lines + survs + gaps, survival, gap
+        return lines + survs + gaps, survival, gap
 
     def mean_row(self, n_types: int) -> np.ndarray:
         row = np.zeros(n_types)
@@ -290,11 +264,6 @@ class TableLaw:
     def own_second_moment(self) -> float:
         """E[eta_i^2] for the parent's own type i, summed in row order."""
         return sum(p * counts[self.parent - 1] ** 2 for counts, p in self.rows)
-
-    def own_marginal(self) -> _OwnColumn:
-        """The own-type column of the table, as a scalar law."""
-        return _OwnColumn(tuple((counts[self.parent - 1], p)
-                                for counts, p in self.rows))
 
     @cached_property
     def _sampling_plan(self):
@@ -361,29 +330,20 @@ def _neumaier(terms: list[str], name: str) -> tuple[list[str], str]:
     return lines, f"{t} + {carry}"
 
 
-@dataclass(frozen=True)
-class _OwnColumn:
-    """A table law restricted to its own-type coordinate: the column's
-    (count, probability) pairs, in row order.  The terminal chain of a
-    table law steps the law's own block (``Kernel.terminal``), which
-    reads nothing else when the law is the terminal one."""
-
-    rows: tuple[tuple[int, float], ...]
-
-
 OffspringLaw = ProductLaw | TableLaw
 
 
 class Kernel(NamedTuple):
-    """A spec's paired sweep, compiled.
+    """A spec's paired sweep, compiled: the spec's one stepper.
 
     ``advance(da, delta, steps) -> (da, delta)`` steps the (complement,
-    gap) pair ``steps`` times and returns tuples; ``table(d, pmf, pi)``
-    fills columns 1.. of the survival table arrays from d[:, 0] and the
-    gaps ``pi`` at n = 1, and returns the first column it could not
-    fill, or None; ``terminal(da, delta, steps) -> (da, delta)`` steps
-    the terminal type's scalar pair alone.  ``source`` is the code all
-    three were compiled from.
+    gap) pair ``steps`` times and returns tuples (coordinate i of a step
+    is law i's paired step); ``table(d, pmf, pi)`` fills columns 1.. of
+    the survival table arrays from d[:, 0] and the gaps ``pi`` at n = 1,
+    and returns the first column it could not fill, or None;
+    ``terminal(da, delta, steps) -> (da, delta)`` steps the terminal
+    type's scalar pair alone.  ``source`` is the code all three were
+    compiled from.
     """
 
     advance: Callable
@@ -411,7 +371,7 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
     # those still hold the previous step's values when it runs.
     sweep, first, checked = [], [], []
     for i, law in enumerate(spec.laws):
-        _, lines, survival, gap = law._block()
+        lines, survival, gap = law._block()
         sweep += [*lines, f"d{i} = {survival}", f"e{i} = {gap}"]
         first += _stall_check(i, f"q{i}", 1)
         checked += [*lines, f"new = {survival}", f"e{i} = {gap}",
@@ -419,8 +379,8 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
     # The terminal type reads only its own coordinate, so the last
     # law's block is its scalar step.  A product law has one factor
     # there at most, and the chain takes that factor's sa and gap as its
-    # family's ``pair`` computes them, without the pin and the sum with
-    # 0.0, which turn -0.0 into 0.0.
+    # family's ``pair`` computes them, without the sums with 0.0, which
+    # turn -0.0 into 0.0.
     j = spec.n_types - 1
     if isinstance(law, ProductLaw) and law.children:
         survival, gap = "sa", "gap"
@@ -605,14 +565,13 @@ def survival_map(spec: ProcessSpec, d: Sequence[float]) -> tuple[float, ...]:
     1e-300 keep full relative accuracy.
     """
     check_point(spec, d)
-    zero = [0.0] * spec.n_types
-    return tuple(law.pair_step(d, zero)[0] for law in spec.laws)
+    return spec.kernel.advance(d, [0.0] * spec.n_types, 1)[0]
 
 
 def pair_diff_map(spec: ProcessSpec, da: Sequence[float],
                   delta: Sequence[float]) -> tuple[float, ...]:
     """f_i(a) - f_i(b) for the point pair a = 1 - da, b = a - delta."""
-    return tuple(law.pair_step(da, delta)[1] for law in spec.laws)
+    return spec.kernel.advance(da, delta, 1)[1]
 
 
 def sample_offspring(spec: ProcessSpec, i: int, z: int, rng) -> np.ndarray:

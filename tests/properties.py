@@ -147,8 +147,9 @@ def check_pair_step_consistency(spec: ProcessSpec, s, shrink: float,
     delta = [shrink * x for x in s]
     a = [1.0 - x for x in da]
     b = [x - y for x, y in zip(a, delta)]
-    for law in spec.laws:
-        survival, gap = law.pair_step(da, delta)
+    # coordinate i of one kernel step is law i's paired step
+    step = spec.kernel.advance(da, delta, 1)
+    for law, survival, gap in zip(spec.laws, *step):
         assert abs(survival - (1.0 - law.pgf(a))) <= 1e-12
         assert abs(gap - (law.pgf(a) - law.pgf(b))) <= 1e-12
         assert gap >= 0.0

@@ -1,10 +1,12 @@
 """Reference paired step: the interpretive loops the compiled kernel replaced.
 
-Each family's fused ``pair``, each law shape's ``pair_step``, the
-in-place sweep, the table loop and the terminal chain (one scalar
-``pair`` per step, of the terminal law's own family or own column), as
-plain Python loops over the model objects.  The engine compiles the
-same arithmetic into one straight-line kernel per model; the tests
+Each family's fused ``pair``, each law shape's paired step
+(``pair_step``, with the product survival's pin and clamp at 1 that the
+kernel leaves out), the in-place sweep, the table loop and the terminal
+chain (one scalar pair per step, of the terminal law's own family or
+own-type column, read off the law), as plain Python loops over the
+model objects.  The engine compiles the same arithmetic into one
+straight-line kernel per model, the model's only stepper; the tests
 require it to agree with these bit for bit.
 """
 
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from branchlab.families import Bernoulli, Geometric, PointMass, Poisson
-from branchlab.model import ProductLaw, _OwnColumn
+from branchlab.model import ProductLaw
 from branchlab.numerics import neumaier_sum, power_complement, power_diff
 
 
@@ -54,16 +56,24 @@ def own_column_pair(rows, da: float, delta: float
     return sa, sa + gap, gap
 
 
+def own_column(law) -> list[tuple[int, float]]:
+    """A table law's own-type column: (count, probability) per row, in
+    row order."""
+    return [(counts[law.parent - 1], p) for counts, p in law.rows]
+
+
 def terminal_pair(spec, da: float, delta: float,
                   steps: int) -> tuple[float, float]:
     """The terminal chain's (complement, gap) pair after ``steps`` steps,
-    one scalar pair of the terminal law's own-type view per step."""
-    own = spec.laws[-1].own_marginal()
+    one scalar pair per step: the terminal law's own family (a point
+    mass at 0 when it has none) or its own-type column."""
+    law = spec.laws[-1]
     for _ in range(steps):
-        if isinstance(own, _OwnColumn):
-            da, _, delta = own_column_pair(own.rows, da, delta)
-        else:
+        if isinstance(law, ProductLaw):
+            own = law.children.get(law.parent, PointMass(0))
             da, _, delta = family_pair(own, da, delta)
+        else:
+            da, _, delta = own_column_pair(own_column(law), da, delta)
     return da, delta
 
 

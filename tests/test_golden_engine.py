@@ -1,7 +1,7 @@
 """Golden exact-engine values: the orbits must not move.
 
 The values were captured from the engine before its orbits went through
-the laws' fused ``pair_step``; every stock model must reproduce them
+the laws' fused paired steps; every stock model must reproduce them
 bit for bit.  A three-type product model whose type 1 has three child
 factors (where the telescoped gap's running recurrence reassociates
 the sum) must match them to 1e-14 relative.  The ``harmonic_U``

@@ -3,15 +3,18 @@
 ``tests/reference_step.py`` keeps the loops the kernel replaced: each
 family's fused pair, each law shape's pair step, the in-place sweep,
 the table loop and the terminal chain.  On random product and table
-models (no criticality assumed), the compiled ``pair_step``,
+models (no criticality assumed), each coordinate of one kernel step,
 ``_advance_pair``, ``build_survival_table`` and the kernel's terminal
 loop must return the same bits, ``truncated_at`` included.  The
 strategies reach every rule by which the kernel leaves arithmetic out:
 the parameters it folds (a mean or probability of exactly 1.0, the
 counts 0 and 1), a table's all-zero and single nonzero rows, counts up
-to 4, signed zeros, and tables that truncate at n = 1 and n = 2.
+to 4, signed zeros, certain child lines (the product survival's pin
+and clamp, which the reference keeps), and tables that truncate at
+n = 1 and n = 2.  A pinned table checks that its sums run in row order.
 """
 
+import math
 import pickle
 
 import numpy as np
@@ -136,14 +139,16 @@ def hexes(values):
 @given(models(), pairs(), pairs())
 @settings(max_examples=300, deadline=None)
 def test_compiled_pair_step_is_the_reference(spec, pair, lower):
-    da, delta = pair
+    # coordinate i of one kernel step is law i's paired step, whatever
+    # the lower coordinates hold
+    n = spec.n_types
+    da, delta = pair[0][:n], pair[1][:n]
     for i, law in enumerate(spec.laws):
         want = ref.pair_step(law, da, delta)
-        assert hexes(law.pair_step(da, delta)) == hexes(want)
-        # whatever the lower coordinates hold
-        other_da = lower[0][:i] + da[i:]
-        other_delta = lower[1][:i] + delta[i:]
-        assert hexes(law.pair_step(other_da, other_delta)) == hexes(want)
+        for start in ((da, delta), (lower[0][:i] + da[i:],
+                                    lower[1][:i] + delta[i:])):
+            step = spec.kernel.advance(*start, 1)
+            assert hexes(v[i] for v in step) == hexes(want)
 
 
 @given(models(), pairs(), st.integers(0, 8))
@@ -212,6 +217,24 @@ def test_family_pair_methods_are_the_reference(family, pair):
         ref.family_pair(family, da, delta))
 
 
+def test_table_sums_run_in_row_order():
+    # Neumaier's sum is not free of order: these probabilities sum to
+    # 0x1.1ffffffffffffp-6 in row order and to 0x1.2p-6 reversed.  At
+    # da = 1 the survival terms are the probabilities times 1.0, and at
+    # da = 0, delta = 1 the gap terms are; the all-zero row is in
+    # neither sum
+    probs = [float.fromhex(x) for x in ("0x1.ffffffffffffep-7",
+                                        "0x1.0000000000002p-9",
+                                        "0x1.ffffffffffffep-61")]
+    spec = ProcessSpec(n_types=1, laws=(TableLaw(parent=1, rows=(
+        ((0,), 1.0 - math.fsum(probs)), *(((1,), p) for p in probs))),))
+    survival = spec.kernel.advance([1.0], [0.0], 1)[0][0]
+    gap = spec.kernel.advance([0.0], [1.0], 1)[1][0]
+    assert survival.hex() == gap.hex() == "0x1.1ffffffffffffp-6"
+    assert survival == ref.pair_step(spec.law(1), [1.0], [0.0])[0]
+    assert gap == ref.pair_step(spec.law(1), [0.0], [1.0])[1]
+
+
 def test_stock_kernels_are_the_reference():
     for make in STOCK_MODELS.values():
         spec = make()
@@ -237,7 +260,6 @@ def test_a_spec_with_its_kernel_built_still_pickles():
     for make in STOCK_MODELS.values():
         spec = make()
         build_survival_table(spec, 10)
-        spec.law(1).pair_step([0.5] * spec.n_types, [0.0] * spec.n_types)
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec
         table = build_survival_table(copy, 10)

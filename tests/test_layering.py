@@ -4,18 +4,19 @@ Offspring families live in ``families.py`` and law shapes in
 ``model.py``; ``pgf.py`` and ``montecarlo.py`` call what those define
 (a law's ``pgf`` and ``draws``, and the spec's compiled ``kernel``)
 and never dispatch on a family or a law class themselves.  There is
-one way to advance a vector orbit: the engine steps through the spec's
-kernel, built from the laws' own blocks (each law's ``pair_step`` is
-its block compiled alone), never through the model maps
-``survival_map`` and ``pair_diff_map``, projections kept for the
-per-layer probe.  A kernel step inlines each child factor's ``PAIR``
-template exactly once per law, its terminal loop the terminal law's
-own factor once, and the engine never steps a chain through the
-``survival`` and ``pgf_diff`` projections.  Each vector loop steps in
-place, one coordinate at a time in type order: law i's block, then the
-store of coordinate i, never a transposed list of whole-vector steps.
-No kernel loop assigns a name that is not read before its next
-assignment.
+one way to advance an orbit: the engine steps through the spec's
+kernel, built from the laws' own blocks, never through the model maps
+``survival_map`` and ``pair_diff_map``, the two halves of one kernel
+step kept for the per-layer probe.  The kernel is the one stepper
+compiled from a law: ``numerics.compile_step`` is called only for it
+and for the families' ``pair`` methods.  A kernel step inlines each
+child factor's ``PAIR`` template exactly once per law, its terminal
+loop the terminal law's own factor once, and the engine never steps a
+chain through the ``survival`` and ``pgf_diff`` projections.  Each
+vector loop steps in place, one coordinate at a time in type order:
+law i's block, then the store of coordinate i, never a transposed list
+of whole-vector steps.  No kernel loop assigns a name that is not read
+before its next assignment.
 
 No dead code: every top-level function and class of the package is
 named somewhere in ``src/`` or ``perfbench/`` besides its own
@@ -111,25 +112,72 @@ def test_engine_and_sampler_never_see_families_or_law_shapes(module):
     assert SHAPES.isdisjoint(_named(tree))
 
 
-def test_engine_advances_orbits_only_through_pair_step():
+def test_engine_advances_orbits_only_through_the_kernel():
     names = set(_named(ast.parse((SRC / "pgf.py").read_text())))
     assert MAPS.isdisjoint(names)
     assert {"kernel", "advance", "table", "terminal"} <= names
-    assert "pair_step" not in names
     for spec in SPECS:
         kernel = set(_named(ast.parse(spec.kernel.source)))
         assert MAPS.isdisjoint(kernel)
-        assert "pair_step" not in kernel
         loops = _loops(spec.kernel.source)
         assert set(loops) == {"advance", "table", "terminal"}
-        # both vector loops run each law's block, which pair_step
-        # compiles alone; the terminal loop runs a terminal table law's
-        # block (a product law's own factor is counted below)
-        blocks = [_statements("\n".join(law._block()[1])) for law in spec.laws]
+        # both vector loops run each law's block once, the kernel being
+        # the only code compiled from it; the terminal loop runs a
+        # terminal table law's block (a product law's own factor is
+        # counted below)
+        blocks = [_statements("\n".join(law._block()[0])) for law in spec.laws]
         for name in ("advance", "table"):
             assert [_count(loops[name], block) for block in blocks] == [1] * len(blocks)
         if isinstance(spec.laws[-1], TableLaw):
             assert _count(loops["terminal"], blocks[-1]) == 1
+
+
+def _users(modules, name):
+    """``module.function`` for each place in ``modules`` (module name ->
+    source) that names ``name``, bare, as an attribute or imported under
+    another name, by the innermost function it sits in
+    (``module.<module>`` outside any); a plain import does not count."""
+    found = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name
+                and node.asname is not None):
+            found.append(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, text in modules.items():
+        visit(ast.parse(text), module, "<module>")
+    return sorted(found)
+
+
+def test_the_kernel_is_the_only_compiled_stepper():
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _users(modules, "compile_step") == [
+        "families._paired", "model._compile_kernel"]
+
+
+def test_the_stepper_guard_sees_what_it_looks_for():
+    modules = {
+        "model": "from .numerics import compile_step\n"
+                 "def _step_alone(law):\n"
+                 "    return compile_step(source, 'step')['pair_step']\n"
+                 "class Law:\n"
+                 "    def step(self):\n"
+                 "        build = numerics.compile_step\n"
+                 "        return build(source, 'step')\n",
+        "other": "import numerics\n"
+                 "STEP = numerics.compile_step(source, 'top')\n"
+                 "def late():\n"
+                 "    from numerics import compile_step as cs\n"
+                 "    return cs(source, 'late')\n",
+    }
+    assert _users(modules, "compile_step") == [
+        "model._step_alone", "model.step", "other.<module>", "other.late"]
 
 
 def test_the_check_sees_what_it_looks_for():
@@ -177,12 +225,11 @@ def _factor_runs(source, factors):
 
 def _step_calls(source):
     """Lines of a kernel's source that step through a method instead of
-    inlined code: a family's ``pair`` or its projections, or a law's
-    ``pair_step``."""
+    inlined code: a family's ``pair`` or its projections."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in STEPS | {"pair", "pair_step"})
+                  and node.func.attr in STEPS | {"pair"})
 
 
 def _rendered_factors(law):
@@ -294,7 +341,7 @@ def _in_place_sweeps(source, blocks):
 def test_vector_orbits_step_in_place_in_type_order():
     assert _transposed_steps(ast.parse((SRC / "pgf.py").read_text())) == []
     for spec in SPECS:
-        blocks = [_statements("\n".join(law._block()[1])) for law in spec.laws]
+        blocks = [_statements("\n".join(law._block()[0])) for law in spec.laws]
         assert _transposed_steps(ast.parse(spec.kernel.source)) == []
         # with one type the terminal loop is that type's whole sweep
         sweeps = {"advance", "table"} | (
@@ -305,7 +352,7 @@ def test_vector_orbits_step_in_place_in_type_order():
 def test_the_sweep_guard_sees_what_it_looks_for():
     tree = ast.parse(
         "def simultaneous(spec, da, delta):\n"
-        "    steppers = [law.pair_step for law in spec.laws]\n"
+        "    steppers = [law.step for law in spec.laws]\n"
         "    da, delta = zip(*[step(da, delta) for step in steppers])\n")
     assert _transposed_steps(tree) == [3]
     blocks = [["x = d0 + d1"], ["y = d1 * 2.0"]]

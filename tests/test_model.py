@@ -126,6 +126,22 @@ def test_violations_collected_without_raise():
                                        "b = 0.0"]
 
 
+def test_a_law_without_own_type_children_has_no_own_variance():
+    # no own-type child counts as a point mass at 0: own mean and b are
+    # exactly zero, plain floats, with or without other children
+    spec = ProcessSpec(n_types=2, laws=(
+        ProductLaw(parent=1, children={2: Bernoulli(1.0)}),
+        ProductLaw(parent=2, children={}),
+    ))
+    assert [str(v) for v in check_assumptions(spec)] == [
+        "type 1: non_critical (own mean 0.0)",
+        "type 2: non_critical (own mean 0.0)",
+        "type 1: degenerate_variance (b = 0.0)",
+        "type 2: degenerate_variance (b = 0.0)"]
+    assert spec.law(1).own_second_moment().hex() == (0.0).hex()
+    assert spec.law(2).own_second_moment().hex() == (0.0).hex()
+
+
 def test_force_skips_enforcement():
     spec = ProcessSpec(n_types=1, laws=(
         ProductLaw(parent=1, children={1: Geometric(1.2)}),
@@ -189,28 +205,22 @@ def table_models(draw):
 @settings(max_examples=150, deadline=None)
 def test_property_own_marginal_is_the_terminal_coordinate(spec, lower, gaps,
                                                           frac):
-    # the terminal law ignores the lower coordinates, so its scalar
-    # view's fused pair, and one step of the kernel's terminal loop,
-    # must reproduce the fused vector step bit for bit whatever they hold
+    # the terminal law ignores the lower coordinates, so its own-type
+    # column's fused pair, and one step of the kernel's terminal loop,
+    # must reproduce the terminal coordinate of a kernel step bit for
+    # bit whatever they hold
     n = spec.n_types
-    law = spec.law(n)
-    own = law.own_marginal()
     d = lower[3]
     delta = frac * (1.0 - d)
     da_vec = list(lower[:n - 1]) + [d]
     delta_vec = [g * (1.0 - x) for g, x in zip(gaps, lower[:n - 1])] + [delta]
-    survival, gap = law.pair_step(da_vec, delta_vec)
-    own_survival, _, own_gap = ref.own_column_pair(own.rows, d, delta)
+    survival, gap = (v[-1] for v in spec.kernel.advance(da_vec, delta_vec, 1))
+    own_survival, _, own_gap = ref.own_column_pair(
+        ref.own_column(spec.law(n)), d, delta)
     assert own_survival.hex() == survival.hex()
     assert own_gap.hex() == gap.hex()
     assert [x.hex() for x in spec.kernel.terminal(d, delta, 1)] == [
         survival.hex(), gap.hex()]
-
-
-def test_product_own_marginal_is_the_own_family():
-    law = two_type_cascade().law(1)
-    assert law.own_marginal() == Geometric(1.0)
-    assert ProductLaw(parent=2, children={}).own_marginal() == PointMass(0)
 
 
 def test_sample_offspring_is_the_laws_draws_in_order():
@@ -332,25 +342,25 @@ def test_property_moment_structure(spec):
 @settings(max_examples=150, deadline=None)
 def test_property_laws_ignore_the_lower_coordinates(spec, point, gaps,
                                                     other_da, other_delta):
-    # decomposability, which the engine's in-place sweep relies on: law i
-    # must return the same bits whatever coordinates 1..i-1 hold
+    # decomposability, which the engine's in-place sweep relies on: law i,
+    # coordinate i of a kernel step, must return the same bits whatever
+    # coordinates 1..i-1 hold
     n = spec.n_types
     da = [1.0 - x for x in point[:n]]
     delta = [g * x for g, x in zip(gaps, point[:n])]
-    for i, law in enumerate(spec.laws):
-        survival, gap = law.pair_step(da, delta)
+    step = spec.kernel.advance(da, delta, 1)
+    for i in range(n):
         da_other = list(other_da[:i]) + da[i:]
         delta_other = list(other_delta[:i]) + delta[i:]
-        other_survival, other_gap = law.pair_step(da_other, delta_other)
-        assert other_survival.hex() == survival.hex()
-        assert other_gap.hex() == gap.hex()
+        other = spec.kernel.advance(da_other, delta_other, 1)
+        assert [v[i].hex() for v in other] == [v[i].hex() for v in step]
 
 
 def test_own_column_survival_at_b_is_survival_at_a_plus_gap():
     # the own column's pair, kept as the terminal chain's reference
-    own = micro_table().law(2).own_marginal()
+    own = ref.own_column(micro_table().law(2))
     for d, delta in ((0.3, 0.2), (1e-9, 1e-12), (1.0, 0.0)):
-        sa, sb, gap = ref.own_column_pair(own.rows, d, delta)
+        sa, sb, gap = ref.own_column_pair(own, d, delta)
         assert sb == sa + gap
         # 1 - f(b) for f(s) = (1 + s^2) / 2, with db = 1 - b
         db = d + delta

@@ -31,6 +31,7 @@ from branchlab.zoo import (
 )
 
 import properties
+import reference_step as ref
 from enumeration import Enumerator
 
 # closed forms for the unit-mean geometric chain: the n-step iterate
@@ -416,18 +417,17 @@ def test_property_conditional_range(spec, point, m, n):
 #
 # The engine steps each vector orbit in place, one coordinate at a time
 # in type order.  The oracle below is the simultaneous update it
-# replaced: every law reads the previous step's whole vector.
+# replaced: every law reads the previous step's whole vector, stepped by
+# the reference loops (``reference_step.pair_step``).
 
 def simultaneous_pair(spec, da, delta, steps):
-    steppers = [law.pair_step for law in spec.laws]
     for _ in range(steps):
-        da, delta = zip(*[step(da, delta) for step in steppers])
+        da, delta = zip(*[ref.pair_step(law, da, delta) for law in spec.laws])
     return tuple(da), tuple(delta)
 
 
 def simultaneous_table(spec, n_max):
     n_types = spec.n_types
-    steppers = [law.pair_step for law in spec.laws]
     d = np.empty((n_types, n_max + 1))
     pmf = np.zeros((n_types, n_max + 1))
     dcur = (1.0,) * n_types
@@ -435,7 +435,8 @@ def simultaneous_table(spec, n_max):
     d[:, 0] = dcur
     truncated_at = None
     for n in range(1, n_max + 1):
-        dnew, gap = zip(*[step(dcur, picur) for step in steppers])
+        dnew, gap = zip(*[ref.pair_step(law, dcur, picur)
+                          for law in spec.laws])
         if n > 1:
             picur = gap
         stalled = any(
