@@ -47,15 +47,6 @@ from .pgf import (
     w_transform,
     w_weighted_mean,
 )
-from .montecarlo import (
-    Censored,
-    EstimateWithCI,
-    SimConfig,
-    TrajectorySummary,
-    conditional_estimate,
-    estimate_pmf_T,
-    simulate_once,
-)
 from .experiments import (
     ConvergenceReport,
     ReportRow,
@@ -79,4 +70,21 @@ from .zoo import (
     two_type_cascade,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The sampler is the one module that needs numpy at import time, so it
+# loads on first use and ``import branchlab`` does not load numpy.
+_SAMPLER = ("Censored", "EstimateWithCI", "SimConfig", "TrajectorySummary",
+            "conditional_estimate", "estimate_pmf_T", "simulate_once")
+
+
+def __getattr__(name):
+    if name == "montecarlo" or name in _SAMPLER:
+        # not ``from . import montecarlo``, which asks this hook first
+        from importlib import import_module
+
+        montecarlo = import_module(f"{__name__}.montecarlo")
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["montecarlo", *_SAMPLER])

@@ -23,8 +23,6 @@ from pathlib import Path
 from typing import (Callable, Collection, Iterable, Iterator, Mapping,
                     NamedTuple, Sequence)
 
-import numpy as np
-
 from .config import load_model
 from .constants import constant_set
 from .errors import BranchLabError, ConfigError, HypothesisViolation
@@ -41,7 +39,6 @@ from .experiments import (
     verify_local,
 )
 from .model import ProcessSpec, _collect_moments, check_assumptions
-from .montecarlo import SimConfig, conditional_estimate, estimate_pmf_T
 from .pgf import build_survival_table, conditional_transform, extinction_time_pmf
 from .zoo import STOCK_MODELS, stock_model
 
@@ -183,7 +180,7 @@ class _TableRows:
     scalars one block at a time: only the arrays and one block of rows
     are ever held, and every pass walks the arrays afresh."""
 
-    def __init__(self, *columns: np.ndarray):
+    def __init__(self, *columns):
         self.columns = columns
 
     def __len__(self) -> int:
@@ -345,6 +342,8 @@ def _cmd_conditional(req: RunRequest, spec: ProcessSpec):
 
 
 def _cmd_mc(req: RunRequest, spec: ProcessSpec):
+    from .montecarlo import SimConfig, conditional_estimate, estimate_pmf_T
+
     n = req.n
     if n < 1:
         raise UsageError("n must be at least 1", field="n")
@@ -392,6 +391,8 @@ def _cmd_mc(req: RunRequest, spec: ProcessSpec):
 def _log_grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
     if hi <= lo:
         return (hi,)
+    import numpy as np
+
     return tuple(sorted({int(round(v)) for v in np.geomspace(lo, hi, points)}))
 
 

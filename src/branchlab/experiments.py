@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .constants import constant_set
 from .errors import PrecisionLoss, SlowConvergence, UnreachableEvent
@@ -75,7 +74,8 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    # numpy registers its integer scalars as numbers.Integral
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     if isinstance(x, float):
         return format(x, ".17g")
@@ -591,6 +591,8 @@ def verify_laplace_W(spec: ProcessSpec) -> ConvergenceReport:
     """
     if spec.n_types < 2:
         raise ValueError("the accumulated count is degenerate for one type")
+    import numpy as np
+
     consts = constant_set(validate_hypothesis_A(spec))
     gamma1 = consts.gamma[0]
     amplitude = consts.chain[-1]

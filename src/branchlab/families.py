@@ -23,21 +23,22 @@ projections of ``pair``.
 from __future__ import annotations
 
 import math
+import numbers
 import textwrap
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .numerics import compile_step
 
 
 # A PAIR template is straight-line code over the fields {da} and
 # {delta} (the names of the inputs), {t} (a prefix for temporaries) and
-# the family's own dataclass fields; it leaves its results in sa, sb
-# and gap.  A parameter enters as ``{mean}`` where it is an operand and
-# as ``{mean:*}x`` where it multiplies x: the kernel writes the product
-# of a literal 1.0 as plain x, which is the same bits (and ``-x`` for
-# ``-{mean:*}x``).
+# the family's own dataclass fields; it leaves its results in {sa}, sb
+# and {gap}.  Only sb's line reads {da} or {delta} after {sa} or {gap}
+# is assigned, so the terminal loop, which drops that line, can name
+# its own inputs as the results.  A parameter enters as ``{mean}``
+# where it is an operand and as ``{mean:*}x`` where it multiplies x:
+# the kernel writes the product of a literal 1.0 as plain x, which is
+# the same bits (and ``-x`` for ``-{mean:*}x``).
 
 
 class _Param:
@@ -57,7 +58,7 @@ class _Param:
 def _paired(cls):
     """Compile the family's ``pair`` method from its ``PAIR`` template."""
     names = [f.name for f in fields(cls)]
-    body = cls.PAIR.format(da="da", delta="delta", t="",
+    body = cls.PAIR.format(da="da", delta="delta", t="", sa="sa", gap="gap",
                            **{name: _Param(name) for name in names})
     source = ("def pair(self, da, delta):\n"
               + "".join(f"    {name} = self.{name}\n" for name in names)
@@ -67,17 +68,19 @@ def _paired(cls):
     return cls
 
 
-def pair_source(law: Marginal, da: str, delta: str, prefix: str) -> str:
+def pair_source(law: Marginal, da: str, delta: str, prefix: str, *,
+                sa: str = "sa", gap: str = "gap") -> str:
     """``law``'s ``PAIR`` template with its parameters as literals,
     reading the names ``da`` and ``delta``, its temporaries prefixed
-    with ``prefix``."""
+    with ``prefix``, leaving its results in ``sa``, ``sb`` and ``gap``."""
     params = {}
     for f in fields(law):
         v = getattr(law, f.name)
         # float() makes a numpy float, whose repr is no literal, a plain one
         params[f.name] = _Param(repr(float(v) if isinstance(v, float) else v),
                                 one=v == 1)
-    return law.PAIR.format(da=da, delta=delta, t=prefix, **params)
+    return law.PAIR.format(da=da, delta=delta, t=prefix, sa=sa, gap=gap,
+                           **params)
 
 
 @_paired
@@ -100,9 +103,9 @@ class Geometric:
     PAIR = """\
 {t}up = 1.0 + {mean:*}{da}
 {t}low = 1.0 + {mean:*}({da} + {delta})
-sa = {mean:*}{da} / {t}up
+{sa} = {mean:*}{da} / {t}up
 sb = {mean:*}({da} + {delta}) / {t}low
-gap = {mean:*}{delta} / ({t}up * {t}low)
+{gap} = {mean:*}{delta} / ({t}up * {t}low)
 """
 
     def survival(self, d: float) -> float:
@@ -117,8 +120,9 @@ gap = {mean:*}{delta} / ({t}up * {t}low)
 
     def sample_sum(self, z, rng):
         # sum of z geometrics = negative binomial with z successes,
-        # which numpy rejects for z = 0 (arrays hold positive counts)
-        if not isinstance(z, np.ndarray) and z == 0:
+        # which numpy rejects for z = 0 (arrays hold positive counts;
+        # numpy registers its integer scalars as numbers.Integral)
+        if isinstance(z, numbers.Integral) and z == 0:
             return 0
         return rng.negative_binomial(z, 1.0 / (1.0 + self.mean))
 
@@ -141,9 +145,9 @@ class Poisson:
     # the gap is exp(-mean*da) - exp(-mean*(da+delta)), both exponents <= 0
     PAIR = """\
 {t}xa = -{mean:*}{da}
-sa = -expm1({t}xa)
+{sa} = -expm1({t}xa)
 sb = -expm1(-{mean:*}({da} + {delta}))
-gap = exp({t}xa) * -expm1(-{mean:*}{delta})
+{gap} = exp({t}xa) * -expm1(-{mean:*}{delta})
 """
 
     def survival(self, d: float) -> float:
@@ -176,9 +180,9 @@ class Bernoulli:
         return 1.0 + self.p * (s - 1.0)
 
     PAIR = """\
-sa = {p:*}{da}
+{sa} = {p:*}{da}
 sb = {p:*}({da} + {delta})
-gap = {p:*}{delta}
+{gap} = {p:*}{delta}
 """
 
     def survival(self, d: float) -> float:
@@ -213,10 +217,12 @@ class PointMass:
     def pgf(self, s: float) -> float:
         return s**self.k
 
+    # the gap comes first: it reads {da}, which the terminal loop's
+    # {sa} overwrites
     PAIR = """\
-sa = power_complement({da}, {k})
+{gap} = power_diff(1.0 - {da}, {delta}, {k})
+{sa} = power_complement({da}, {k})
 sb = power_complement({da} + {delta}, {k})
-gap = power_diff(1.0 - {da}, {delta}, {k})
 """
 
     def survival(self, d: float) -> float:

@@ -44,9 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateVariance,
@@ -56,6 +54,9 @@ from .errors import (
 )
 from .families import Marginal, PointMass, pair_source
 from .numerics import compile_step, neumaier_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CRITICALITY_TOL = 1e-10
 
@@ -119,11 +120,7 @@ class ProductLaw:
         last = len(self.children) - 1
         survival = gap = "0.0"
         for k, (child, law) in enumerate(self.children.items()):
-            j = child - 1
-            factor = pair_source(law, f"d{j}", f"e{j}", f"c{j}_").splitlines()
-            if k == last:
-                factor = [line for line in factor if not line.startswith("sb = ")]
-            lines += factor
+            lines += _factor(law, child - 1, k == last)
             if k == 0:
                 gap = "0.0 * (1.0 - sa) + gap"
                 acc = "0.0 + sa"
@@ -138,6 +135,8 @@ class ProductLaw:
         return lines, survival, gap
 
     def mean_row(self, n_types: int) -> np.ndarray:
+        import numpy as np
+
         row = np.zeros(n_types)
         for child, law in self.children.items():
             row[child - 1] = law.mean
@@ -255,6 +254,8 @@ class TableLaw:
         return lines + survs + gaps, survival, gap
 
     def mean_row(self, n_types: int) -> np.ndarray:
+        import numpy as np
+
         row = np.zeros(n_types)
         for counts, p in self.rows:
             for j, c in enumerate(counts):
@@ -268,6 +269,8 @@ class TableLaw:
     @cached_property
     def _sampling_plan(self):
         # built once: the sampler draws from every law each generation
+        import numpy as np
+
         counts = np.array([c for c, _ in self.rows], dtype=np.int64)
         emitted = [int(j) for j in np.flatnonzero(counts.any(axis=0))]
         return [p for _, p in self.rows], counts, emitted
@@ -280,6 +283,15 @@ class TableLaw:
         kids = rng.multinomial(parents, probs) @ counts
         for j in emitted:
             yield j, kids[..., j]
+
+
+def _factor(family: Marginal, j: int, last: bool, **results) -> list[str]:
+    """``family``'s ``PAIR`` template over d{j} and e{j} as statements,
+    with its results named by ``results`` (``pair_source``); a last
+    factor's survival at b, which nothing reads, is left out."""
+    lines = pair_source(family, f"d{j}", f"e{j}", f"c{j}_", **results)
+    return [line for line in lines.splitlines()
+            if not (last and line.startswith("sb = "))]
 
 
 def _times(factor, operand: str) -> str:
@@ -378,12 +390,15 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
                     *_stall_check(i, "new", "n")]
     # The terminal type reads only its own coordinate, so the last
     # law's block is its scalar step.  A product law has one factor
-    # there at most, and the chain takes that factor's sa and gap as its
-    # family's ``pair`` computes them, without the sums with 0.0, which
-    # turn -0.0 into 0.0.
+    # there at most, and the chain renders that factor's template with
+    # the loop's own names as its results, without the sums with 0.0,
+    # which turn -0.0 into 0.0.
     j = spec.n_types - 1
     if isinstance(law, ProductLaw) and law.children:
-        survival, gap = "sa", "gap"
+        (family,) = law.children.values()
+        chain = _factor(family, j, True, sa=f"d{j}", gap=f"e{j}")
+    else:
+        chain = [*lines, f"d{j} = {survival}", f"e{j} = {gap}"]
 
     def names(letter):
         return "".join(f"{letter}{i}, " for i in range(spec.n_types))
@@ -408,8 +423,7 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
         "    return None", "",
         f"def terminal(d{j}, e{j}, steps):",
         "    for _ in range(steps):",
-        *(f"        {line}" for line in lines),
-        f"        d{j} = {survival}", f"        e{j} = {gap}",
+        *(f"        {line}" for line in chain),
         f"    return d{j}, e{j}", ""])
     compiled = compile_step(source, f"{spec.name} kernel")
     return Kernel(advance=compiled["advance"], table=compiled["table"],
@@ -498,6 +512,8 @@ _VIOLATION_EXC = {
 
 
 def _collect_moments(spec: ProcessSpec) -> MomentData:
+    import numpy as np
+
     n = spec.n_types
     mean = np.zeros((n, n))
     b = []
@@ -578,6 +594,8 @@ def sample_offspring(spec: ProcessSpec, i: int, z: int, rng) -> np.ndarray:
     """Summed offspring vector of z type-i parents (exact batch draw)."""
     if z < 0:
         raise ValueError("parent count must be nonnegative")
+    import numpy as np
+
     out = np.zeros(spec.n_types, dtype=np.int64)
     for j, kids in spec.law(i).draws(z, rng):
         out[j] += kids
@@ -588,6 +606,8 @@ def expectation_matrix(spec: ProcessSpec, n: int = 1) -> np.ndarray:
     """n-step mean matrix M^n (M is upper triangular for valid models)."""
     if n < 0:
         raise ValueError("power must be nonnegative")
+    import numpy as np
+
     md = _collect_moments(spec)
     return np.linalg.matrix_power(md.mean_matrix, n)
 

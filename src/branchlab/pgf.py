@@ -42,13 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidMoments, PrecisionLoss, SlowConvergence, UnreachableEvent
 from .model import ProcessSpec, _collect_moments, check_point
 from .numerics import richardson_derivative
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # heuristic horizon beyond which accumulated 64-bit roundoff in the
 # orbit recurrences can reach ~1e-8 relative; deeper runs should use
@@ -127,6 +128,7 @@ def build_survival_table(spec: ProcessSpec, n_max: int, *,
         raise ValueError("precision must be 'double' or 'extended'")
     if precision == "extended":
         return _build_table_extended(spec, n_max)
+    import numpy as np
 
     n_types = spec.n_types
     d = np.empty((n_types, n_max + 1))
@@ -147,6 +149,7 @@ def _build_table_extended(spec: ProcessSpec, n_max: int) -> SurvivalTable:
     # cancellation is then harmless for any horizon the table could
     # realistically hold
     import mpmath as mp
+    import numpy as np
 
     n_types = spec.n_types
     d = np.empty((n_types, n_max + 1))

@@ -11,14 +11,17 @@ the parameters it folds (a mean or probability of exactly 1.0, the
 counts 0 and 1), a table's all-zero and single nonzero rows, counts up
 to 4, signed zeros, certain child lines (the product survival's pin
 and clamp, which the reference keeps), and tables that truncate at
-n = 1 and n = 2.  A pinned table checks that its sums run in row order.
+n = 1 and n = 2.  A pinned table checks that its sums run in row order,
+and a pinned ``PointMass(2)`` terminal that the terminal loop, which
+writes the results over its inputs, reads the complement before it
+overwrites it.
 """
 
 import math
 import pickle
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_step as ref
@@ -202,6 +205,8 @@ def test_kernel_table_truncates_at_the_peeled_step_and_the_next():
 
 
 @given(terminal_specs(), pairs(1), st.integers(0, 8))
+@example(ProcessSpec(n_types=1, laws=(
+    ProductLaw(parent=1, children={1: PointMass(2)}),)), ([0.3], [0.2]), 3)
 @settings(max_examples=300, deadline=None)
 def test_kernel_terminal_is_the_reference_chain(spec, pair, steps):
     (da,), (delta,) = pair

@@ -11,8 +11,9 @@ step kept for the per-layer probe.  The kernel is the one stepper
 compiled from a law: ``numerics.compile_step`` is called only for it
 and for the families' ``pair`` methods.  A kernel step inlines each
 child factor's ``PAIR`` template exactly once per law, its terminal
-loop the terminal law's own factor once, and the engine never steps a
-chain through the ``survival`` and ``pgf_diff`` projections.  Each
+loop is the terminal law's own factor alone, written into the loop's
+own names, and the engine never steps a chain through the
+``survival`` and ``pgf_diff`` projections.  Each
 vector loop steps in place, one coordinate at a time in type order:
 law i's block, then the store of coordinate i, never a transposed list
 of whole-vector steps.  No kernel loop assigns a name that is not read
@@ -22,11 +23,19 @@ No dead code: every top-level function and class of the package is
 named somewhere in ``src/`` or ``perfbench/`` besides its own
 definition, and every method and property of its classes is named by
 an attribute access or a string there, or shown as ``.name`` in the
-README.  Every experiment report is built in one place.
+README; a member that two classes define needs a user for each
+class.  Every experiment report is built in one place.
+
+Only the sampler imports numpy when it is imported: ``import
+branchlab``, model loading, the kernels and plain orbits run without
+numpy, and the package serves the sampler's names on first use.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -232,16 +241,17 @@ def _step_calls(source):
                   and node.func.attr in STEPS | {"pair"})
 
 
-def _rendered_factors(law):
+def _rendered_factors(law, **results):
     """A product law's child factors as its block inlines them: each
     ``PAIR`` template with its parameters as literals, the last one
-    without its survival at b, which nothing reads."""
+    without its survival at b, which nothing reads; ``results`` names
+    the results as ``pair_source`` takes them."""
     if not isinstance(law, ProductLaw):
         return []
     last = len(law.children) - 1
     return ["".join(line for line in pair_source(
-                family, f"d{child - 1}", f"e{child - 1}", f"c{child - 1}_"
-            ).splitlines(keepends=True)
+                family, f"d{child - 1}", f"e{child - 1}", f"c{child - 1}_",
+                **results).splitlines(keepends=True)
                     if k < last or not line.startswith("sb = "))
             for k, (child, family) in enumerate(law.children.items())]
 
@@ -250,14 +260,18 @@ def test_one_family_call_per_factor_and_step():
     assert _projection_calls(ast.parse((SRC / "pgf.py").read_text())) == []
     for spec in SPECS:
         factors = [f for law in spec.laws for f in _rendered_factors(law)]
-        # a factor held by two laws runs once in each law's block; the
-        # terminal loop runs the terminal law's own factor alone
+        # a factor held by two laws runs once in each law's block
         wanted = {factor: factors.count(factor) for factor in factors}
-        own = _rendered_factors(spec.laws[-1])
         assert _step_calls(spec.kernel.source) == []
         assert _factor_runs(spec.kernel.source, factors) == {
             "advance": wanted, "table": wanted,
-            "terminal": {factor: own.count(factor) for factor in factors}}
+            "terminal": {factor: 0 for factor in factors}}
+        # the terminal loop is the terminal law's own factor alone, its
+        # results written over the loop's inputs, with no copy after it
+        j = spec.n_types - 1
+        own = _rendered_factors(spec.laws[-1], sa=f"d{j}", gap=f"e{j}")
+        if own:
+            assert _loops(spec.kernel.source)["terminal"] == _statements(*own)
 
 
 def test_the_step_guard_sees_what_it_looks_for():
@@ -343,9 +357,11 @@ def test_vector_orbits_step_in_place_in_type_order():
     for spec in SPECS:
         blocks = [_statements("\n".join(law._block()[0])) for law in spec.laws]
         assert _transposed_steps(ast.parse(spec.kernel.source)) == []
-        # with one type the terminal loop is that type's whole sweep
+        # with one table law the terminal loop is that law's whole sweep;
+        # a product law's is its factor, written in place
         sweeps = {"advance", "table"} | (
-            {"terminal"} if spec.n_types == 1 else set())
+            {"terminal"} if spec.n_types == 1
+            and isinstance(spec.laws[0], TableLaw) else set())
         assert _in_place_sweeps(spec.kernel.source, blocks) == sweeps
 
 
@@ -451,16 +467,21 @@ def test_the_dead_store_guard_sees_what_it_looks_for():
     assert _dead_stores(kernel("acc += d0", "d0 = acc", returns="d0")) == []
 
 
+# module attributes that the interpreter calls: a package's lazy names
+HOOKS = {"__getattr__", "__dir__"}
+
+
 def _unused_definitions(modules, others):
     """Top-level functions and classes of ``modules`` (name -> source)
     that no source names outside their own definition; ``others`` holds
-    the sources that only count as users."""
+    the sources that only count as users.  The module hooks in
+    ``HOOKS`` are exempt."""
     unused = []
     for name, text in modules.items():
         lines = text.splitlines(keepends=True)
         for node in ast.parse(text).body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
+                                     ast.ClassDef)) or node.name in HOOKS:
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             outside = "".join(lines[:first - 1] + lines[node.end_lineno:])
@@ -487,23 +508,43 @@ def test_the_dead_code_guard_sees_what_it_looks_for():
              "@decorate\ndef dead(x):\n    return dead(x - 1)\n\n\n"
              "class Lone:\n    pass\n",
         "b": "from .a import used\n",
+        # the interpreter calls the hooks; any other dunder needs a user
+        "c": "def __getattr__(name):\n    raise AttributeError(name)\n\n\n"
+             "def __dir__():\n    return []\n\n\n"
+             "def __made_up__():\n    pass\n",
     }
-    assert _unused_definitions(modules, []) == ["a.dead", "a.Lone"]
-    assert _unused_definitions(modules, ["Lone()"]) == ["a.dead"]
+    assert _unused_definitions(modules, []) == [
+        "a.dead", "a.Lone", "c.__made_up__"]
+    assert _unused_definitions(modules, ["Lone()"]) == [
+        "a.dead", "c.__made_up__"]
 
 
 def _unused_members(modules, others, readme=""):
     """Methods and properties of the top-level classes of ``modules``
     (name -> source) that no ``ast.Attribute`` or string constant in
     ``modules`` or ``others`` names, and that ``readme`` does not show
-    as ``.name``; dunders are exempt."""
-    used = set()
+    as ``.name``; dunders are exempt.  ``self.name`` in a class's body
+    names that class's member only, so a name that two classes define
+    is reported for each class whose own member has no user; any other
+    attribute access may reach every class that defines the name."""
+    used, own = set(), set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if (isinstance(node, ast.Attribute) and cls is not None
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            own.add((cls, node.attr))
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
     for src in [*modules.values(), *others]:
-        for node in ast.walk(ast.parse(src)):
-            if isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
+        visit(ast.parse(src), None)
     unused = []
     for name, text in modules.items():
         for cls in ast.parse(text).body:
@@ -513,6 +554,7 @@ def _unused_members(modules, others, readme=""):
                 if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not node.name.startswith("__")
                         and node.name not in used
+                        and (cls.name, node.name) not in own
                         and not re.search(rf"\.{re.escape(node.name)}\b",
                                           readme)):
                     unused.append(f"{name}.{cls.name}.{node.name}")
@@ -545,6 +587,18 @@ def test_the_member_guard_sees_what_it_looks_for():
         "a.Law.variance", "a.Law.dead"]
     assert _unused_members(modules, ["law.variance"]) == [
         "a.Law.documented", "a.Law.dead"]
+    # two classes define view; only Product's own body calls it
+    shared = {
+        "a": "class Product:\n"
+             "    def second(self):\n        return self.view()\n\n"
+             "    def view(self):\n        pass\n\n\n"
+             "class Table:\n"
+             "    def view(self):\n        pass\n",
+        "b": "from .a import Product\nProduct().second()\n",
+    }
+    assert _unused_members(shared, []) == ["a.Table.view"]
+    # a call on another receiver may reach either class
+    assert _unused_members(shared, ["law.view()"]) == []
 
 
 def test_every_report_is_built_in_one_place():
@@ -555,3 +609,109 @@ def test_every_report_is_built_in_one_place():
              and isinstance(node.func, ast.Name)
              and node.func.id == "ConvergenceReport"]
     assert built == ["experiments"]
+
+
+def _import_time_numpy(tree):
+    """Lines of the statements that import numpy while the module is
+    imported: outside any function, and not under ``if TYPE_CHECKING:``,
+    which never runs."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child)
+            return
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and not getattr(node, "level", 0)
+                and any(m.split(".")[0] == "numpy"
+                        for m in _imported_modules(node))):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return lines
+
+
+def test_only_the_sampler_imports_numpy_at_import_time():
+    found = {path.name for path in sorted(SRC.glob("*.py"))
+             if _import_time_numpy(ast.parse(path.read_text()))}
+    assert found == {"montecarlo.py"}
+
+
+def test_the_import_guard_sees_what_it_looks_for():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy.linalg import matrix_power\n"
+                     "from typing import TYPE_CHECKING\n"
+                     "if TYPE_CHECKING:\n"
+                     "    import numpy\n"
+                     "try:\n"
+                     "    import math, numpy.random\n"
+                     "except ImportError:\n"
+                     "    pass\n"
+                     "class Table:\n"
+                     "    import numpy\n"
+                     "    def build(self):\n"
+                     "        import numpy as np\n"
+                     "def late():\n"
+                     "    from numpy import zeros\n"
+                     "import numpyro\n"
+                     "from .numpy import shim\n")
+    assert _import_time_numpy(tree) == [1, 2, 7, 11]
+
+
+# the package's public names, the sampler's among them
+PUBLIC = """
+AcceptanceTooLow Bernoulli BranchLabError Censored ConfigError ConstantSet
+ConvergenceReport DegenerateVariance EstimateWithCI Geometric
+HarmonicResult HypothesisViolation InvalidMoments MissingLink
+ModelStructureError MomentData NonCritical PointMass Poisson PrecisionLoss
+ProcessSpec ProductLaw ReportRow STOCK_MODELS SimConfig SlowConvergence
+SurvivalTable TableLaw TrajectorySummary UnreachableEvent Violation WResult
+build_survival_table censored_transform check_assumptions
+check_identity_c1N conditional_estimate conditional_transform config
+constant_set constants errors estimate_pmf_T expectation_matrix experiments
+extinction_time_pmf families harmonic_U iterate_point limit_death
+limit_deathfin limit_finalstage load_model loads_model micro_table model
+montecarlo numerics pgf pgf_eval sample_offspring simulate_once
+single_geometric stock_model survival_map terminal_gap three_type_chain
+two_type_cascade validate_hypothesis_A verify_death verify_deathfin
+verify_diff_lemmas verify_finalstage verify_foster verify_laplace_W
+verify_local w_transform w_weighted_mean zoo
+""".split()
+
+WITHOUT_NUMPY = """\
+import sys
+import branchlab
+import branchlab.cli
+from branchlab import STOCK_MODELS, iterate_point, load_model, stock_model
+for path in sys.argv[1:]:
+    load_model(path)
+for name in STOCK_MODELS:
+    stock_model(name).kernel
+iterate_point(stock_model("three_type_chain"), (0.5, 0.5, 0.5), 100)
+print(sorted({"numpy", "branchlab.montecarlo"} & set(sys.modules)))
+print(branchlab.estimate_pmf_T is branchlab.montecarlo.estimate_pmf_T)
+names = {}
+exec("from branchlab import *", names)
+print(sorted(set(names) - {"__builtins__"}) == branchlab.__all__)
+print(*branchlab.__all__)
+"""
+
+
+def test_the_exact_engine_loads_without_numpy():
+    models = sorted((ROOT / "perfbench" / "models").glob("*.yaml"))
+    assert len(models) == 4
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *models],
+                         capture_output=True, text=True, env=env, check=True)
+    absent, same, star, public = out.stdout.splitlines()
+    assert absent == "[]"
+    assert same == star == "True"
+    assert public.split() == sorted(PUBLIC) and len(PUBLIC) == 79
+    assert not hasattr(branchlab, "no_such_name")
