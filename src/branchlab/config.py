@@ -27,6 +27,7 @@ when available, the source line.
 from __future__ import annotations
 
 import io
+import os
 from typing import Any
 
 import yaml
@@ -184,14 +185,10 @@ def _parse_law(node: dict, path: str, n_types: int):
                       field=f"{path}.kind", line=line)
 
 
-def load_model(path: str, *, name: str | None = None) -> ProcessSpec:
-    """Load a model spec from a YAML file."""
+def load_model(path: str) -> ProcessSpec:
+    """Load a model spec from a YAML file, named from the file stem
+    unless the file names it."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    default_name = name
-    if default_name is None:
-        import os
-
-        stem = os.path.splitext(os.path.basename(path))[0]
-        default_name = stem
-    return loads_model(text, name=default_name)
+    stem = os.path.splitext(os.path.basename(path))[0]
+    return loads_model(text, name=stem)

@@ -298,8 +298,7 @@ def _guarded(fn: Callable[[], float]) -> tuple[float, bool]:
         return math.nan, False
 
 
-def _monotone_toward(rows: Sequence[ReportRow], center: float,
-                     burn_in: float = _BURN_IN) -> bool:
+def _monotone_toward(rows: Sequence[ReportRow], center: float) -> bool:
     """Does the ratio trend steadily toward ``center`` after burn-in?
 
     Accepts either a shrinking distance to the center or a monotone
@@ -308,7 +307,7 @@ def _monotone_toward(rows: Sequence[ReportRow], center: float,
     monotone drift is caught separately by the band check.
     """
     ratios = [r.ratio for r in rows
-              if dict(r.params).get("n", burn_in) >= burn_in
+              if dict(r.params).get("n", _BURN_IN) >= _BURN_IN
               and r.precision_ok and math.isfinite(r.ratio)]
     dists = [abs(x - center) for x in ratios]
     shrinking = all(b <= a + _MONOTONE_SLACK for a, b in zip(dists, dists[1:]))
@@ -346,6 +345,8 @@ def _run_part(experiment: str, model: str, part: str, grid: Sequence[int],
     death drivers raise above their offset k, since a pilot observes
     k steps before its horizon), and a verdict that wants clean rows and
     the last row's score in band."""
+    if min(grid) < 1:
+        raise ValueError(f"horizons start at 1, got n={min(grid)}")
     rows = []
     for n in grid:
         v, ok = _guarded(lambda: value(n))

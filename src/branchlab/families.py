@@ -4,7 +4,6 @@ Each family knows its generating function, low-order moments, a
 cancellation-free paired form, and how to draw the sum of ``z``
 independent copies in one call (``z`` an int, or an array of positive
 parent counts drawn elementwise).
-``pgf`` also accepts mpmath numbers, for the extended-precision table.
 
 The paired form is the primitive the exact engine is built on.  With
 ``a = 1 - da`` and ``b = a - delta`` it gives, sharing its
@@ -139,8 +138,7 @@ class Poisson:
             raise ValueError(f"poisson mean must be positive, got {self.mean}")
 
     def pgf(self, s: float) -> float:
-        # an mpmath argument brings its own exp
-        return getattr(s, "context", math).exp(self.mean * (s - 1.0))
+        return math.exp(self.mean * (s - 1.0))
 
     # the gap is exp(-mean*da) - exp(-mean*(da+delta)), both exponents <= 0
     PAIR = """\

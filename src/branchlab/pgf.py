@@ -51,11 +51,6 @@ from .numerics import richardson_derivative
 if TYPE_CHECKING:
     import numpy as np
 
-# heuristic horizon beyond which accumulated 64-bit roundoff in the
-# orbit recurrences can reach ~1e-8 relative; deeper runs should use
-# precision="extended"
-DOUBLE_PRECISION_HORIZON = 10**8
-
 
 # ---------------------------------------------------------------------------
 # terminal-type scalar chain
@@ -92,7 +87,6 @@ class SurvivalTable:
     d: np.ndarray
     pmf: np.ndarray
     truncated_at: int | None
-    precision: str
 
     def usable_n(self) -> int:
         """Largest n with valid table entries."""
@@ -106,8 +100,7 @@ class SurvivalTable:
         if self.truncated_at is not None and n >= self.truncated_at:
             raise PrecisionLoss(
                 self.truncated_at,
-                f"table truncated at step {self.truncated_at}; "
-                f"n={n} unavailable (rebuild with precision='extended')",
+                f"table truncated at step {self.truncated_at}; n={n} unavailable",
             )
 
     def survival(self, i: int, n: int) -> float:
@@ -119,15 +112,10 @@ class SurvivalTable:
         return 1.0 - float(self.d[i - 1, n])
 
 
-def build_survival_table(spec: ProcessSpec, n_max: int, *,
-                         precision: str = "double") -> SurvivalTable:
+def build_survival_table(spec: ProcessSpec, n_max: int) -> SurvivalTable:
     """Tabulate d_i(n) and the extinction-time pmf for n = 0..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if precision not in ("double", "extended"):
-        raise ValueError("precision must be 'double' or 'extended'")
-    if precision == "extended":
-        return _build_table_extended(spec, n_max)
     import numpy as np
 
     n_types = spec.n_types
@@ -141,31 +129,7 @@ def build_survival_table(spec: ProcessSpec, n_max: int, *,
         d[:, truncated_at:] = np.nan
         pmf[:, truncated_at:] = np.nan
     return SurvivalTable(spec=spec, n_max=n_max, d=d, pmf=pmf,
-                         truncated_at=truncated_at, precision=precision)
-
-
-def _build_table_extended(spec: ProcessSpec, n_max: int) -> SurvivalTable:
-    # plain iteration of the laws' own pgfs on 40-digit mpmath points;
-    # cancellation is then harmless for any horizon the table could
-    # realistically hold
-    import mpmath as mp
-    import numpy as np
-
-    n_types = spec.n_types
-    d = np.empty((n_types, n_max + 1))
-    pmf = np.zeros((n_types, n_max + 1))
-    with mp.workdps(40):
-        one = mp.mpf(1)
-        qprev = [mp.mpf(0)] * n_types
-        d[:, 0] = 1.0
-        for n in range(1, n_max + 1):
-            qnew = [law.pgf(qprev) for law in spec.laws]
-            for i in range(n_types):
-                d[i, n] = float(one - qnew[i])
-                pmf[i, n] = float(qnew[i] - qprev[i])
-            qprev = qnew
-    return SurvivalTable(spec=spec, n_max=n_max, d=d, pmf=pmf,
-                         truncated_at=None, precision="extended")
+                         truncated_at=truncated_at)
 
 
 def extinction_time_pmf(table: SurvivalTable, i: int, n: int) -> float:
@@ -303,8 +267,6 @@ class HarmonicResult:
 
     value: float
     convergence_estimate: float
-    horizon: int
-    precision_ok: bool
 
 
 def terminal_gap(spec: ProcessSpec, s: float, m: int) -> float:
@@ -332,8 +294,7 @@ def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
     b = _terminal_b(spec)
     if s == 0.0:
         # the gap is identically zero along the whole orbit
-        return HarmonicResult(value=0.0, convergence_estimate=0.0,
-                              horizon=n, precision_ok=True)
+        return HarmonicResult(value=0.0, convergence_estimate=0.0)
     terminal = spec.kernel.terminal
     h1, h2, h3 = n // 4, n // 2, n
     da, delta = 1.0 - s, s
@@ -348,12 +309,7 @@ def harmonic_U(spec: ProcessSpec, s: float, n: int) -> HarmonicResult:
     u1, u2, u3 = scaled
     value = (h3 * u3 - h2 * u2) / (h3 - h2)
     coarse = (h2 * u2 - h1 * u1) / (h2 - h1)
-    return HarmonicResult(
-        value=value,
-        convergence_estimate=abs(value - coarse),
-        horizon=n,
-        precision_ok=delta > 0.0 and n <= DOUBLE_PRECISION_HORIZON,
-    )
+    return HarmonicResult(value=value, convergence_estimate=abs(value - coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +329,6 @@ class WResult:
     per_type: tuple[float, ...]
     iterations: int
     residual: float
-    converged: bool
-    horizon: int | None = None
 
 
 def w_transform(spec: ProcessSpec, s: float, *, horizon: int | None = None,
@@ -408,15 +362,13 @@ def w_transform(spec: ProcessSpec, s: float, *, horizon: int | None = None,
             delta = max(abs(a - b) for a, b in zip(new, psi))
             psi = new
         return WResult(value=psi[0], per_type=tuple(psi),
-                       iterations=horizon, residual=delta,
-                       converged=True, horizon=horizon)
+                       iterations=horizon, residual=delta)
 
     if s == 1.0:
         # W is finite a.s., so the transform at 1 is exactly 1; the
         # fixed-point root there is double and not worth iterating at
         return WResult(value=1.0, per_type=(1.0,) * (n_types - 1),
-                       iterations=0, residual=0.0, converged=True,
-                       horizon=None)
+                       iterations=0, residual=0.0)
 
     phi = [0.0] * (n_types - 1)
     total_iter = 0
@@ -457,8 +409,7 @@ def w_transform(spec: ProcessSpec, s: float, *, horizon: int | None = None,
         final_residual = abs(g(u) - u)
 
     return WResult(value=phi[0], per_type=tuple(phi),
-                   iterations=total_iter, residual=final_residual,
-                   converged=True, horizon=None)
+                   iterations=total_iter, residual=final_residual)
 
 
 def w_weighted_mean(spec: ProcessSpec, lam: float, n: int, *,

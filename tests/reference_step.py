@@ -8,12 +8,17 @@ own-type column, read off the law), as plain Python loops over the
 model objects.  The engine compiles the same arithmetic into one
 straight-line kernel per model, the model's only stepper; the tests
 require it to agree with these bit for bit.
+
+Apart from those stands the 40-digit table (``extended_table``): plain
+iteration of each law's pgf, written out again in mpmath (``mp_pgf``),
+so it shares no code with the engine it checks.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from branchlab.families import Bernoulli, Geometric, PointMass, Poisson
@@ -156,3 +161,44 @@ def survival_table(spec, n_max):
             pmf[:, n:] = np.nan
             break
     return d, pmf, truncated_at
+
+
+def mp_pgf(marg, x):
+    """A family's pgf at the mpmath point x, at the working precision."""
+    if isinstance(marg, Geometric):
+        return 1 / (1 + mp.mpf(marg.mean) * (1 - x))
+    if isinstance(marg, Poisson):
+        return mp.exp(mp.mpf(marg.mean) * (x - 1))
+    if isinstance(marg, Bernoulli):
+        return 1 - mp.mpf(marg.p) + mp.mpf(marg.p) * x
+    return x**marg.k
+
+
+def mp_law_pgf(law, x):
+    """A law's pgf at the mpmath vector x: the product of its child
+    factors, or the table rows summed with ``mp.fsum``."""
+    if isinstance(law, ProductLaw):
+        return mp.fprod(mp_pgf(family, x[child - 1])
+                        for child, family in law.children.items())
+    return mp.fsum(p * mp.fprod(x[j] ** c for j, c in enumerate(counts) if c)
+                   for counts, p in law.rows)
+
+
+def extended_table(spec, n_max):
+    """(d, pmf) for n = 0..n_max by plain iteration q(n) = f(q(n-1)) at
+    40 digits, each entry rounded once to a double.  The cancellations
+    in 1 - q and q(n) - q(n-1) that the engine's paired orbit avoids
+    cost nothing at this precision for any horizon a test builds."""
+    n_types = spec.n_types
+    d = np.empty((n_types, n_max + 1))
+    pmf = np.zeros((n_types, n_max + 1))
+    d[:, 0] = 1.0
+    with mp.workdps(40):
+        q = [mp.mpf(0)] * n_types
+        for n in range(1, n_max + 1):
+            new = [mp_law_pgf(law, q) for law in spec.laws]
+            for i in range(n_types):
+                d[i, n] = float(1 - new[i])
+                pmf[i, n] = float(new[i] - q[i])
+            q = new
+    return d, pmf

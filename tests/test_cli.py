@@ -644,7 +644,13 @@ class TestValidationBounds:
         ["theorem", "finalstage", "--x", "0"],
         ["theorem", "death", "--lambda", "-1"],
         ["mc", "--workers", "0"],
+        ["theorem", "finalstage", "--n", "0"],
+        ["theorem", "foster", "--n", "0"],
+        ["lemma", "diff", "--n", "0"],
     ])
-    def test_out_of_range_overrides_exit_2(self, argv, capsys):
+    def test_out_of_range_overrides_exit_2(self, argv, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setenv("BRANCHLAB_OUTDIR", str(tmp_path))
         assert main(argv) == 2
         assert capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -14,18 +14,10 @@ from branchlab.families import (
     marginal_from_config,
 )
 
+from reference_step import mp_pgf
+
 ALL = [Geometric(0.7), Geometric(1.0), Poisson(1.3), Poisson(0.2),
        Bernoulli(0.4), PointMass(3), PointMass(1)]
-
-
-def mp_pgf(marg, x):
-    if isinstance(marg, Geometric):
-        return 1 / (1 + mp.mpf(marg.mean) * (1 - x))
-    if isinstance(marg, Poisson):
-        return mp.exp(mp.mpf(marg.mean) * (x - 1))
-    if isinstance(marg, Bernoulli):
-        return 1 - mp.mpf(marg.p) + mp.mpf(marg.p) * x
-    return x**marg.k
 
 
 @pytest.mark.parametrize("marg", ALL)
@@ -128,17 +120,6 @@ def test_sample_sum_over_an_array_draws_each_count_in_turn(marg):
     rng = np.random.default_rng(99)
     one_by_one = [marg.sample_sum(int(z), rng) for z in parents]
     assert batch.tolist() == one_by_one
-
-
-@pytest.mark.parametrize("marg", ALL + [Bernoulli(0.1), Bernoulli(1.0 / 3.0)])
-@pytest.mark.parametrize("x", ["0", "0.3", "0.9", "0.999999999999999999999"])
-def test_pgf_on_mpmath_points_keeps_40_digits(marg, x):
-    # the extended-precision table feeds mpmath numbers through pgf
-    with mp.workdps(40):
-        got = marg.pgf(mp.mpf(x))
-        ref = mp_pgf(marg, mp.mpf(x))
-        assert isinstance(got, mp.mpf)
-        assert abs(got - ref) <= 1e-35 * abs(ref)
 
 
 def test_config_round_trip():

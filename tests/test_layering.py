@@ -28,7 +28,9 @@ class.  Every experiment report is built in one place.
 
 Only the sampler imports numpy when it is imported: ``import
 branchlab``, model loading, the kernels and plain orbits run without
-numpy, and the package serves the sampler's names on first use.
+numpy, and the package serves the sampler's names on first use.  The
+runtime dependencies that ``pyproject.toml`` declares are exactly the
+third-party modules the package imports, inside functions too.
 """
 
 import ast
@@ -662,6 +664,59 @@ def test_the_import_guard_sees_what_it_looks_for():
                      "import numpyro\n"
                      "from .numpy import shim\n")
     assert _import_time_numpy(tree) == [1, 2, 7, 11]
+
+
+def _third_party_imports(trees):
+    """Top-level modules that the trees' absolute imports name, inside
+    functions too, other than the standard library and the package."""
+    found = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and not getattr(node, "level", 0)):
+                found.update(m.split(".")[0] for m in _imported_modules(node))
+    return found - set(sys.stdlib_module_names) - {"branchlab"}
+
+
+# distributions imported under another name than their own, lowercased
+IMPORT_NAMES = {"pyyaml": "yaml"}
+
+
+def _declared_dependencies(pyproject):
+    """Import names of the ``[project]`` table's ``dependencies``, read
+    with a pattern: Python 3.10, which the package supports, has no
+    tomllib."""
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject,
+                        re.M | re.S).group(1)
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project,
+                       re.M | re.S).group(1)
+    names = (re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
+             for req in re.findall(r'"([^"]+)"', listed))
+    return {IMPORT_NAMES.get(name, name) for name in names}
+
+
+def test_the_dependencies_are_what_the_package_imports():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    declared = _declared_dependencies((ROOT / "pyproject.toml").read_text())
+    assert _third_party_imports(trees) == declared
+
+
+def test_the_dependency_guard_sees_what_it_looks_for():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import math, os.path\n"
+                     "import numpy.linalg as la\n"
+                     "from . import zoo\n"
+                     "from .numpy import shim\n"
+                     "from branchlab.model import ProcessSpec\n"
+                     "def late():\n"
+                     "    import mpmath as mp\n"
+                     "    from yaml import safe_load\n")
+    assert _third_party_imports([tree]) == {"numpy", "mpmath", "yaml"}
+    pyproject = ('[project]\nname = "x"\ndependencies = [\n'
+                 '    "numpy>=1.24",\n    "PyYAML>=6.0",\n]\n\n'
+                 '[project.optional-dependencies]\n'
+                 'dev = [\n    "mpmath>=1.3",\n]\n')
+    assert _declared_dependencies(pyproject) == {"numpy", "yaml"}
 
 
 # the package's public names, the sampler's among them
