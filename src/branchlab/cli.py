@@ -272,10 +272,9 @@ def _cmd_validate(req: RunRequest, spec: ProcessSpec):
     rows: list[tuple] = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            rows.append(("mean", f"{i}->{j}", float(md.mean_matrix[i - 1, j - 1]),
-                         None))
+            rows.append(("mean", f"{i}->{j}", md.mean_matrix[i - 1][j - 1], None))
     for i in range(1, n + 1):
-        rows.append(("own_mean", str(i), float(md.mean_matrix[i - 1, i - 1]),
+        rows.append(("own_mean", str(i), md.mean_matrix[i - 1][i - 1],
                      ("non_critical", i) not in bad))
     for i in range(1, n):
         rows.append(("link_mean", f"{i}->{i + 1}", md.link_means[i - 1],
@@ -388,14 +387,6 @@ def _cmd_mc(req: RunRequest, spec: ProcessSpec):
                  curves=curves)
 
 
-def _log_grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
-    if hi <= lo:
-        return (hi,)
-    import numpy as np
-
-    return tuple(sorted({int(round(v)) for v in np.geomspace(lo, hi, points)}))
-
-
 # target -> driver; values stay bare callables so that a tracer can
 # swap a driver in place
 _THEOREMS: dict[str, Callable] = {
@@ -420,14 +411,6 @@ def _single(value):
     return (value,)
 
 
-def _power_grid(n: int) -> tuple[int, ...]:
-    return _log_grid(100, n, 5)
-
-
-def _lemma_grid(n: int) -> tuple[int, ...]:
-    return _log_grid(max(100, n // 10), n, 3)
-
-
 class _Driver(NamedTuple):
     """A target's field: given, it reaches the driver as
     ``keyword=convert(value)``; otherwise the driver's default holds."""
@@ -450,8 +433,8 @@ _READS: dict[str, Mapping[str, object]] = {
     "conditional": {"n": _REQUIRED, "m": _REQUIRED, "s": _REQUIRED},
     "mc": {**_MC, "plotdata": None},
     "mc --m": {**_MC, "m": _REQUIRED, "s": _REQUIRED},
-    "foster": {"n": _Driver("n_grid", _power_grid), "plotdata": None},
-    "local": {"n": _Driver("n_grid", _power_grid), "plotdata": None},
+    "foster": {"n": _Driver("n"), "plotdata": None},
+    "local": {"n": _Driver("n"), "plotdata": None},
     "finalstage": {"n": _Driver("n"), "lam": _Driver("lam"),
                    "x": _Driver("xs", _single), "plotdata": None},
     "death": {"n": _Driver("n"), "k": _Driver("k"),
@@ -459,8 +442,7 @@ _READS: dict[str, Mapping[str, object]] = {
     "deathfin": {"n": _Driver("n"), "k": _Driver("ks", _single),
                  "s": _Driver("s_grid", _single), "plotdata": None},
     "laplace": {"plotdata": None},
-    "diff": {"n": _Driver("n_grid", _lemma_grid), "lam": _Driver("lam"),
-             "plotdata": None},
+    "diff": {"n": _Driver("n"), "lam": _Driver("lam"), "plotdata": None},
 }
 
 # request field -> its flag, for the fields a command may read

@@ -73,7 +73,7 @@ def _log_survival_amplitude(b, links, start: int, terminal: int) -> float:
 def constant_set(moments: MomentData) -> ConstantSet:
     """All derived constants for a validated model."""
     n = moments.n_types
-    b = tuple(float(x) for x in moments.b)
+    b = moments.b
     links = moments.link_means
     _check_inputs(b, links)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -54,8 +53,6 @@ __all__ = [
     "verify_local",
 ]
 
-DEFAULT_N_GRID = (100, 316, 1000, 3162, 10000)
-
 # |ratio - center| may tick up by this much between consecutive grid
 # points and still count as a monotone approach (roundoff headroom)
 _MONOTONE_SLACK = 1e-9
@@ -67,6 +64,11 @@ _RECOVERABLE = (PrecisionLoss, SlowConvergence, UnreachableEvent)
 # this, so every driver's table reaches at least this far as well
 _MIN_PILOT = 4
 
+# the smallest horizon of every diff_lemmas part: from n = 5 on, the
+# local mean's censor time round(n**(2/3)) stays at or below its
+# observation time n - round(sqrt(n))
+_DIFF_FLOOR = 5
+
 
 def _fmt(x) -> str:
     """One artifact cell: 17 significant digits, lowercase booleans."""
@@ -74,9 +76,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    # numpy registers its integer scalars as numbers.Integral
-    if isinstance(x, numbers.Integral):
-        return str(int(x))
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
@@ -336,17 +335,14 @@ def _score(value: float, limit: float) -> float:
 
 def _run_part(experiment: str, model: str, part: str, grid: Sequence[int],
               params: tuple[tuple[str, float], ...], limit: float,
-              value: Callable[[int], float], details: dict,
-              floor: int = _MIN_PILOT,
+              value: Callable[[int], float], details: dict, floor: int = 1,
               ) -> tuple[list[ReportRow], tuple[float, float], bool]:
     """Rows, band and verdict of one part: a guarded row per horizon in
     ``grid``, the band from the registry or else from pilots at half and
-    a quarter of the largest horizon (never below ``floor``, which the
-    death drivers raise above their offset k, since a pilot observes
-    k steps before its horizon), and a verdict that wants clean rows and
-    the last row's score in band."""
-    if min(grid) < 1:
-        raise ValueError(f"horizons start at 1, got n={min(grid)}")
+    a quarter of the largest horizon (never below ``_MIN_PILOT`` nor
+    below ``floor``, the smallest horizon the part can evaluate, which
+    ``_driver_table`` has checked the grid against), and a verdict that
+    wants clean rows and the last row's score in band."""
     rows = []
     for n in grid:
         v, ok = _guarded(lambda: value(n))
@@ -354,7 +350,7 @@ def _run_part(experiment: str, model: str, part: str, grid: Sequence[int],
     n_max = max(grid)
     band = _resolve_band(
         experiment, part, model,
-        lambda: tuple(_score(value(max(floor, n_max // d)), limit)
+        lambda: tuple(_score(value(max(_MIN_PILOT, floor, n_max // d)), limit)
                       for d in (2, 4)),
         details)
     ok = (all(r.precision_ok for r in rows)
@@ -362,9 +358,23 @@ def _run_part(experiment: str, model: str, part: str, grid: Sequence[int],
     return rows, band, ok
 
 
-def _driver_table(spec: ProcessSpec, horizon: int) -> SurvivalTable:
-    """A table for the largest grid horizon and for the pilots."""
-    return build_survival_table(spec, max(_MIN_PILOT, horizon))
+def _driver_table(spec: ProcessSpec, n: int, floor: int = 1) -> SurvivalTable:
+    """A table for the largest horizon ``n`` and for the pilots; an ``n``
+    below ``floor``, the smallest horizon the driver's parts can
+    evaluate, is refused before any part runs."""
+    if n < floor:
+        raise ValueError(f"horizons start at {floor}, got n={n}")
+    return build_survival_table(spec, max(_MIN_PILOT, n))
+
+
+def _log_grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
+    """Up to ``points`` log-spaced integer horizons from lo to hi, or hi
+    alone when hi <= lo."""
+    if hi <= lo:
+        return (hi,)
+    import numpy as np
+
+    return tuple(sorted({int(round(v)) for v in np.geomspace(lo, hi, points)}))
 
 
 @dataclass
@@ -381,8 +391,7 @@ class _Accumulator:
 
     def part(self, part: str, grid: Sequence[int],
              params: tuple[tuple[str, float], ...], limit: float,
-             value: Callable[[int], float],
-             floor: int = _MIN_PILOT) -> list[ReportRow]:
+             value: Callable[[int], float], floor: int = 1) -> list[ReportRow]:
         """One part through ``_run_part``; its verdict counts."""
         rows, self.bands[part], ok = _run_part(
             self.experiment, self.model, part, grid, params, limit, value,
@@ -413,12 +422,11 @@ class _Accumulator:
 # ------------------------------------------------- survival / local pmf
 
 
-def _power_law_report(experiment: str, spec: ProcessSpec,
-                      n_grid: Sequence[int],
+def _power_law_report(experiment: str, spec: ProcessSpec, n: int,
                       value_at: Callable, scale_of: Callable) -> ConvergenceReport:
     consts = constant_set(validate_hypothesis_A(spec))
-    n_grid = tuple(int(n) for n in n_grid)
-    table = _driver_table(spec, max(n_grid))
+    n_grid = _log_grid(100, n, 5)
+    table = _driver_table(spec, n)
     acc = _Accumulator(experiment, spec.name)
     for i in range(1, spec.n_types + 1):
         part = f"type={i}"
@@ -431,29 +439,30 @@ def _power_law_report(experiment: str, spec: ProcessSpec,
     return acc.report(("n", tuple(float(n) for n in n_grid)))
 
 
-def verify_foster(spec: ProcessSpec,
-                  n_grid: Sequence[int] = DEFAULT_N_GRID) -> ConvergenceReport:
-    """Survival probability from a type-i root against its power law.
+def verify_foster(spec: ProcessSpec, n: int = 10_000) -> ConvergenceReport:
+    """Survival probability from a type-i root against its power law, on
+    up to five log-spaced horizons from 100 to ``n`` (``n`` alone up to
+    100).
 
     Rows carry d_i(n) * n**gamma_i, whose limit is the survival
     amplitude; the verdict wants a monotone approach that ends inside
     the band.
     """
     return _power_law_report(
-        "foster", spec, n_grid,
+        "foster", spec, n,
         value_at=lambda table, consts, i, n:
             table.survival(i, n) * float(n) ** consts.gamma[i - 1],
         scale_of=lambda consts, i: consts.survival_amplitude[i - 1])
 
 
-def verify_local(spec: ProcessSpec,
-                 n_grid: Sequence[int] = DEFAULT_N_GRID) -> ConvergenceReport:
-    """Extinction-time pmf from a type-i root against its power law.
+def verify_local(spec: ProcessSpec, n: int = 10_000) -> ConvergenceReport:
+    """Extinction-time pmf from a type-i root against its power law, on
+    the horizons of ``verify_foster``.
 
     Rows carry pmf(n) * n**(1 + gamma_i) over the local amplitude.
     """
     return _power_law_report(
-        "local", spec, n_grid,
+        "local", spec, n,
         value_at=lambda table, consts, i, n:
             extinction_time_pmf(table, i, n) * float(n) ** (1.0 + consts.gamma[i - 1]),
         scale_of=lambda consts, i: consts.local_amplitude[i - 1])
@@ -468,9 +477,19 @@ def _cond_value(spec: ProcessSpec, table: SurvivalTable, theta: float,
     return conditional_transform(spec, table, tuple(s), m=m, n=n)
 
 
+def _least_horizon(x: float) -> int:
+    """The smallest horizon n whose observation time round(x * n) comes
+    before n; from there on every horizon's does."""
+    n = max(1, math.floor(0.5 / (1.0 - x)))  # below it, (1 - x) * n < 1/2
+    while round(x * n) >= n:
+        n += 1
+    return n
+
+
 def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
                       xs: Sequence[float] = (0.25, 0.5, 0.75)) -> ConvergenceReport:
-    """Conditional transform at m = x*n given extinction exactly at n.
+    """Conditional transform at m = round(x*n) given extinction exactly
+    at n, for an n at which every part's m comes before n.
 
     Includes a normalization row (lambda = 0 must give exactly the
     vacuous conditional 1), an insensitivity spot check with the lower
@@ -478,20 +497,22 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
     regime-match detail tying the x near 1 limit to the trailing-window
     limit.
     """
+    checks = [(f"x={x:g}", x, 1.0) for x in xs]
+    checks.append(("insensitivity:x=0.5", 0.5, 0.5))
+    least = max(_least_horizon(x) for _, x, _ in checks)
     b_N = constant_set(validate_hypothesis_A(spec)).b[-1]
-    table = _driver_table(spec, n)
+    table = _driver_table(spec, n, least)
     acc = _Accumulator("finalstage", spec.name)
 
     def finite(nn: int, x: float, s_lower: float = 1.0) -> float:
         return _cond_value(spec, table, lam / (b_N * nn), round(x * nn), nn,
                            s_lower)
 
-    checks = [(f"x={x:g}", x, 1.0) for x in xs]
-    checks.append(("insensitivity:x=0.5", 0.5, 0.5))
     for part, x, s_lower in checks:
         acc.part(part, (n,), (("lam", lam), ("x", x)),
                  limit_finalstage(lam, x, spec.n_types),
-                 lambda nn, x=x, s_lower=s_lower: finite(nn, x, s_lower))
+                 lambda nn, x=x, s_lower=s_lower: finite(nn, x, s_lower),
+                 floor=least)
 
     acc.normalization(lambda: _cond_value(spec, table, 0.0, round(0.5 * n), n),
                       (("n", float(n)), ("lam", 0.0), ("x", 0.5)))
@@ -524,7 +545,7 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
     for part, lam, s_lower in checks:
         acc.part(part, (n,), (("k", float(k)), ("lam", lam)), limit_death(lam),
                  lambda nn, lam=lam, s_lower=s_lower: finite(nn, lam, s_lower),
-                 floor=max(_MIN_PILOT, k + 1))
+                 floor=k + 1)
 
     acc.normalization(lambda: finite(n, 0.0),
                       (("n", float(n)), ("k", float(k)), ("lam", 0.0)))
@@ -564,7 +585,7 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
             acc.part(f"k={k},s={s:g}", (n,), (("k", float(k)), ("s", s)),
                      limit_deathfin(s, k, u_eval, table),
                      lambda nn, k=k, s=s: finite(nn, k, s),
-                     floor=max(_MIN_PILOT, k + 1))
+                     floor=k + 1)
 
         # the limit's bracket at s_N -> 1 telescopes to exactly one
         terminal = spec.n_types
@@ -642,10 +663,11 @@ def verify_laplace_W(spec: ProcessSpec) -> ConvergenceReport:
     return acc.report(("theta", thetas))
 
 
-def verify_diff_lemmas(spec: ProcessSpec, *,
-                       n_grid: Sequence[int] = (1000, 3162, 10000),
+def verify_diff_lemmas(spec: ProcessSpec, *, n: int = 10_000,
                        lam: float = 1.0) -> ConvergenceReport:
-    """Scaled building-block quantities against their limits.
+    """Scaled building-block quantities against their limits, on up to
+    three log-spaced horizons from max(100, n // 10) to ``n`` (``n``
+    alone up to 100, and at least 5).
 
     Parts, all of them for two or more types and only the first for
     one: "window_gap" (terminal iterate increment over a shrinking
@@ -661,14 +683,15 @@ def verify_diff_lemmas(spec: ProcessSpec, *,
     b_N = consts.b[-1]
     gamma1 = consts.gamma[0]
     g1 = consts.local_amplitude[0]
-    n_grid = tuple(int(n) for n in n_grid)
-    grid = (("n", tuple(float(n) for n in n_grid)), ("lam", (lam,)))
-    table = _driver_table(spec, max(n_grid))
+    n_grid = _log_grid(max(100, n // 10), n, 3)
+    grid = (("n", tuple(float(nn) for nn in n_grid)), ("lam", (lam,)))
+    table = _driver_table(spec, n, _DIFF_FLOOR)
     acc = _Accumulator("diff_lemmas", spec.name)
 
     def ratio_part(part: str, value_at: Callable[[int], float],
                    limit: float) -> None:
-        rows = acc.part(part, n_grid, (("lam", lam),), limit, value_at)
+        rows = acc.part(part, n_grid, (("lam", lam),), limit, value_at,
+                        _DIFF_FLOOR)
         acc.details[f"final_ratio:{part}"] = rows[-1].ratio
 
     def gap_value(n: int) -> float:
@@ -717,7 +740,7 @@ def verify_diff_lemmas(spec: ProcessSpec, *,
 
         part_rows, band, _ = _run_part(
             "diff_lemmas", spec.name, part, n_grid, (("e", expo),), 0.0,
-            value_at, acc.details)
+            value_at, acc.details, _DIFF_FLOOR)
         # limit is zero: constrain the value, from below by nothing
         band = acc.bands[part] = (0.0, max(band[1], band[0]))
         final = part_rows[-1]

@@ -134,13 +134,11 @@ class ProductLaw:
                 survival = acc
         return lines, survival, gap
 
-    def mean_row(self, n_types: int) -> np.ndarray:
-        import numpy as np
-
-        row = np.zeros(n_types)
+    def mean_row(self, n_types: int) -> tuple[float, ...]:
+        row = [0.0] * n_types
         for child, law in self.children.items():
-            row[child - 1] = law.mean
-        return row
+            row[child - 1] = float(law.mean)
+        return tuple(row)
 
     def own_second_moment(self) -> float:
         """E[eta_i^2] for the parent's own type i; no own-type children
@@ -253,14 +251,12 @@ class TableLaw:
         gaps, gap = _neumaier(gaps, "g")
         return lines + survs + gaps, survival, gap
 
-    def mean_row(self, n_types: int) -> np.ndarray:
-        import numpy as np
-
-        row = np.zeros(n_types)
+    def mean_row(self, n_types: int) -> tuple[float, ...]:
+        row = [0.0] * n_types
         for counts, p in self.rows:
             for j, c in enumerate(counts):
                 row[j] += p * c
-        return row
+        return tuple(row)
 
     def own_second_moment(self) -> float:
         """E[eta_i^2] for the parent's own type i, summed in row order."""
@@ -493,15 +489,13 @@ class MomentData:
     """
 
     n_types: int
-    mean_matrix: np.ndarray
+    mean_matrix: tuple[tuple[float, ...], ...]
     b: tuple[float, ...]
 
     @property
     def link_means(self) -> tuple[float, ...]:
         """Means of the type i -> i+1 feeds, i = 1..N-1."""
-        return tuple(
-            float(self.mean_matrix[i, i + 1]) for i in range(self.n_types - 1)
-        )
+        return tuple(self.mean_matrix[i][i + 1] for i in range(self.n_types - 1))
 
 
 _VIOLATION_EXC = {
@@ -512,19 +506,11 @@ _VIOLATION_EXC = {
 
 
 def _collect_moments(spec: ProcessSpec) -> MomentData:
-    import numpy as np
-
-    n = spec.n_types
-    mean = np.zeros((n, n))
-    b = []
-    for i in range(1, n + 1):
-        law = spec.law(i)
-        mean[i - 1] = law.mean_row(n)
-        own_var = law.own_second_moment() - mean[i - 1, i - 1] ** 2
-        # roundoff can push an exact-zero variance slightly negative;
-        # Python floats, so no numpy scalar leaks into derived values
-        b.append(float(max(own_var, 0.0) / 2.0))
-    return MomentData(n_types=n, mean_matrix=mean, b=tuple(b))
+    mean = tuple(law.mean_row(spec.n_types) for law in spec.laws)
+    # roundoff can push an exact-zero variance slightly negative
+    b = tuple(max(law.own_second_moment() - row[i] ** 2, 0.0) / 2.0
+              for i, (law, row) in enumerate(zip(spec.laws, mean)))
+    return MomentData(n_types=spec.n_types, mean_matrix=mean, b=b)
 
 
 def check_assumptions(spec: ProcessSpec) -> list[Violation]:
@@ -533,11 +519,11 @@ def check_assumptions(spec: ProcessSpec) -> list[Violation]:
     out: list[Violation] = []
     n = spec.n_types
     for i in range(1, n + 1):
-        m_ii = float(md.mean_matrix[i - 1, i - 1])
+        m_ii = md.mean_matrix[i - 1][i - 1]
         if abs(m_ii - 1.0) > CRITICALITY_TOL:
             out.append(Violation("non_critical", i, f"own mean {m_ii!r}"))
     for i in range(1, n):
-        link = float(md.mean_matrix[i - 1, i])
+        link = md.mean_matrix[i - 1][i]
         if not (link > 0.0 and math.isfinite(link)):
             out.append(Violation("missing_link", i, f"link mean {link!r}"))
     for i in range(1, n + 1):
@@ -609,7 +595,7 @@ def expectation_matrix(spec: ProcessSpec, n: int = 1) -> np.ndarray:
     import numpy as np
 
     md = _collect_moments(spec)
-    return np.linalg.matrix_power(md.mean_matrix, n)
+    return np.linalg.matrix_power(np.array(md.mean_matrix), n)
 
 
 def check_point(spec: ProcessSpec, s: Sequence[float], *,

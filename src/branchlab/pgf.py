@@ -15,12 +15,12 @@ Everything in this module is built on two orbit primitives:
 
 Both advance through the spec's compiled kernel (``spec.kernel``), the
 one stepper: every law's paired step as straight-line code, in one
-in-place sweep in type order per step.  ``_advance_pair`` and
-``build_survival_table`` are one call into it each, and so is every
-walk of the terminal type's scalar chain (``harmonic_U``,
-``terminal_gap``, ``censored_transform``), through the kernel's
-``terminal`` loop; inputs are checked once, at entry, and a complement
-orbit is a paired one with a zero gap.  The kernel holds only
+in-place sweep in type order per step.  Every vector orbit is one
+``spec.kernel.advance`` call and ``build_survival_table`` one
+``spec.kernel.table`` call, and every walk of the terminal type's
+scalar chain (``harmonic_U``, ``terminal_gap``, ``censored_transform``)
+is one call of the kernel's ``terminal`` loop; inputs are checked once,
+at entry, and a complement orbit is a paired one with a zero gap.  The kernel holds only
 statements whose results are read and that change bits (literal
 parameters, no factor 1.0, no unread survival at b, table sums from
 their first term, ``power_diff`` written out; ``model`` lists the
@@ -152,16 +152,8 @@ def iterate_point(spec: ProcessSpec, s: Sequence[float], m: int
     if m == 0:
         # avoid the complement round trip perturbing the identity map
         return tuple(float(x) for x in s)
-    d = _advance_pair(spec, [1.0 - x for x in s], [0.0] * spec.n_types, m)[0]
+    d = spec.kernel.advance([1.0 - x for x in s], [0.0] * spec.n_types, m)[0]
     return tuple(1.0 - x for x in d)
-
-
-def _advance_pair(spec: ProcessSpec, da: Sequence[float],
-                  delta: Sequence[float], steps: int) -> tuple:
-    """Advance the (complement, gap) pair ``steps`` times, leaving the
-    caller's sequences as they are; with a zero gap this is the
-    complement orbit."""
-    return spec.kernel.advance(da, delta, steps)
 
 
 def conditional_transform(spec: ProcessSpec, table: SurvivalTable,
@@ -178,7 +170,7 @@ def conditional_transform(spec: ProcessSpec, table: SurvivalTable,
     if m == 0:
         # the start state is deterministic, so conditioning is inert
         return sv[0]
-    da, delta = _advance_pair(spec, da, delta, m)
+    da, delta = spec.kernel.advance(da, delta, m)
     num = delta[0]
     if num == 0.0 and all(x > 0.0 for x in sv):
         raise PrecisionLoss(m, "conditional numerator underflowed")
@@ -214,13 +206,13 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
     if n is None:
         du = terminal(1.0 - s_term, 0.0, m - t)[0]
         dvec = [1.0] * (n_types - 1) + [du]
-        return 1.0 - _advance_pair(spec, dvec, [0.0] * n_types, t)[0][0]
+        return 1.0 - spec.kernel.advance(dvec, [0.0] * n_types, t)[0][0]
 
     da, delta, den = _conditioned_start(table, sv, m, n)
     dx, ds = terminal(da[-1], delta[-1], m - t)
     da = [1.0] * (n_types - 1) + [dx]
     delta = [0.0] * (n_types - 1) + [ds]
-    da, delta = _advance_pair(spec, da, delta, t)
+    da, delta = spec.kernel.advance(da, delta, t)
     return delta[0] / den
 
 

@@ -158,11 +158,12 @@ def check_pair_step_consistency(spec: ProcessSpec, s, shrink: float,
 def check_moment_structure(spec: ProcessSpec) -> None:
     md = validate_hypothesis_A(spec)
     n = spec.n_types
-    assert md.mean_matrix.shape == (n, n)
+    assert len(md.mean_matrix) == n
+    assert all(len(row) == n for row in md.mean_matrix)
     for i in range(n):
-        assert abs(md.mean_matrix[i, i] - 1.0) <= 1e-9
+        assert abs(md.mean_matrix[i][i] - 1.0) <= 1e-9
         for j in range(i):
-            assert md.mean_matrix[i, j] == 0.0
+            assert md.mean_matrix[i][j] == 0.0
         assert md.b[i] > 0.0
     cs = constant_set(md)
     for i in range(n):

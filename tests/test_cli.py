@@ -654,3 +654,30 @@ class TestValidationBounds:
         assert main(argv) == 2
         assert capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, least", [
+        # the x = 0.75 part observes at round(0.75 n), before n from n = 3
+        (["theorem", "finalstage", "--n", "2"], 3),
+        # the local mean's censor time n^(2/3) passes n - sqrt(n) below 5
+        (["lemma", "diff", "--n", "4"], 5),
+    ])
+    def test_horizons_below_the_smallest_are_refused_by_name(
+            self, argv, least, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BRANCHLAB_OUTDIR", str(tmp_path))
+        assert main(argv) == 2
+        assert f"horizons start at {least}, got n=" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        # the n/4 pilot at 50 would observe at round(0.99 * 50) = 50
+        ["theorem", "finalstage", "--model", "micro_table", "--x", "0.99",
+         "--n", "200"],
+        # the pilot at 4 would censor at t = 3 after m = 2
+        ["lemma", "diff", "--model", "micro_table", "--n", "8"],
+    ])
+    def test_pilots_run_from_the_smallest_horizon(self, argv, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("BRANCHLAB_OUTDIR", str(tmp_path))
+        assert main(argv) in (0, 1)
+        (artifact,) = tmp_path.iterdir()
+        assert "# band_source:" in artifact.read_text()

@@ -18,6 +18,7 @@ from branchlab.experiments import (
     _Accumulator,
     _band_key,
     _guarded,
+    _log_grid,
     _monotone_toward,
     _run_part,
     band_for,
@@ -351,12 +352,18 @@ class TestDrivers:
     def test_horizon_below_the_pilot_floor_still_reports(self):
         # pilots never run below n = 4, so the drivers' tables reach 4
         # even when the largest horizon is shorter
-        rep = verify_foster(micro_table(), n_grid=(3,))
+        rep = verify_foster(micro_table(), n=3)
         assert rep.details["band_source:type=1"] == "pilot"
         assert all(r.precision_ok for r in rep.rows)
         rep = verify_finalstage(micro_table(), n=3)
         assert rep.details["band_source:x=0.5"] == "pilot"
         assert all(r.precision_ok for r in rep.rows)
+
+    def test_default_grids_are_the_log_grids_of_n(self):
+        # foster and local at the default n = 10000, and diff_lemmas
+        assert _log_grid(100, 10_000, 5) == (100, 316, 1000, 3162, 10000)
+        assert _log_grid(1000, 10_000, 3) == (1000, 3162, 10000)
+        assert _log_grid(100, 50, 5) == (50,)
 
     def test_death_pilots_run_above_the_offset(self):
         # the pilots observe k steps before their horizon, so half and a

@@ -4,8 +4,8 @@
 family's fused pair, each law shape's pair step, the in-place sweep,
 the table loop and the terminal chain.  On random product and table
 models (no criticality assumed), each coordinate of one kernel step,
-``_advance_pair``, ``build_survival_table`` and the kernel's terminal
-loop must return the same bits, ``truncated_at`` included.  The
+the kernel's ``advance``, ``build_survival_table`` and the kernel's
+terminal loop must return the same bits, ``truncated_at`` included.  The
 strategies reach every rule by which the kernel leaves arithmetic out:
 the parameters it folds (a mean or probability of exactly 1.0, the
 counts 0 and 1), a table's all-zero and single nonzero rows, counts up
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import reference_step as ref
 from branchlab.families import Bernoulli, Geometric, PointMass, Poisson
 from branchlab.model import ProcessSpec, ProductLaw, TableLaw
-from branchlab.pgf import _advance_pair, build_survival_table
+from branchlab.pgf import build_survival_table
 from branchlab.zoo import STOCK_MODELS
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -159,7 +159,7 @@ def test_compiled_pair_step_is_the_reference(spec, pair, lower):
 def test_kernel_advance_is_the_reference_sweep(spec, pair, steps):
     n = spec.n_types
     da, delta = pair[0][:n], pair[1][:n]
-    got = _advance_pair(spec, da, delta, steps)
+    got = spec.kernel.advance(da, delta, steps)
     want = ref.advance_pair(spec, da, delta, steps)
     assert [hexes(v) for v in got] == [hexes(v) for v in want]
     assert (list(da), list(delta)) == (pair[0][:n], pair[1][:n])
@@ -246,7 +246,7 @@ def test_stock_kernels_are_the_reference():
         assert_table_is_the_reference(spec, 2000)
         da = [0.7 - 0.2 * j for j in range(spec.n_types)]
         delta = [0.1 / (j + 1) for j in range(spec.n_types)]
-        got = _advance_pair(spec, da, delta, 300)
+        got = spec.kernel.advance(da, delta, 300)
         want = ref.advance_pair(spec, da, delta, 300)
         assert [hexes(v) for v in got] == [hexes(v) for v in want]
 

@@ -27,10 +27,12 @@ README; a member that two classes define needs a user for each
 class.  Every experiment report is built in one place.
 
 Only the sampler imports numpy when it is imported: ``import
-branchlab``, model loading, the kernels and plain orbits run without
-numpy, and the package serves the sampler's names on first use.  The
-runtime dependencies that ``pyproject.toml`` declares are exactly the
-third-party modules the package imports, inside functions too.
+branchlab``, model loading, the kernels and plain orbits, the moment
+checks, the constants and the ``validate`` and ``constants`` commands
+run without numpy, ``cli.py`` names no numpy, and the package serves
+the sampler's names on first use.  The runtime dependencies that
+``pyproject.toml`` declares are exactly the third-party modules the
+package imports, inside functions too.
 """
 
 import ast
@@ -740,15 +742,26 @@ verify_local w_transform w_weighted_mean zoo
 """.split()
 
 WITHOUT_NUMPY = """\
-import sys
+import contextlib, io, os, sys, tempfile
 import branchlab
 import branchlab.cli
-from branchlab import STOCK_MODELS, iterate_point, load_model, stock_model
+from branchlab import (STOCK_MODELS, constant_set, harmonic_U, iterate_point,
+                       load_model, stock_model, validate_hypothesis_A)
 for path in sys.argv[1:]:
     load_model(path)
 for name in STOCK_MODELS:
-    stock_model(name).kernel
+    spec = stock_model(name)
+    spec.kernel
+    constant_set(validate_hypothesis_A(spec))
+    harmonic_U(spec, 0.5, 100)
 iterate_point(stock_model("three_type_chain"), (0.5, 0.5, 0.5), 100)
+with tempfile.TemporaryDirectory() as tmp, \\
+        contextlib.redirect_stdout(io.StringIO()):
+    for name in STOCK_MODELS:
+        for command in ("validate", "constants"):
+            request = branchlab.cli.RunRequest(
+                command, model=name, output=os.path.join(tmp, command))
+            assert branchlab.cli.run(request) == 0
 print(sorted({"numpy", "branchlab.montecarlo"} & set(sys.modules)))
 print(branchlab.estimate_pmf_T is branchlab.montecarlo.estimate_pmf_T)
 names = {}
@@ -756,6 +769,25 @@ exec("from branchlab import *", names)
 print(sorted(set(names) - {"__builtins__"}) == branchlab.__all__)
 print(*branchlab.__all__)
 """
+
+
+def _names_numpy(text):
+    """Lines that name numpy, as a module or as ``np.``."""
+    return [i for i, line in enumerate(text.splitlines(), start=1)
+            if re.search(r"\bnumpy\b|\bnp\.", line)]
+
+
+def test_the_cli_names_no_numpy():
+    assert _names_numpy((SRC / "cli.py").read_text()) == []
+
+
+def test_the_numpy_name_guard_sees_what_it_looks_for():
+    assert _names_numpy("import numpy as np\n"
+                        "x = np.zeros(3)\n"
+                        "# numpy arrays\n"
+                        "rows = table.d.tolist()\n"
+                        "numpyro = 1\n"
+                        "snp.x = 2\n") == [1, 2, 3]
 
 
 def test_the_exact_engine_loads_without_numpy():

@@ -147,7 +147,7 @@ def test_force_skips_enforcement():
         ProductLaw(parent=1, children={1: Geometric(1.2)}),
     ))
     md = validate_hypothesis_A(spec, force=True)
-    assert md.mean_matrix[0, 0] == pytest.approx(1.2)
+    assert md.mean_matrix[0][0] == pytest.approx(1.2)
 
 
 def test_table_law_validation():

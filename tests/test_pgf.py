@@ -10,7 +10,6 @@ from branchlab.families import Geometric
 from branchlab.model import ProcessSpec, ProductLaw
 from branchlab.pgf import (
     SurvivalTable,
-    _advance_pair,
     _terminal_b,
     build_survival_table,
     censored_transform,
@@ -456,7 +455,7 @@ def assert_sweep_matches_oracle(spec, point, gaps, steps, n_max):
     da = [1.0 - x for x in point]
     delta = [g * x for g, x in zip(gaps, point)]
     da_in, delta_in = list(da), list(delta)
-    got = _advance_pair(spec, da, delta, steps)
+    got = spec.kernel.advance(da, delta, steps)
     # the caller's lists are copied, never stepped in place
     assert (da, delta) == (da_in, delta_in)
     want = simultaneous_pair(spec, da, delta, steps)
