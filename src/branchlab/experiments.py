@@ -531,10 +531,10 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
 def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
                  lambdas: Sequence[float] = (0.5, 1.0, 2.0)) -> ConvergenceReport:
     """Conditional transform k steps before extinction at n, k = o(n)."""
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     b_N = constant_set(validate_hypothesis_A(spec)).b[-1]
-    table = _driver_table(spec, n)
+    table = _driver_table(spec, n, k + 1)
     acc = _Accumulator("death", spec.name)
 
     def finite(nn: int, lam: float, s_lower: float = 1.0) -> float:
@@ -567,13 +567,13 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
     which telescopes to exactly 1.
     """
     for k in ks:
-        if not 0 <= k < n:
-            raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+        if k < 0:
+            raise ValueError(f"need k >= 0, got k={k}")
     for s in s_grid:
         if not 0.0 < s < 1.0:
             raise ValueError(f"need 0 < s < 1, got s={s}")
     validate_hypothesis_A(spec)
-    table = _driver_table(spec, n)
+    table = _driver_table(spec, n, max(ks, default=0) + 1)
     u_eval = make_u_evaluator(spec, n_u)
     acc = _Accumulator("deathfin", spec.name)
 

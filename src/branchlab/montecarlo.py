@@ -7,8 +7,11 @@ Geometric sums via negative binomial, table rows via a multinomial
 split).  Replicates run in fixed chunks, each chunk on its own
 counter-based RNG stream keyed by (master_seed, chunk index), so
 results are reproducible bit for bit no matter how many worker
-processes participate in a run.  Workers only simulate; functionals are
-always evaluated in the calling process.
+processes participate in a run.  One process advances a group of
+chunks together: each chunk still makes its own draws on its own
+stream, while the bookkeeping of a generation (totals, deaths, the
+cap, snapshots) runs once for the whole group.  Workers only simulate
+whole groups; functionals are always evaluated in the calling process.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ __all__ = [
 # Replicates per RNG stream.  Part of the reproducibility contract:
 # changing it reshuffles which replicate sees which random draw.
 CHUNK = 1024
+# Chunks one process advances together.  Changes no bit: only how many
+# chunks share each pass of the per-generation bookkeeping, and with it
+# the peak memory of a run.
+GROUP = 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -140,74 +147,88 @@ class EstimateWithCI:
             raise ValueError("acceptance rate must lie in [0, 1]")
 
 
-def _run_chunk(spec: ProcessSpec, config: SimConfig, stream_index: int,
-               count: int, horizon: int, flows=None):
-    """Advance ``count`` replicates on one RNG stream for ``horizon`` steps.
+def _run_chunks(spec: ProcessSpec, config: SimConfig, group, horizon: int,
+                flows=None):
+    """Advance the replicates of ``group`` for ``horizon`` steps.
 
-    Returns per-replicate arrays: extinction time (0 = not observed),
+    ``group`` is a run of consecutive (stream index, size) chunks, each
+    but the last of CHUNK rows, so row r belongs to chunk r // CHUNK.
+    Every chunk draws from its own stream exactly what it would draw
+    alone: per generation, law and child, one call on its parents of
+    that type in row order.  Everything else runs once per generation
+    for the whole group, over one count column per type of the live
+    rows.
+
+    Returns per-row arrays: extinction time (0 = not observed),
     cap-censoring step (0 = never), first lower-block extinction step
     (-1 = never), accumulated last-type immigrant count, and recorded
-    snapshots.  ``flows`` is an audit hook for single-replicate runs:
-    called once per step with (t, parents vector, flow matrix, children
-    vector) where flow[i][j] counts type-j children of type-i parents.
+    snapshots (zero where a row no longer lived).  ``flows`` is an
+    audit hook for single-replicate runs: called once per step with
+    (t, parents vector, flow matrix, children vector) where flow[i][j]
+    counts type-j children of type-i parents.
     """
     n = spec.n_types
-    key = [config.master_seed & _MASK64, stream_index & _MASK64]
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rngs = [np.random.Generator(np.random.Philox(
+        key=[config.master_seed & _MASK64, index & _MASK64])) for index, _ in group]
+    rows = sum(size for _, size in group)
+    bounds = CHUNK * np.arange(1, len(group))
 
-    z = np.zeros((count, n), dtype=np.int64)
-    z[:, 0] = 1
-    T = np.zeros(count, dtype=np.int64)
-    capped = np.zeros(count, dtype=np.int64)
-    early = np.full(count, -1, dtype=np.int64)
-    if n == 1:
-        early[:] = 0  # the block below the last type is empty from the start
-    w = np.zeros(count, dtype=np.int64)
-    snaps = {m: z.copy() for m in config.snapshot_times if m == 0}
-    snap_set = set(config.snapshot_times)
-    alive = np.ones(count, dtype=bool)
+    T = np.zeros(rows, dtype=np.int64)
+    capped = np.zeros(rows, dtype=np.int64)
+    # with one type the block below the last is empty from the start
+    early = np.full(rows, 0 if n == 1 else -1, dtype=np.int64)
+    w = np.zeros(rows, dtype=np.int64)
+    snaps = {m: np.zeros((rows, n), dtype=np.int64) for m in config.snapshot_times}
+    if 0 in snaps:
+        snaps[0][:, 0] = 1
+    idx = np.arange(rows)
+    live = [np.full(rows, int(i == 0), dtype=np.int64) for i in range(n)]
 
     for t in range(1, horizon + 1):
-        idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        zt = z[idx]
-        new = np.zeros_like(zt)
-        feed = np.zeros(idx.size, dtype=np.int64)
+        new = [np.zeros(idx.size, dtype=np.int64) for _ in range(n)]
         flow_mat = np.zeros((n, n), dtype=np.int64) if flows is not None else None
         for i, law in enumerate(spec.laws):
-            sub = np.flatnonzero(zt[:, i] > 0)
+            sub = np.flatnonzero(live[i])
             if sub.size == 0:
                 continue
-            for j, vals in law.draws(zt[sub, i], rng):
-                new[sub, j] += vals
+            full = sub.size == idx.size
+            parents = live[i] if full else live[i][sub]
+            cut = np.searchsorted(idx[sub], bounds) if bounds.size else ()
+            cuts = (0, *cut, sub.size)
+            drawn = [dict(law.draws(parents[lo:hi], rng))
+                     for rng, lo, hi in zip(rngs, cuts, cuts[1:]) if lo < hi]
+            for j in drawn[0]:
+                vals = np.concatenate([chunk[j] for chunk in drawn])
+                if full:
+                    new[j] += vals
+                else:
+                    new[j][sub] += vals
                 if j == n - 1 and i < n - 1:
-                    feed[sub] += vals
+                    w[idx if full else idx[sub]] += vals
                 if flow_mat is not None:
                     flow_mat[i, j] += int(vals.sum())
         if flows is not None:
-            flows(t, zt[0].copy(), flow_mat, new[0].copy())
+            flows(t, np.array([col[0] for col in live]), flow_mat,
+                  np.array([col[0] for col in new]))
 
-        z[idx] = new
-        w[idx] += feed
-        totals = new.sum(axis=1)
-        if n >= 2:
-            lows = totals - new[:, n - 1]
-            hit = (lows == 0) & (early[idx] < 0)
-            early[idx[hit]] = t
+        lows = sum(new[:-1])  # 0 for one type, whose early is already 0
+        totals = lows + new[-1]
+        hit = (lows == 0) & (early[idx] < 0)
+        early[idx[hit]] = t
         died = totals == 0
         T[idx[died]] = t
         over = totals > config.population_cap
         capped[idx[over]] = t
-        alive[idx] = ~(died | over)
-        if t in snap_set:
-            snaps[t] = z.copy()
-
-    for m in config.snapshot_times:
-        # reached only when every replicate stopped early; dead rows are
-        # genuinely zero from then on, capped rows get filtered upstream
-        if m not in snaps:
-            snaps[m] = z.copy()
+        if t in snaps:
+            snaps[t][idx] = np.stack(new, axis=1)
+        stop = died | over
+        if stop.any():
+            keep = ~stop
+            idx = idx[keep]
+            new = [col[keep] for col in new]
+        live = new
     return T, capped, early, w, snaps
 
 
@@ -240,56 +261,51 @@ def simulate_once(spec: ProcessSpec, config: SimConfig, stream_index: int,
     is called each generation with (t, parents, flow matrix, children)
     so tests can audit that the population update conserves offspring.
     """
-    out = _run_chunk(spec, config, stream_index, 1, config.max_steps,
-                     flows=record_flows)
+    out = _run_chunks(spec, config, [(stream_index, 1)], config.max_steps,
+                      flows=record_flows)
     return _summary_from_row(config, config.max_steps, 0, *out)
 
 
-def _chunk_layout(total: int) -> list[tuple[int, int]]:
-    layout = []
-    start = 0
-    while start < total:
-        layout.append((len(layout), min(CHUNK, total - start)))
-        start += CHUNK
-    return layout
+def _chunk_layout(total: int) -> list[list[tuple[int, int]]]:
+    """The (stream index, size) chunks of ``total`` replicates, CHUNK
+    rows each but the last, in groups of GROUP consecutive chunks."""
+    chunks = [(c, min(CHUNK, total - c * CHUNK))
+              for c in range(-(-total // CHUNK))]
+    return [chunks[g:g + GROUP] for g in range(0, len(chunks), GROUP)]
 
 
-def _pool_size(workers: int, chunks: int) -> int:
-    """Worker processes for a run: never more than chunks or cores."""
-    return max(1, min(workers, chunks, os.cpu_count() or 1))
+def _pool_size(workers: int, groups: int) -> int:
+    """Worker processes for a run: never more than groups or cores."""
+    return max(1, min(workers, groups, os.cpu_count() or 1))
 
 
-def _map_chunks(job, layout, workers: int) -> list:
-    """``job`` over every (index, size) pair, results in chunk order.
+def _map_groups(job, groups, workers: int) -> list:
+    """``job`` over every group of chunks, results in group order.
 
     ``job`` must pickle (a module-level function, or a partial of one)
     whenever more than one process is used.
     """
-    procs = _pool_size(workers, len(layout))
+    procs = _pool_size(workers, len(groups))
     if procs <= 1:
-        return [job(pair) for pair in layout]
+        return [job(group) for group in groups]
     from concurrent.futures import ProcessPoolExecutor
 
-    # about four batches per process: few round trips, even finish
-    chunksize = -(-len(layout) // (4 * procs))
     with ProcessPoolExecutor(max_workers=procs) as pool:
-        return list(pool.map(job, layout, chunksize=chunksize))
+        return list(pool.map(job, groups))
 
 
-def _pmf_job(spec: ProcessSpec, config: SimConfig, pair) -> np.ndarray:
-    """Extinction-time counts of one chunk, indexed by generation."""
-    index, size = pair
-    T, *_ = _run_chunk(spec, config, index, size, config.max_steps)
+def _pmf_job(spec: ProcessSpec, config: SimConfig, group) -> np.ndarray:
+    """Extinction-time counts of one group, indexed by generation."""
+    T, *_ = _run_chunks(spec, config, group, config.max_steps)
     return np.bincount(T[T > 0], minlength=config.max_steps + 1)
 
 
-def _accepted_job(spec: ProcessSpec, config: SimConfig, n: int, pair):
-    """The rows of one chunk that die at exactly ``n``.
+def _accepted_job(spec: ProcessSpec, config: SimConfig, n: int, group):
+    """The rows of one group that die at exactly ``n``.
 
-    Same layout as ``_run_chunk``'s result, sliced to the accepted rows.
+    Same layout as ``_run_chunks``'s result, sliced to the accepted rows.
     """
-    index, size = pair
-    T, capped, early, w, snaps = _run_chunk(spec, config, index, size, n)
+    T, capped, early, w, snaps = _run_chunks(spec, config, group, n)
     rows = np.flatnonzero(T == n)
     return (T[rows], capped[rows], early[rows], w[rows],
             {m: arr[rows] for m, arr in snaps.items()})
@@ -302,11 +318,11 @@ def estimate_pmf_T(spec: ProcessSpec, config: SimConfig, *,
     Returns one entry per generation up to ``config.max_steps``; mass
     escaping past the horizon (or censored by the population cap) is
     simply absent, so the values sum to at most one.  Output is
-    bitwise identical for any ``workers`` value: chunk results are
+    bitwise identical for any ``workers`` value: group results are
     integer counts and merging is plain addition.
     """
     job = partial(_pmf_job, spec, config)
-    counts = sum(_map_chunks(job, _chunk_layout(config.replicates), workers))
+    counts = sum(_map_groups(job, _chunk_layout(config.replicates), workers))
     reps = config.replicates
     out = {}
     for t in range(1, config.max_steps + 1):
@@ -334,7 +350,7 @@ def conditional_estimate(spec: ProcessSpec, config: SimConfig, n: int,
 
     job = partial(_accepted_job, spec, config, n)
     values: list[float] = []
-    for rows in _map_chunks(job, _chunk_layout(config.replicates), workers):
+    for rows in _map_groups(job, _chunk_layout(config.replicates), workers):
         for r in range(rows[0].size):
             summary = _summary_from_row(config, n, r, *rows)
             values.append(float(functional(summary)))

@@ -113,14 +113,16 @@ class TestExitCodes:
 
     def test_deathfin_offset_outside_the_horizon_is_rejected(self, tmp_path,
                                                                capsys):
-        # checked before any table is built, naming k as death does
+        # checked before any table is built, naming the smallest
+        # horizon k + 1 as death does
         for k in (100, 150):
-            with pytest.raises(ValueError, match=f"k={k}"):
+            with pytest.raises(ValueError,
+                               match=f"horizons start at {k + 1}, got n=100"):
                 verify_deathfin(two_type_cascade(), n=100, ks=(k,))
         out = tmp_path / "df.csv"
         assert main(["theorem", "deathfin", "--n", "100", "--k", "150",
                      "--output", str(out)]) == 2
-        assert "k=150" in capsys.readouterr().err
+        assert "horizons start at 151, got n=100" in capsys.readouterr().err
         assert not out.exists()
         # s = 0 and s = 1 put the orbit's argument or the limit's bracket
         # out of range; both are rejected up front, naming s
@@ -660,12 +662,22 @@ class TestValidationBounds:
         (["theorem", "finalstage", "--n", "2"], 3),
         # the local mean's censor time n^(2/3) passes n - sqrt(n) below 5
         (["lemma", "diff", "--n", "4"], 5),
+        # the default offsets: deathfin's largest k is 5, death's k is 200
+        (["theorem", "deathfin", "--n", "3"], 6),
+        (["theorem", "death", "--n", "150"], 201),
     ])
     def test_horizons_below_the_smallest_are_refused_by_name(
             self, argv, least, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BRANCHLAB_OUTDIR", str(tmp_path))
         assert main(argv) == 2
         assert f"horizons start at {least}, got n=" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_death_offset_below_one_keeps_its_own_message(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BRANCHLAB_OUTDIR", str(tmp_path))
+        assert main(["theorem", "death", "--k", "0"]) == 2
+        assert "need k >= 1, got k=0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

@@ -6,19 +6,23 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from branchlab import zoo
+from branchlab import montecarlo, zoo
 from branchlab.errors import AcceptanceTooLow
 from branchlab.families import Geometric, PointMass, Poisson
 from branchlab.model import ProcessSpec, ProductLaw
 from branchlab.montecarlo import (
+    CHUNK,
+    GROUP,
     Censored,
     EstimateWithCI,
     SimConfig,
+    _chunk_layout,
     _pool_size,
     conditional_estimate,
     estimate_pmf_T,
@@ -266,14 +270,15 @@ class TestWorkerPool:
         cfg = SimConfig(master_seed=505, replicates=500, max_steps=20)
         assert estimate_pmf_T(spec, cfg, workers=7) == \
             estimate_pmf_T(spec, cfg, workers=1)
-        # three chunks: a pool smaller than the worker request
-        cfg = SimConfig(master_seed=606, replicates=2_500, max_steps=10,
-                        snapshot_times=(1,))
+        # three groups: a pool smaller than the worker request
+        cfg = SimConfig(master_seed=606, replicates=2 * GROUP * CHUNK + 500,
+                        max_steps=10, snapshot_times=(1,))
+        assert len(_chunk_layout(cfg.replicates)) == 3
         fn = lambda s: 0.5 ** s.snapshots[1][1]
         assert conditional_estimate(spec, cfg, 3, fn, workers=7) == \
             conditional_estimate(spec, cfg, 3, fn, workers=1)
 
-    def test_pool_size_caps_at_cores_and_chunks(self):
+    def test_pool_size_caps_at_cores_and_groups(self):
         cores = os.cpu_count() or 1
         assert _pool_size(10**6, 10**6) == cores
         assert _pool_size(10**6, 3) == min(3, cores)
@@ -281,6 +286,54 @@ class TestWorkerPool:
         assert _pool_size(1, 10**6) == 1
         assert _pool_size(0, 10**6) == 1
         assert not multiprocessing.active_children()
+
+
+# --------------------------------------------------------------- grouping
+
+
+def _grouped_run(spec, n, group, monkeypatch):
+    """A pmf and a conditional estimate at ``GROUP = group``, with every
+    accepted summary; six chunks, a cap of 40 and snapshots at 0 and
+    past ``n``."""
+    monkeypatch.setattr(montecarlo, "GROUP", group)
+    common = dict(replicates=5 * CHUNK + 37, max_steps=n + 4,
+                  population_cap=40)
+    pmf = estimate_pmf_T(spec, SimConfig(master_seed=71, **common), workers=2)
+    cfg = SimConfig(master_seed=72, snapshot_times=(0, n // 2, n + 3),
+                    **common)
+    summaries = []
+
+    def fn(s):
+        summaries.append(s)
+        return float(s.W_N)
+
+    est = conditional_estimate(spec, cfg, n, fn, workers=2)
+    return pmf, est, summaries
+
+
+@pytest.mark.parametrize("name", sorted(zoo.STOCK_MODELS))
+def test_grouping_changes_no_result(name, monkeypatch):
+    # GROUP = 1 advances every chunk alone, on its own stream
+    spec = zoo.stock_model(name)
+    alone = _grouped_run(spec, 8, 1, monkeypatch)
+    for group in (3, GROUP):
+        assert _grouped_run(spec, 8, group, monkeypatch) == alone
+    cfg = SimConfig(master_seed=71, max_steps=12, population_cap=40)
+    capped = montecarlo._run_chunks(spec, cfg, [(0, CHUNK)], 12)[1]
+    assert capped.any()  # the cap bites
+
+
+def test_a_serial_run_holds_one_group_at_a_time():
+    spec = zoo.two_type_cascade()
+    estimate_pmf_T(spec, SimConfig(master_seed=5, replicates=10, max_steps=2))
+    cfg = SimConfig(master_seed=5, replicates=200_000, max_steps=30)
+    tracemalloc.start()
+    try:
+        estimate_pmf_T(spec, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 # ----------------------------------------------------------------- golden
