@@ -2,20 +2,19 @@
 
 Each driver evaluates the exact engine on a parameter grid, divides by
 the corresponding limit value, and reports the ratios.  Verdicts are
-judged against tolerance bands frozen from pilot runs at half and a
-quarter of the target horizon (the limits come with no convergence
-rates, so acceptance has to be trend-based).  Registered bands live in
-``data/bands.json``; unregistered model/experiment pairs fall back to
-an on-the-fly pilot with the same rule.
+judged against tolerance bands from one rule: pilot values at half and
+a quarter of the requested horizon, computed with the run (the limits
+come with no convergence rates, so acceptance has to be trend-based).
+Each band is recorded with the pilot pair it came from.  ``death`` and
+``deathfin`` take their pilots as checkpoints of the orbit that gives
+the largest horizon's row, so the pilots cost them no orbit steps.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .constants import constant_set
@@ -26,6 +25,7 @@ from .pgf import (
     SurvivalTable,
     build_survival_table,
     censored_transform,
+    conditional_orbit,
     conditional_transform,
     extinction_time_pmf,
     harmonic_U,
@@ -37,12 +37,9 @@ from .pgf import (
 __all__ = [
     "ConvergenceReport",
     "ReportRow",
-    "band_for",
-    "calibrate",
     "limit_death",
     "limit_deathfin",
     "limit_finalstage",
-    "load_bands",
     "make_u_evaluator",
     "verify_death",
     "verify_deathfin",
@@ -82,7 +79,10 @@ def _fmt(x) -> str:
 
 
 def _clean(x):
-    """JSON has no NaN or infinity: non-finite floats become null."""
+    """JSON has no NaN or infinity: non-finite floats become null, also
+    inside a band or a pilot pair."""
+    if isinstance(x, tuple):
+        return [_clean(v) for v in x]
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
@@ -158,7 +158,7 @@ class ConvergenceReport:
             "model": self.model,
             "passed": self.passed,
             "grid": {name: list(values) for name, values in self.grid},
-            "bands": {part or "all": list(b) for part, b in self.bands.items()},
+            "bands": {part or "all": _clean(b) for part, b in self.bands.items()},
             "details": {k: _clean(v) for k, v in self.details.items()},
             "rows": [
                 {
@@ -192,33 +192,6 @@ class ConvergenceReport:
 
 
 # ------------------------------------------------------------------ bands
-
-
-@lru_cache(maxsize=1)
-def load_bands() -> dict:
-    """Frozen tolerance bands shipped with the package."""
-    ref = resources.files("branchlab").joinpath("data/bands.json")
-    try:
-        return json.loads(ref.read_text())
-    except FileNotFoundError:
-        return {}
-
-
-def _band_key(experiment: str, part: str, model: str) -> str:
-    return f"{experiment}:{part}@{model}" if part else f"{experiment}@{model}"
-
-
-# calibrate() flips this on so every part recomputes its pilot band
-_calibrating = False
-
-
-def band_for(experiment: str, part: str, model: str):
-    if _calibrating:
-        return None
-    entry = load_bands().get(_band_key(experiment, part, model))
-    if entry is None:
-        return None
-    return (entry["lo"], entry["hi"])
 
 
 def pilot_band(half: float, quarter: float) -> tuple[float, float]:
@@ -315,45 +288,34 @@ def _monotone_toward(rows: Sequence[ReportRow], center: float) -> bool:
     return shrinking or rising or falling
 
 
-def _resolve_band(experiment: str, part: str, model: str,
-                  pilot: Callable[[], tuple[float, float]],
-                  details: dict) -> tuple[float, float]:
-    stored = band_for(experiment, part, model)
-    if stored is not None:
-        details[f"band_source:{part or 'all'}"] = "registry"
-        return stored
-    half, quarter = pilot()
-    details[f"band_source:{part or 'all'}"] = "pilot"
-    details[f"pilot:{part or 'all'}"] = (half, quarter)
-    return pilot_band(half, quarter)
-
-
 def _score(value: float, limit: float) -> float:
     """What a band constrains: the ratio, or the value when the limit is 0."""
     return value if limit == 0.0 else value / limit
 
 
-def _run_part(experiment: str, model: str, part: str, grid: Sequence[int],
+def _run_part(part: str, grid: Sequence[int],
               params: tuple[tuple[str, float], ...], limit: float,
               value: Callable[[int], float], details: dict, floor: int = 1,
               ) -> tuple[list[ReportRow], tuple[float, float], bool]:
-    """Rows, band and verdict of one part: a guarded row per horizon in
-    ``grid``, the band from the registry or else from pilots at half and
-    a quarter of the largest horizon (never below ``_MIN_PILOT`` nor
-    below ``floor``, the smallest horizon the part can evaluate, which
-    ``_driver_table`` has checked the grid against), and a verdict that
-    wants clean rows and the last row's score in band."""
-    rows = []
-    for n in grid:
-        v, ok = _guarded(lambda: value(n))
-        rows.append(ReportRow(part, (("n", float(n)),) + params, v, limit, ok))
+    """Rows, band and verdict of one part.
+
+    ``value`` runs, guarded, at every horizon in ``grid`` and at the
+    pilots, half and a quarter of the largest horizon (never below
+    ``_MIN_PILOT`` nor below ``floor``, the smallest horizon the part
+    can evaluate, which ``_driver_table`` has checked the grid against),
+    in ascending order, so that a checkpointed orbit runs once.  The
+    grid gives the rows, the pilots the band (recorded as ``pilot:``
+    details; a failed pilot is nan), and the verdict wants every
+    horizon clean and the last row's score in band."""
     n_max = max(grid)
-    band = _resolve_band(
-        experiment, part, model,
-        lambda: tuple(_score(value(max(_MIN_PILOT, floor, n_max // d)), limit)
-                      for d in (2, 4)),
-        details)
-    ok = (all(r.precision_ok for r in rows)
+    pilots = [max(_MIN_PILOT, floor, n_max // d) for d in (2, 4)]
+    got = {n: _guarded(lambda: value(n)) for n in sorted({*grid, *pilots})}
+    rows = [ReportRow(part, (("n", float(n)),) + params, got[n][0], limit,
+                      got[n][1]) for n in grid]
+    half, quarter = (_score(got[n][0], limit) for n in pilots)
+    details[f"pilot:{part or 'all'}"] = (half, quarter)
+    band = pilot_band(half, quarter)
+    ok = (all(clean for _, clean in got.values())
           and _in_band(_score(rows[-1].value, limit), band))
     return rows, band, ok
 
@@ -394,8 +356,7 @@ class _Accumulator:
              value: Callable[[int], float], floor: int = 1) -> list[ReportRow]:
         """One part through ``_run_part``; its verdict counts."""
         rows, self.bands[part], ok = _run_part(
-            self.experiment, self.model, part, grid, params, limit, value,
-            self.details, floor)
+            part, grid, params, limit, value, self.details, floor)
         self.add(ok, *rows)
         return rows
 
@@ -471,10 +432,11 @@ def verify_local(spec: ProcessSpec, n: int = 10_000) -> ConvergenceReport:
 # ------------------------------------------------- conditioned transforms
 
 
-def _cond_value(spec: ProcessSpec, table: SurvivalTable, theta: float,
-                m: int, n: int, s_lower: float = 1.0) -> float:
-    s = [s_lower] * (spec.n_types - 1) + [math.exp(-theta)]
-    return conditional_transform(spec, table, tuple(s), m=m, n=n)
+def _cond_point(spec: ProcessSpec, theta: float,
+                s_lower: float = 1.0) -> tuple[float, ...]:
+    """The transform's argument: exp(-theta) on the last type, s_lower
+    on the others."""
+    return (s_lower,) * (spec.n_types - 1) + (math.exp(-theta),)
 
 
 def _least_horizon(x: float) -> int:
@@ -505,8 +467,9 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
     acc = _Accumulator("finalstage", spec.name)
 
     def finite(nn: int, x: float, s_lower: float = 1.0) -> float:
-        return _cond_value(spec, table, lam / (b_N * nn), round(x * nn), nn,
-                           s_lower)
+        return conditional_transform(
+            spec, table, _cond_point(spec, lam / (b_N * nn), s_lower),
+            round(x * nn), nn)
 
     for part, x, s_lower in checks:
         acc.part(part, (n,), (("lam", lam), ("x", x)),
@@ -514,7 +477,8 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
                  lambda nn, x=x, s_lower=s_lower: finite(nn, x, s_lower),
                  floor=least)
 
-    acc.normalization(lambda: _cond_value(spec, table, 0.0, round(0.5 * n), n),
+    acc.normalization(lambda: conditional_transform(
+                          spec, table, _cond_point(spec, 0.0), round(0.5 * n), n),
                       (("n", float(n)), ("lam", 0.0), ("x", 0.5)))
 
     # where the two asymptotic regimes meet, their limits must agree
@@ -537,17 +501,18 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
     table = _driver_table(spec, n, k + 1)
     acc = _Accumulator("death", spec.name)
 
-    def finite(nn: int, lam: float, s_lower: float = 1.0) -> float:
-        return _cond_value(spec, table, lam / (b_N * k), nn - k, nn, s_lower)
+    def orbit(lam: float, s_lower: float = 1.0) -> Callable[[int], float]:
+        # one orbit gives the row at n and both pilots
+        return conditional_orbit(
+            spec, table, _cond_point(spec, lam / (b_N * k), s_lower), k)
 
     checks = [(f"lam={lam:g}", lam, 1.0) for lam in lambdas]
     checks.append(("insensitivity:lam=1", 1.0, 0.5))
     for part, lam, s_lower in checks:
         acc.part(part, (n,), (("k", float(k)), ("lam", lam)), limit_death(lam),
-                 lambda nn, lam=lam, s_lower=s_lower: finite(nn, lam, s_lower),
-                 floor=k + 1)
+                 orbit(lam, s_lower), floor=k + 1)
 
-    acc.normalization(lambda: finite(n, 0.0),
+    acc.normalization(lambda: orbit(0.0)(n),
                       (("n", float(n)), ("k", float(k)), ("lam", 0.0)))
 
     return acc.report(("n", (float(n),)), ("k", (float(k),)),
@@ -577,14 +542,13 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
     u_eval = make_u_evaluator(spec, n_u)
     acc = _Accumulator("deathfin", spec.name)
 
-    def finite(nn: int, k: int, s: float) -> float:
-        return _cond_value(spec, table, -math.log(s), nn - (k + 1), nn)
-
     for k in ks:
         for s in s_grid:
+            # one orbit gives the row at n and both pilots
             acc.part(f"k={k},s={s:g}", (n,), (("k", float(k)), ("s", s)),
                      limit_deathfin(s, k, u_eval, table),
-                     lambda nn, k=k, s=s: finite(nn, k, s),
+                     conditional_orbit(spec, table,
+                                       _cond_point(spec, -math.log(s)), k + 1),
                      floor=k + 1)
 
         # the limit's bracket at s_N -> 1 telescopes to exactly one
@@ -640,22 +604,14 @@ def verify_laplace_W(spec: ProcessSpec) -> ConvergenceReport:
     acc.details.update(slope=float(slope), gamma_1=gamma1,
                        amplitude_estimate=math.exp(intercept),
                        amplitude_ratio=amp_ratio)
-    slope_band = band_for("laplace_W", "slope", spec.name)
-    if slope_band is None:
-        slope_band = (gamma1 - 0.03, gamma1 + 0.03)
-        acc.details["band_source:slope"] = "declared-default"
-    else:
-        acc.details["band_source:slope"] = "registry"
-    acc.bands["slope"] = slope_band
+    slope_band = acc.bands["slope"] = (gamma1 - 0.03, gamma1 + 0.03)
 
-    def amp_pilot():
-        # pilot regression over the coarse upper half of the grid
-        upper = len(clean) // 2
-        s, i = np.polyfit(logt[upper:], logv[upper:], 1)
-        return amp_ratio, math.exp(i) / amplitude
-
-    amp_band = acc.bands["amplitude"] = _resolve_band(
-        "laplace_W", "amplitude", spec.name, amp_pilot, acc.details)
+    # pilot regression over the coarse upper half of the grid
+    upper = len(clean) // 2
+    _, coarse = np.polyfit(logt[upper:], logv[upper:], 1)
+    pilot = acc.details["pilot:amplitude"] = (
+        amp_ratio, math.exp(coarse) / amplitude)
+    amp_band = acc.bands["amplitude"] = pilot_band(*pilot)
 
     acc.add(all(r.precision_ok for r in rows)
             and _in_band(float(slope), slope_band)
@@ -739,8 +695,8 @@ def verify_diff_lemmas(spec: ProcessSpec, *, n: int = 10_000,
             return 1.0 - censored_transform(spec, table, ones, l, l, n)
 
         part_rows, band, _ = _run_part(
-            "diff_lemmas", spec.name, part, n_grid, (("e", expo),), 0.0,
-            value_at, acc.details, _DIFF_FLOOR)
+            part, n_grid, (("e", expo),), 0.0, value_at, acc.details,
+            _DIFF_FLOOR)
         # limit is zero: constrain the value, from below by nothing
         band = acc.bands[part] = (0.0, max(band[1], band[0]))
         final = part_rows[-1]
@@ -752,68 +708,3 @@ def verify_diff_lemmas(spec: ProcessSpec, *, n: int = 10_000,
                 and _in_band(final.value, band), *part_rows)
 
     return acc.report(*grid)
-
-
-# ------------------------------------------------------------- calibration
-
-
-def _registered_runs():
-    from . import zoo
-
-    geo = zoo.single_geometric()
-    casc = zoo.two_type_cascade()
-    chain = zoo.three_type_chain()
-    return [
-        ("foster", geo, verify_foster, {}),
-        ("foster", casc, verify_foster, {}),
-        ("foster", chain, verify_foster, {}),
-        ("local", geo, verify_local, {}),
-        ("local", casc, verify_local, {}),
-        ("local", chain, verify_local, {}),
-        ("finalstage", geo, verify_finalstage, {}),
-        ("finalstage", casc, verify_finalstage, {}),
-        ("death", geo, verify_death, {}),
-        ("death", casc, verify_death, {}),
-        ("deathfin", geo, verify_deathfin, {}),
-        ("deathfin", casc, verify_deathfin, {}),
-        ("laplace_W", casc, verify_laplace_W, {}),
-        ("laplace_W", chain, verify_laplace_W, {}),
-        ("diff_lemmas", geo, verify_diff_lemmas, {}),
-        ("diff_lemmas", casc, verify_diff_lemmas, {}),
-    ]
-
-
-def calibrate(out_path=None) -> dict:
-    """Re-freeze the tolerance bands for the stock models.
-
-    Runs every registered experiment with the registry masked so each
-    part computes its pilot band, then writes the collected bands to
-    ``data/bands.json`` (or ``out_path``).  Slope bands for the
-    transform-tail regression are declared at the acceptance tolerance
-    rather than piloted.
-    """
-    global _calibrating
-    entries: dict[str, dict] = {}
-    _calibrating = True
-    try:
-        for experiment, spec, fn, kw in _registered_runs():
-            report = fn(spec, **kw)
-            for part in sorted(report.bands):
-                lo, hi = report.bands[part]
-                key = _band_key(experiment, part, spec.name)
-                entry: dict = {"lo": lo, "hi": hi}
-                pilot = report.details.get(f"pilot:{part or 'all'}")
-                if pilot is not None:
-                    entry["pilot"] = list(pilot)
-                if report.details.get(f"band_source:{part or 'all'}") \
-                        == "declared-default":
-                    entry["declared"] = True
-                entries[key] = entry
-    finally:
-        _calibrating = False
-    if out_path is None:
-        out_path = resources.files("branchlab").joinpath("data/bands.json")
-    with open(str(out_path), "w") as fh:
-        fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
-    load_bands.cache_clear()
-    return entries

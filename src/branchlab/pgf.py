@@ -20,7 +20,12 @@ in-place sweep in type order per step.  Every vector orbit is one
 ``spec.kernel.table`` call, and every walk of the terminal type's
 scalar chain (``harmonic_U``, ``terminal_gap``, ``censored_transform``)
 is one call of the kernel's ``terminal`` loop; inputs are checked once,
-at entry, and a complement orbit is a paired one with a zero gap.  The kernel holds only
+at entry, and a complement orbit is a paired one with a zero gap.  The
+one checkpointed orbit is the conditioned one a fixed k steps before
+extinction: its start does not depend on the horizon n, so
+``conditional_orbit`` gives its values at ascending n from one chain
+of ``advance`` calls, and ``conditional_transform`` is its one-horizon
+case.  The kernel holds only
 statements whose results are read and that change bits (literal
 parameters, no factor 1.0, no unread survival at b, table sums from
 their first term, ``power_diff`` written out; ``model`` lists the
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import InvalidMoments, PrecisionLoss, SlowConvergence, UnreachableEvent
 from .model import ProcessSpec, _collect_moments, check_point
@@ -156,25 +161,49 @@ def iterate_point(spec: ProcessSpec, s: Sequence[float], m: int
     return tuple(1.0 - x for x in d)
 
 
-def conditional_transform(spec: ProcessSpec, table: SurvivalTable,
-                          s: Sequence[float], m: int, n: int) -> float:
-    """E[prod_j s_j^{Z_j(m)} | T = n], exactly, from the paired orbit.
+def conditional_orbit(spec: ProcessSpec, table: SurvivalTable,
+                      s: Sequence[float], k: int) -> Callable[[int], float]:
+    """n -> E[prod_j s_j^{Z_j(n-k)} | T = n], k steps before extinction,
+    exactly, from one paired orbit.
 
-    Requires 0 <= m < n <= table horizon.  The start state is one
-    type-1 particle.
+    The orbit starts from (s * q(k), s * q(k-1)), which does not depend
+    on n, so the value at one horizon is a prefix of the orbit of every
+    later one: calls at ascending n continue one chain of
+    ``spec.kernel.advance`` calls, and a call below the last one starts
+    the chain again.  Each call keeps its own checks (0 <= n-k < n <=
+    table horizon, P(T = n) > 0, a numerator that did not underflow),
+    so a horizon that fails them does not stop the later ones.  The
+    start state is one type-1 particle.
     """
     _require_same_model(spec, table)
     sv = list(s)
     check_point(spec, sv)
-    da, delta, den = _conditioned_start(table, sv, m, n)
-    if m == 0:
-        # the start state is deterministic, so conditioning is inert
-        return sv[0]
-    da, delta = spec.kernel.advance(da, delta, m)
-    num = delta[0]
-    if num == 0.0 and all(x > 0.0 for x in sv):
-        raise PrecisionLoss(m, "conditional numerator underflowed")
-    return num / den
+    done, da, delta = 0, None, None
+
+    def value(n: int) -> float:
+        nonlocal done, da, delta
+        m = n - k
+        start_da, start_delta, den = _conditioned_start(table, sv, m, n)
+        if m == 0:
+            # the start state is deterministic, so conditioning is inert
+            return sv[0]
+        if not 0 < done <= m:
+            done, da, delta = 0, start_da, start_delta
+        da, delta = spec.kernel.advance(da, delta, m - done)
+        done = m
+        num = delta[0]
+        if num == 0.0 and all(x > 0.0 for x in sv):
+            raise PrecisionLoss(m, "conditional numerator underflowed")
+        return num / den
+
+    return value
+
+
+def conditional_transform(spec: ProcessSpec, table: SurvivalTable,
+                          s: Sequence[float], m: int, n: int) -> float:
+    """E[prod_j s_j^{Z_j(m)} | T = n], exactly: ``conditional_orbit``
+    at the one horizon n.  Requires 0 <= m < n <= table horizon."""
+    return conditional_orbit(spec, table, s, n - m)(n)
 
 
 def censored_transform(spec: ProcessSpec, table: SurvivalTable,

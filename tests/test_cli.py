@@ -77,6 +77,35 @@ class TestExitCodes:
                      "--n", "100", "--k", "80", "--output", str(out)]) in (0, 1)
         assert "# passed=" in out.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["theorem", "finalstage", "--n", "12"],
+        ["theorem", "deathfin", "--n", "12", "--k", "2"],
+    ], ids=["finalstage", "deathfin"])
+    def test_an_unreachable_pilot_fails_the_verdict_not_the_run(
+            self, argv, tmp_path, capsys):
+        # five types in a line, each feeding the next one child: the n/4
+        # pilot at 4 has P(T = 4) = 0, the rows at n = 12 do not
+        cfg = tmp_path / "chain5.yaml"
+        cfg.write_text("types: 5\nlaws:\n" + "".join(
+            f"  - parent: {i}\n    kind: product\n    children:\n"
+            f"      {i}: {{family: geometric, mean: 1.0}}\n"
+            + (f"      {i + 1}: {{family: pointmass, k: 1}}\n" if i < 5 else "")
+            for i in range(1, 6)))
+        out = tmp_path / "run.json"
+        assert main(argv + ["--model", str(cfg), "--format", "json",
+                            "--output", str(out)]) == 1
+        assert "run failed" not in capsys.readouterr().err
+
+        def refuse(token):
+            raise ValueError(f"{token} in a JSON artifact")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)["report"]
+        assert not report["passed"]
+        assert all(row["precision_ok"] for row in report["rows"])
+        assert all(band == [None, None] for band in report["bands"].values())
+        assert all(report["details"][f"pilot:{part}"][1] is None
+                   for part in report["bands"])
+
     def test_zero_replicates_is_usage_error_naming_the_field(self, capsys):
         assert main(["mc", "--replicates", "0"]) == 2
         err = capsys.readouterr().err
@@ -692,4 +721,4 @@ class TestValidationBounds:
         monkeypatch.setenv("BRANCHLAB_OUTDIR", str(tmp_path))
         assert main(argv) in (0, 1)
         (artifact,) = tmp_path.iterdir()
-        assert "# band_source:" in artifact.read_text()
+        assert "# pilot:" in artifact.read_text()

@@ -1,9 +1,10 @@
 """Tests for the convergence-experiment drivers and limit formulas.
 
-The stock models carry frozen tolerance bands in the packaged
-registry, so the driver smoke tests assert a full pass there; the
-micro model is deliberately unregistered to exercise the pilot
-fallback.
+Every band comes from one rule, pilot values at half and a quarter of
+the requested horizon, computed with the run; the driver smoke tests
+assert a full pass on the stock models at their default horizons, and
+the band tests check that a band follows the horizon asked for and
+that the ``death``/``deathfin`` pilots cost no orbit steps.
 """
 
 import json
@@ -16,17 +17,13 @@ from branchlab.experiments import (
     ConvergenceReport,
     ReportRow,
     _Accumulator,
-    _band_key,
     _guarded,
     _log_grid,
     _monotone_toward,
     _run_part,
-    band_for,
-    calibrate,
     limit_death,
     limit_deathfin,
     limit_finalstage,
-    load_bands,
     make_u_evaluator,
     pilot_band,
     verify_death,
@@ -37,6 +34,8 @@ from branchlab.experiments import (
     verify_laplace_W,
     verify_local,
 )
+from branchlab.families import Geometric, PointMass
+from branchlab.model import Kernel, ProcessSpec, ProductLaw
 from branchlab.pgf import build_survival_table
 from branchlab.zoo import (
     micro_table,
@@ -238,12 +237,6 @@ class TestVerdictHelpers:
                 _row("a", 1000, 1.1, 1.0)]
         assert _monotone_toward(rows, 1.0)
 
-    def test_band_registry_lookup(self):
-        assert band_for("death", "lam=1", "two_type_cascade") is not None
-        assert band_for("death", "lam=1", "no_such_model") is None
-        assert _band_key("foster", "type=1", "m") == "foster:type=1@m"
-        assert _band_key("laplace_W", "", "m") == "laplace_W@m"
-
 
 class TestRunPart:
     """The part/band/verdict routine every ratio driver goes through."""
@@ -255,8 +248,8 @@ class TestRunPart:
             return 1.0
 
         details = {}
-        rows, band, ok = _run_part("demo", "toy", "a", (100, 200),
-                                   (("lam", 1.0),), 1.0, value, details)
+        rows, band, ok = _run_part("a", (100, 200), (("lam", 1.0),), 1.0,
+                                   value, details)
         assert [r.params for r in rows] == [
             (("n", 100.0), ("lam", 1.0)), (("n", 200.0), ("lam", 1.0))]
         assert rows[0].value == 1.0 and rows[0].precision_ok
@@ -264,7 +257,8 @@ class TestRunPart:
         assert band == pilot_band(1.0, 1.0)
         assert not ok
 
-    def test_registry_band_never_calls_the_pilot(self):
+    def test_every_horizon_runs_once_in_ascending_order(self):
+        # a checkpointed orbit continues from one horizon to the next
         calls = []
 
         def value(n):
@@ -272,27 +266,40 @@ class TestRunPart:
             return 0.25
 
         details = {}
-        rows, band, ok = _run_part("death", "two_type_cascade", "lam=1",
-                                   (2000,), (), 0.25, value, details)
-        assert calls == [2000]
-        assert band == band_for("death", "lam=1", "two_type_cascade")
-        assert details == {"band_source:lam=1": "registry"}
-        assert ok == (band[0] <= 1.0 <= band[1])
+        rows, band, ok = _run_part("lam=1", (1000, 2000), (), 0.25, value,
+                                   details)
+        assert calls == [500, 1000, 2000]
+        assert [r.value for r in rows] == [0.25, 0.25]
+        assert details == {"pilot:lam=1": (1.0, 1.0)}
+        assert band == pilot_band(1.0, 1.0) and ok
+
+    def test_a_failing_pilot_fails_the_part_and_keeps_the_rows(self):
+        def value(n):
+            if n == 250:
+                raise PrecisionLoss(n, "test")
+            return 1.0
+
+        details = {}
+        rows, band, ok = _run_part("a", (1000,), (), 1.0, value, details)
+        assert rows[0].value == 1.0 and rows[0].precision_ok
+        half, quarter = details["pilot:a"]
+        assert half == 1.0 and math.isnan(quarter)
+        assert all(math.isnan(edge) for edge in band)
+        assert not ok
 
     def test_pilot_band_without_registry_entry(self):
         details = {}
-        rows, band, ok = _run_part("demo", "toy", "a", (10, 1000), (), 2.0,
+        rows, band, ok = _run_part("a", (10, 1000), (), 2.0,
                                    lambda n: 2.0 + 1.0 / n, details)
         half, quarter = (2.0 + 1.0 / 500) / 2.0, (2.0 + 1.0 / 250) / 2.0
-        assert details["band_source:a"] == "pilot"
         assert details["pilot:a"] == (half, quarter)
         assert band == pilot_band(half, quarter)
         assert ok
 
     def test_zero_limit_pilots_the_value_itself(self):
         details = {}
-        rows, band, _ = _run_part("demo", "toy", "z", (400,), (), 0.0,
-                                  lambda n: 1.0 / n, details)
+        rows, band, _ = _run_part("z", (400,), (), 0.0, lambda n: 1.0 / n,
+                                  details)
         assert details["pilot:z"] == (1.0 / 200, 1.0 / 100)
         assert math.isnan(rows[0].ratio)
 
@@ -336,12 +343,12 @@ class TestDrivers:
         for spec in (single_geometric(), two_type_cascade()):
             rep = verify_foster(spec)
             assert rep.passed
-            assert rep.details["band_source:type=1"] == "registry"
+            assert rep.bands["type=1"] == pilot_band(
+                *rep.details["pilot:type=1"])
 
     def test_local_pilot_fallback_on_unregistered_model(self):
         rep = verify_local(micro_table())
         assert rep.passed
-        assert rep.details["band_source:type=1"] == "pilot"
         assert "pilot:type=1" in rep.details
 
     def test_foster_crossing_convergence_still_passes(self):
@@ -353,10 +360,10 @@ class TestDrivers:
         # pilots never run below n = 4, so the drivers' tables reach 4
         # even when the largest horizon is shorter
         rep = verify_foster(micro_table(), n=3)
-        assert rep.details["band_source:type=1"] == "pilot"
+        assert "pilot:type=1" in rep.details
         assert all(r.precision_ok for r in rep.rows)
         rep = verify_finalstage(micro_table(), n=3)
-        assert rep.details["band_source:x=0.5"] == "pilot"
+        assert "pilot:x=0.5" in rep.details
         assert all(r.precision_ok for r in rep.rows)
 
     def test_default_grids_are_the_log_grids_of_n(self):
@@ -370,11 +377,11 @@ class TestDrivers:
         # quarter of n below k must not ask for a negative observation
         # time: both pilots run at k + 1 here
         rep = verify_death(micro_table(), n=100, k=80)
-        assert rep.details["band_source:lam=1"] == "pilot"
         half, quarter = rep.details["pilot:lam=1"]
         assert half == quarter
         rep = verify_deathfin(micro_table(), n=8, ks=(5,), n_u=1000)
-        assert rep.details["band_source:k=5,s=0.3"] == "pilot"
+        half, quarter = rep.details["pilot:k=5,s=0.3"]
+        assert half == quarter
 
     def test_finalstage_cascade(self):
         rep = verify_finalstage(two_type_cascade())
@@ -444,18 +451,81 @@ class TestDrivers:
                 == json.dumps(b.to_doc(), indent=2, sort_keys=True))
 
 
-class TestCalibrate:
-    def test_writes_registry_matching_packaged_bands(self, tmp_path):
-        out = tmp_path / "bands.json"
-        entries = calibrate(out)
-        written = json.loads(out.read_text())
-        assert written.keys() == entries.keys()
-        # declared slope bands are flagged, piloted ones carry the pilots
-        assert written["laplace_W:slope@two_type_cascade"].get("declared")
-        assert "pilot" in written["death:lam=1@two_type_cascade"]
-        # the freshly computed bands agree with the packaged registry
-        packaged = load_bands()
-        assert set(written) == set(packaged)
-        for key, entry in written.items():
-            assert entry["lo"] == pytest.approx(packaged[key]["lo"], rel=1e-12)
-            assert entry["hi"] == pytest.approx(packaged[key]["hi"], rel=1e-12)
+# ------------------------------------------------------------------ bands
+
+
+def _zero_mass_chain():
+    """Five types in a line, each feeding the next one exactly one
+    child: extinction at n = 1..4 has zero mass, at n = 12 it has not."""
+    laws = tuple(ProductLaw(parent=i, children={i: Geometric(1.0),
+                                                i + 1: PointMass(1)})
+                 for i in range(1, 5))
+    return ProcessSpec(n_types=5, laws=laws + (
+        ProductLaw(parent=5, children={5: Geometric(1.0)}),), name="chain5")
+
+
+def _counting(spec):
+    """Install a kernel on ``spec`` whose ``advance`` adds up its steps
+    (``kernel`` is a cached property, so it lives in the instance dict)."""
+    kernel = spec.kernel
+    steps = []
+
+    def advance(da, delta, n):
+        steps.append(n)
+        return kernel.advance(da, delta, n)
+
+    spec.__dict__["kernel"] = kernel._replace(advance=advance)
+    return steps
+
+
+class TestBands:
+    """One band rule: pilots at half and a quarter of the horizon asked
+    for, computed with the run."""
+
+    def test_bands_follow_the_requested_horizon(self):
+        spec = two_type_cascade()
+        rep = verify_deathfin(spec, n=200, n_u=1000)
+        half = verify_deathfin(spec, n=100, n_u=1000)
+        quarter = verify_deathfin(spec, n=50, n_u=1000)
+        parts = [p for p in rep.bands]
+        assert len(parts) == 12
+        for part in parts:
+            pilot = rep.details[f"pilot:{part}"]
+            assert rep.bands[part] == pilot_band(*pilot)
+            assert pilot == tuple(
+                next(r.ratio for r in run.rows if r.part == part)
+                for run in (half, quarter))
+
+    def test_deathfin_pilots_cost_no_orbit_steps(self):
+        spec = three_type_chain()
+        steps = _counting(spec)
+        n, ks = 200, (0, 1, 2, 5)
+        rep = verify_deathfin(spec, n=n, ks=ks, n_u=1000)
+        assert len(rep.bands) == 3 * len(ks)
+        assert sum(steps) == sum(3 * (n - k - 1) for k in ks)
+
+    def test_death_pilots_cost_no_orbit_steps(self):
+        spec = three_type_chain()
+        steps = _counting(spec)
+        n, k = 200, 20
+        rep = verify_death(spec, n=n, k=k)
+        # four parts and the normalization orbit, n - k steps each
+        assert len(rep.bands) == 4
+        assert sum(steps) == 5 * (n - k)
+
+    @pytest.mark.parametrize("run", [
+        lambda spec: verify_finalstage(spec, n=12),
+        lambda spec: verify_deathfin(spec, n=12, ks=(2,), n_u=1000),
+    ], ids=["finalstage", "deathfin"])
+    def test_an_unreachable_pilot_fails_its_part_only(self, run):
+        # the n/4 pilot at 4 has P(T = 4) = 0; the rows at 12 are fine
+        rep = run(_zero_mass_chain())
+        assert not rep.passed
+        assert all(r.precision_ok and math.isfinite(r.value)
+                   for r in rep.rows)
+        for part, band in rep.bands.items():
+            half, quarter = rep.details[f"pilot:{part}"]
+            assert math.isfinite(half) and math.isnan(quarter)
+            assert all(math.isnan(edge) for edge in band)
+        doc = json.loads(json.dumps(rep.to_doc(), allow_nan=False))
+        assert all(b == [None, None] for b in doc["bands"].values())

@@ -24,7 +24,9 @@ named somewhere in ``src/`` or ``perfbench/`` besides its own
 definition, and every method and property of its classes is named by
 an attribute access or a string there, or shown as ``.name`` in the
 README; a member that two classes define needs a user for each
-class.  Every experiment report is built in one place.
+class.  Every experiment report is built in one place, and no verdict
+reads frozen data: the package holds only Python source and no module
+imports ``importlib.resources``.
 
 Only the sampler imports numpy when it is imported: ``import
 branchlab``, model loading, the kernels and plain orbits, the moment
@@ -613,6 +615,59 @@ def test_every_report_is_built_in_one_place():
              and isinstance(node.func, ast.Name)
              and node.func.id == "ConvergenceReport"]
     assert built == ["experiments"]
+
+
+def _resource_imports(tree):
+    """Lines that import ``importlib.resources``, the way a module reads
+    data files shipped inside the package."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        if any(name == "importlib.resources"
+               or name.startswith("importlib.resources.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def _non_source(package):
+    """Entries of the package directory that are not Python source,
+    other than the interpreter's own ``__pycache__``."""
+    return sorted(path.name for path in package.iterdir()
+                  if path.name != "__pycache__"
+                  and not (path.is_file() and path.suffix == ".py"))
+
+
+def test_no_verdict_reads_frozen_data():
+    # every band is computed with its run: the package ships no data
+    # and no module reads any from inside it
+    found = {path.name for path in sorted(SRC.glob("*.py"))
+             if _resource_imports(ast.parse(path.read_text()))}
+    assert found == set()
+    assert _non_source(SRC) == []
+
+
+def test_the_frozen_data_guard_sees_what_it_looks_for(tmp_path):
+    tree = ast.parse("import importlib\n"
+                     "from importlib import resources\n"
+                     "import importlib.resources as res\n"
+                     "from importlib.resources import files\n"
+                     "from importlib import import_module\n"
+                     "def late():\n"
+                     "    from importlib.resources.abc import Traversable\n"
+                     "from .importlib import resources\n")
+    assert _resource_imports(tree) == [2, 3, 4, 7]
+    (tmp_path / "engine.py").write_text("")
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "bands.json").write_text("{}")
+    (tmp_path / "notes.txt").write_text("")
+    (tmp_path / "__pycache__").mkdir()
+    assert _non_source(tmp_path) == ["data", "notes.txt"]
 
 
 def _import_time_numpy(tree):
