@@ -29,15 +29,15 @@ from dataclasses import dataclass, fields
 from .numerics import compile_step
 
 
-# A PAIR template is straight-line code over the fields {da} and
-# {delta} (the names of the inputs), {t} (a prefix for temporaries) and
-# the family's own dataclass fields; it leaves its results in {sa}, sb
-# and {gap}.  Only sb's line reads {da} or {delta} after {sa} or {gap}
-# is assigned, so the terminal loop, which drops that line, can name
-# its own inputs as the results.  A parameter enters as ``{mean}``
-# where it is an operand and as ``{mean:*}x`` where it multiplies x:
-# the kernel writes the product of a literal 1.0 as plain x, which is
-# the same bits (and ``-x`` for ``-{mean:*}x``).
+# A PAIR template is straight-line code over the fields {da} and {delta}
+# (the names of the inputs), {t} (a prefix for temporaries) and the
+# family's own dataclass fields; it leaves its results in {sa}, sb and
+# {gap}.  No line but sb's reads {da} after {sa} or {delta} after {gap}
+# is set, so a last factor, which drops sb, may write its results over
+# its inputs, as each kernel loop does for a lone factor.  A parameter
+# enters as ``{mean}`` where it is an operand and as ``{mean:*}x`` where
+# it multiplies x: the kernel writes the product of a literal 1.0 as
+# plain x, which is the same bits (and ``-x`` for ``-{mean:*}x``).
 
 
 class _Param:
@@ -215,8 +215,7 @@ class PointMass:
     def pgf(self, s: float) -> float:
         return s**self.k
 
-    # the gap comes first: it reads {da}, which the terminal loop's
-    # {sa} overwrites
+    # the gap comes first: it reads {da}, which {sa} may overwrite
     PAIR = """\
 {gap} = power_diff(1.0 - {da}, {delta}, {k})
 {sa} = power_complement({da}, {k})

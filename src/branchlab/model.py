@@ -18,20 +18,22 @@ batched offspring draws (``draws``).  The engine and the sampler call
 these and never look at the shape.
 
 The paired step is written once per law, as straight-line source over
-local variables (``_block``): a product law inlines each child
-family's ``PAIR`` template, a table law unrolls its rows.  A block
-holds only arithmetic that is read and that changes bits: parameters
-are literals and a factor of 1.0 is left out, the last factor's
-survival at b is dropped, the product survival has no pin at 1 and no
-clamp, a table's all-zero rows leave its Neumaier sums, which start
-from their first term, and ``power_diff`` is written out in its loop's
-order without ``** 1``, ``** 0`` or ``1 *``.  A spec compiles its
-laws' blocks, in type order, into one kernel on first use
-(``ProcessSpec.kernel``), which is the one stepper of the spec: of
-every vector orbit, of the survival table (step n = 1, whose gap is
-dropped, runs before the loop, which stores through memoryviews of the
-rows) and of the terminal type's scalar chain (its own loop,
-``terminal``).  ``survival_map`` and ``pair_diff_map`` are the two
+local variables that writes its survival and gap into the names it is
+given (``_block``): a product law inlines each child family's ``PAIR``
+template, a table law unrolls its rows.  A block holds only arithmetic
+that is read and that changes bits: parameters are literals and a
+factor of 1.0 is left out, the last factor's survival at b is dropped,
+the product survival has no pin at 1 and no clamp, the product and a
+table's Neumaier sums start from their first factor or term (all-zero
+rows left out), ``power_diff`` is written out in its loop's order
+without ``** 1``, ``** 0`` or ``1 *``, and no statement writes the
+sign of a zero: the kernel takes -0.0 as +0.0 once per call.  A spec
+compiles its laws' blocks, in type order, into one kernel on first use
+(``ProcessSpec.kernel``), the one stepper of the spec: of every vector
+orbit, of the survival table (step n = 1, whose gap is dropped, runs
+before the loop, which stores through memoryviews of the rows) and of
+the terminal type's scalar chain (its own loop, ``terminal``, the last
+law's block).  ``survival_map`` and ``pair_diff_map`` are the two
 halves of one kernel step, kept for probes.
 
 All public operations take the process spec as their first argument
@@ -93,46 +95,49 @@ class ProductLaw:
             out *= law.pgf(s[child - 1])
         return out
 
-    def _block(self) -> tuple[list[str], str, str]:
+    def _block(self, sa: str, gap: str) -> list[str]:
         """The paired step as straight-line source over the locals d{j}
-        (complement) and e{j} (gap) of the 0-based child coordinates j:
-        (statements, survival expression, gap expression).  Each child
-        factor's ``PAIR`` template is inlined once, in child order.  The
-        survival follows the pairwise complement rule, acc + sa * (1 -
-        acc); the gap is telescoped over the factors (earlier ones at b,
-        later ones at a), so no nearby numbers are ever subtracted.
+        (complement) and e{j} (gap) of the 0-based child coordinates j,
+        writing the survival into the name ``sa``, then the gap into
+        ``gap``.  Each child factor's ``PAIR`` template is inlined once,
+        in child order.  The survival follows the pairwise complement
+        rule, acc + sa * (1 - acc); the gap is telescoped over the
+        factors (earlier ones at b, later ones at a), so no nearby
+        numbers are ever subtracted.
 
-        Only what changes bits is written: the first factor starts from
-        acc = total = 0 and lower = 1 without the products by 1.0 (the
-        sums with 0.0 stay, they turn -0.0 into 0.0); the last factor's
-        update of acc and total is the returned expression, and its
-        survival at b, never read, is left out (its ``expm1`` argument
-        is <= 0, so it cannot raise).  No pin or clamp at 1 is needed:
-        for da in [0, 1] each template gives sa in [0, 1] (Geometric
-        m*da / (1 + m*da), whose rounded denominator is at least its
-        numerator; Poisson and PointMass -expm1(x) for x <= 0, or 0 or
-        1; Bernoulli p*da, p in [0, 1]).  For acc in [0, 1], fl(1 - acc)
-        is exact if acc >= 1/2 (Sterbenz) and within 2^-54 otherwise, so
+        Only what changes bits is written.  A lone factor leaves its
+        results in ``sa`` and ``gap``; of several, the first one's
+        start acc and total, and the last one's update of both goes to
+        ``sa`` and ``gap``, without its survival at b, never read (its
+        ``expm1`` argument is <= 0, so it cannot raise).  No sign of a
+        zero is written: the kernel takes -0.0 inputs as +0.0, and from
+        inputs >= +0.0 every template gives results >= +0.0 (products
+        and quotients of them, of 1 - d and of parameters >= 0, or
+        -expm1(x) for x <= -0.0), so every update sums terms >= +0.0.
+        No pin or clamp at 1 is needed: for da in [0, 1] each template
+        gives sa in [0, 1] (Geometric m*da / (1 + m*da), whose rounded
+        denominator is at least its numerator; Poisson and PointMass
+        -expm1(x) for x <= 0, or 0 or 1; Bernoulli p*da, p in [0, 1]),
+        so acc starts in [0, 1].  For acc in [0, 1], fl(1 - acc) is
+        exact if acc >= 1/2 (Sterbenz) and within 2^-54 otherwise, so
         acc + 1.0 * (1.0 - acc) is exactly 1; rounding is monotone, so
         each update stays in [0, 1], a factor with sa = 1 gives exactly
         1 and later ones keep it (acc + sa * 0.0)."""
         lines = []
         last = len(self.children) - 1
-        survival = gap = "0.0"
         for k, (child, law) in enumerate(self.children.items()):
-            lines += _factor(law, child - 1, k == last)
-            if k == 0:
-                gap = "0.0 * (1.0 - sa) + gap"
-                acc = "0.0 + sa"
-            else:
-                gap = "total * (1.0 - sa) + lower * gap"
-                acc = "acc + sa * (1.0 - acc)"
-            if k < last:
-                lines += [f"total = {gap}", f"acc = {acc}",
-                          "lower = 1.0 - sb" if k == 0 else "lower *= 1.0 - sb"]
-            else:
-                survival = acc
-        return lines, survival, gap
+            names = ({"sa": sa, "gap": gap} if k == last == 0 else
+                     {"sa": "acc", "gap": "total"} if k == 0 else {})
+            lines += _factor(law, child - 1, k == last, **names)
+            if k == 0 < last:
+                lines.append("lower = 1.0 - sb")
+            elif k < last:
+                lines += ["total = total * (1.0 - sa) + lower * gap",
+                          "acc = acc + sa * (1.0 - acc)", "lower *= 1.0 - sb"]
+            elif k > 0:
+                lines += [f"{sa} = acc + sa * (1.0 - acc)",
+                          f"{gap} = total * (1.0 - sa) + lower * gap"]
+        return lines or [f"{sa} = 0.0", f"{gap} = 0.0"]
 
     def mean_row(self, n_types: int) -> tuple[float, ...]:
         row = [0.0] * n_types
@@ -205,10 +210,11 @@ class TableLaw:
             for counts, p in self.rows
         )
 
-    def _block(self) -> tuple[list[str], str, str]:
+    def _block(self, sa: str, gap: str) -> list[str]:
         """The paired step as straight-line source over the locals d{j}
-        (complement) and e{j} (gap) of the coordinates j the rows emit:
-        (statements, survival expression, gap expression).  The survival
+        (complement) and e{j} (gap) of the coordinates j the rows emit,
+        writing the survival into the name ``sa``, then the gap into
+        ``gap`` (no term reads d{j} itself).  The survival
         is sum_w p_w (1 - prod_j (1-d_j)^w_j), using sum p_w = 1, with
         log1p(-d_j) once per coordinate and -inf standing for a certain
         child line; the gap is telescoped over each row's nonzero
@@ -247,9 +253,7 @@ class TableLaw:
                 for k, (j, c) in enumerate(nz)]
             survs.append(_times(p, f"-expm1({expo})"))
             gaps.append(_times(p, " + ".join(steps)))
-        survs, survival = _neumaier(survs, "s")
-        gaps, gap = _neumaier(gaps, "g")
-        return lines + survs + gaps, survival, gap
+        return lines + _neumaier(survs, "s", sa) + _neumaier(gaps, "g", gap)
 
     def mean_row(self, n_types: int) -> tuple[float, ...]:
         row = [0.0] * n_types
@@ -316,18 +320,18 @@ def _power_sum(j: int, c: int) -> str:
     return " + ".join(terms)
 
 
-def _neumaier(terms: list[str], name: str) -> tuple[list[str], str]:
-    """``neumaier_sum`` of ``terms`` (expressions) written out in order:
-    (statements, expression of the sum).  The running total and carry
-    of ``neumaier_sum`` stay +0.0 until its first nonzero term, so the
-    sum starts from the first term, takes its carry from the second
-    and ends with ``+ 0.0`` when there is one term (turning -0.0 into
-    0.0 as the running total would); a term that is a constant zero
+def _neumaier(terms: list[str], name: str, target: str) -> list[str]:
+    """``neumaier_sum`` of ``terms`` (expressions) written out in order,
+    ending with the sum's store into ``target``.  The running total and
+    carry of ``neumaier_sum`` stay +0.0 until its first nonzero term,
+    so the sum starts from the first term and takes its carry from the
+    second, and one term is the sum: 0.0 + term differs only for a term
+    of -0.0, and past the kernel's entry none is (p * -expm1(x) for x
+    <= -0.0, or p times sums of products of gaps, 1 - d_j and 1 - (d_j
+    + e_j), all >= +0.0 while d_j + e_j <= 1).  A constant zero term
     changes neither total nor carry and is never passed here."""
-    if not terms:
-        return [], "0.0"
-    if len(terms) == 1:
-        return [], f"{terms[0]} + 0.0"
+    if len(terms) < 2:
+        return [f"{target} = {terms[0] if terms else '0.0'}"]
     lines = [f"{name}0 = {terms[0]}"]
     carry = f"{name}c"
     for k, term in enumerate(terms[1:], start=1):
@@ -335,7 +339,7 @@ def _neumaier(terms: list[str], name: str) -> tuple[list[str], str]:
         lines += [f"{v} = {term}", f"{t} = {total} + {v}",
                   f"{carry} {'+=' if k > 1 else '='} ({total} - {t}) + {v} "
                   f"if abs({total}) >= abs({v}) else ({v} - {t}) + {total}"]
-    return lines, f"{t} + {carry}"
+    return lines + [f"{target} = {t} + {carry}"]
 
 
 OffspringLaw = ProductLaw | TableLaw
@@ -350,8 +354,8 @@ class Kernel(NamedTuple):
     the survival table arrays from d[:, 0] and the gaps ``pi`` at n = 1,
     and returns the first column it could not fill, or None;
     ``terminal(da, delta, steps) -> (da, delta)`` steps the terminal
-    type's scalar pair alone.  ``source`` is the code all three were
-    compiled from.
+    type's scalar pair alone; both take an input of -0.0 as +0.0.
+    ``source`` is the code all three were compiled from.
     """
 
     advance: Callable
@@ -379,22 +383,14 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
     # those still hold the previous step's values when it runs.
     sweep, first, checked = [], [], []
     for i, law in enumerate(spec.laws):
-        lines, survival, gap = law._block()
-        sweep += [*lines, f"d{i} = {survival}", f"e{i} = {gap}"]
+        block = law._block(f"d{i}", f"e{i}")
+        sweep += block
         first += _stall_check(i, f"q{i}", 1)
-        checked += [*lines, f"new = {survival}", f"e{i} = {gap}",
-                    *_stall_check(i, "new", "n")]
+        checked += [*law._block("new", f"e{i}"), *_stall_check(i, "new", "n")]
     # The terminal type reads only its own coordinate, so the last
-    # law's block is its scalar step.  A product law has one factor
-    # there at most, and the chain renders that factor's template with
-    # the loop's own names as its results, without the sums with 0.0,
-    # which turn -0.0 into 0.0.
+    # law's block in advance is its scalar step.  advance and terminal
+    # take -0.0 as +0.0 at entry; table starts from 1.0 and f(0) >= +0.0.
     j = spec.n_types - 1
-    if isinstance(law, ProductLaw) and law.children:
-        (family,) = law.children.values()
-        chain = _factor(family, j, True, sa=f"d{j}", gap=f"e{j}")
-    else:
-        chain = [*lines, f"d{j} = {survival}", f"e{j} = {gap}"]
 
     def names(letter):
         return "".join(f"{letter}{i}, " for i in range(spec.n_types))
@@ -402,7 +398,7 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
     ds, es = names("d"), names("e")
     source = "\n".join([
         "def advance(da, delta, steps):",
-        f"    {ds}= da", f"    {es}= delta",
+        f"    {ds}= [x + 0.0 for x in da]", f"    {es}= [x + 0.0 for x in delta]",
         "    for _ in range(steps):",
         *(f"        {line}" for line in sweep),
         f"    return ({ds}), ({es})", "",
@@ -418,8 +414,9 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
         *(f"        {line}" for line in checked),
         "    return None", "",
         f"def terminal(d{j}, e{j}, steps):",
+        f"    d{j}, e{j} = d{j} + 0.0, e{j} + 0.0",
         "    for _ in range(steps):",
-        *(f"        {line}" for line in chain),
+        *(f"        {line}" for line in block),
         f"    return d{j}, e{j}", ""])
     compiled = compile_step(source, f"{spec.name} kernel")
     return Kernel(advance=compiled["advance"], table=compiled["table"],

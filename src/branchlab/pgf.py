@@ -25,11 +25,13 @@ one checkpointed orbit is the conditioned one a fixed k steps before
 extinction: its start does not depend on the horizon n, so
 ``conditional_orbit`` gives its values at ascending n from one chain
 of ``advance`` calls, and ``conditional_transform`` is its one-horizon
-case.  The kernel holds only
-statements whose results are read and that change bits (literal
-parameters, no factor 1.0, no unread survival at b, table sums from
-their first term, ``power_diff`` written out; ``model`` lists the
-rules), so every orbit is the interpretive loop's bit for bit.
+case.  The kernel takes a -0.0 input as +0.0 once per call and holds
+only statements whose results are read and that change bits (literal
+parameters, no factor 1.0, no unread survival at b, sums from their
+first term, ``power_diff`` written out, blocks that write their
+results straight into their coordinates, nothing only for the sign of
+a zero; ``model`` lists the rules), so every orbit is the interpretive
+loop's bit for bit.
 
 Conditioning identities used throughout (start state is one type-1
 particle; T is the first generation with an empty population):

@@ -7,7 +7,9 @@ chain (one scalar pair per step, of the terminal law's own family or
 own-type column, read off the law), as plain Python loops over the
 model objects.  The engine compiles the same arithmetic into one
 straight-line kernel per model, the model's only stepper; the tests
-require it to agree with these bit for bit.
+require it to agree with these bit for bit.  The sweep and the chain
+take an input of -0.0 as +0.0, as the kernel does at its entry; the
+steps keep their sums from 0.0, which the kernel leaves out.
 
 Apart from those stands the 40-digit table (``extended_table``): plain
 iteration of each law's pgf, written out again in mpmath (``mp_pgf``),
@@ -73,6 +75,7 @@ def terminal_pair(spec, da: float, delta: float,
     one scalar pair per step: the terminal law's own family (a point
     mass at 0 when it has none) or its own-type column."""
     law = spec.laws[-1]
+    da, delta = da + 0.0, delta + 0.0
     for _ in range(steps):
         if isinstance(law, ProductLaw):
             own = law.children.get(law.parent, PointMass(0))
@@ -128,7 +131,7 @@ def pair_step(law, da, delta) -> tuple[float, float]:
 def advance_pair(spec, da, delta, steps):
     """The in-place sweep: coordinate i is overwritten as soon as law i
     has stepped."""
-    da, delta = list(da), list(delta)
+    da, delta = [x + 0.0 for x in da], [x + 0.0 for x in delta]
     for _ in range(steps):
         for i, law in enumerate(spec.laws):
             da[i], delta[i] = pair_step(law, da, delta)

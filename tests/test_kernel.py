@@ -9,26 +9,33 @@ terminal loop must return the same bits, ``truncated_at`` included.  The
 strategies reach every rule by which the kernel leaves arithmetic out:
 the parameters it folds (a mean or probability of exactly 1.0, the
 counts 0 and 1), a table's all-zero and single nonzero rows, counts up
-to 4, signed zeros, certain child lines (the product survival's pin
-and clamp, which the reference keeps), and tables that truncate at
-n = 1 and n = 2.  A pinned table checks that its sums run in row order,
-and a pinned ``PointMass(2)`` terminal that the terminal loop, which
-writes the results over its inputs, reads the complement before it
-overwrites it.
+to 4, signed zeros (both sides take -0.0 as +0.0 once, at entry; the
+reference keeps its running sums from 0.0, which the kernel's steps
+leave out), certain child lines (the product survival's pin and
+clamp, which the reference keeps), and tables that truncate at n = 1
+and n = 2.  A pinned table checks that its sums run in row order, a
+pinned ``PointMass(2)`` terminal that the terminal loop, which writes
+the results over its inputs, reads the complement before it
+overwrites it, and two pinned tables that a complement rounding
+upward stops the table.  On every stock model and a table terminal,
+-0.0 inputs give +0.0 results from every public step.
 """
 
 import math
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_step as ref
 from branchlab.families import Bernoulli, Geometric, PointMass, Poisson
-from branchlab.model import ProcessSpec, ProductLaw, TableLaw
-from branchlab.pgf import build_survival_table
+from branchlab.model import (ProcessSpec, ProductLaw, TableLaw, pair_diff_map,
+                             survival_map)
+from branchlab.pgf import build_survival_table, terminal_gap
 from branchlab.zoo import STOCK_MODELS
+from test_layering import _all_tables
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 means = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
@@ -204,6 +211,37 @@ def test_kernel_table_truncates_at_the_peeled_step_and_the_next():
     assert assert_table_is_the_reference(feed, 5).truncated_at == 2
 
 
+def test_kernel_table_truncates_where_the_complement_ticks_up():
+    # a complement that rounds upward is the only stall: at n = 1 these
+    # probabilities sum to 1 + 2^-52, and at n = 52 type 1 of this
+    # supercritical cascade, settling on its fixed point from above,
+    # steps up by one ulp while its gap is still positive
+    above_one = ProcessSpec(n_types=1, laws=(TableLaw(parent=1, rows=(
+        ((1,), 0.37 / 1.17), ((2,), 0.8 / 1.17))),))
+    assert assert_table_is_the_reference(above_one, 5).truncated_at == 1
+    settling = ProcessSpec(n_types=2, laws=(
+        ProductLaw(parent=1, children={1: Geometric(1.0), 2: Poisson(3.0)}),
+        ProductLaw(parent=2, children={2: Geometric(2.0)})))
+    table = assert_table_is_the_reference(settling, 100)
+    assert table.truncated_at == 52
+    d, e = settling.kernel.advance(table.d[:, 51].tolist(),
+                                   table.pmf[:, 51].tolist(), 1)
+    assert d[0] > table.d[0, 51] and e[0] > 0.0
+
+
+def test_kernel_table_truncates_where_the_gap_underflows():
+    # subcritical: at n = 1456 the complement falls from 1e-323 to
+    # 5e-324 while the gap rounds to 0.0, and only the gap test stops
+    # the table
+    spec = ProcessSpec(n_types=1, laws=(TableLaw(parent=1, rows=(
+        ((0,), 0.6), ((1,), 0.2), ((2,), 0.2))),))
+    table = assert_table_is_the_reference(spec, 2000)
+    assert table.truncated_at == 1456
+    d, e = spec.kernel.advance(table.d[:, 1455].tolist(),
+                               table.pmf[:, 1455].tolist(), 1)
+    assert 0.0 < d[0] < table.d[0, 1455] and e[0] == 0.0
+
+
 @given(terminal_specs(), pairs(1), st.integers(0, 8))
 @example(ProcessSpec(n_types=1, laws=(
     ProductLaw(parent=1, children={1: PointMass(2)}),)), ([0.3], [0.2]), 3)
@@ -258,6 +296,25 @@ def test_stock_terminals_are_the_reference_chain():
             got = spec.kernel.terminal(1.0 - s, s, 10**4)
             want = ref.terminal_pair(spec, 1.0 - s, s, 10**4)
             assert hexes(got) == hexes(want)
+
+
+def positive_zeros(values):
+    return [(v, math.copysign(1.0, v)) for v in values] == [(0.0, 1.0)] * len(values)
+
+
+@pytest.mark.parametrize("spec", [make() for make in STOCK_MODELS.values()]
+                         + [_all_tables()], ids=lambda spec: spec.name)
+def test_signed_zero_inputs_give_positive_zeros(spec):
+    # -0.0 is taken as +0.0 once, at the entry of advance and terminal,
+    # whatever the terminal law's shape and however many steps run
+    minus = [-0.0] * spec.n_types
+    assert positive_zeros(survival_map(spec, minus))
+    assert positive_zeros(pair_diff_map(spec, minus, minus))
+    for steps in (0, 1, 3):
+        assert positive_zeros([terminal_gap(spec, -0.0, steps)])
+        da, delta = spec.kernel.advance(minus, minus, steps)
+        assert positive_zeros(da) and positive_zeros(delta)
+        assert positive_zeros(spec.kernel.terminal(-0.0, -0.0, steps))
 
 
 def test_a_spec_with_its_kernel_built_still_pickles():

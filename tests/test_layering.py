@@ -11,13 +11,16 @@ step kept for the per-layer probe.  The kernel is the one stepper
 compiled from a law: ``numerics.compile_step`` is called only for it
 and for the families' ``pair`` methods.  A kernel step inlines each
 child factor's ``PAIR`` template exactly once per law, its terminal
-loop is the terminal law's own factor alone, written into the loop's
-own names, and the engine never steps a chain through the
-``survival`` and ``pgf_diff`` projections.  Each
-vector loop steps in place, one coordinate at a time in type order:
-law i's block, then the store of coordinate i, never a transposed list
-of whole-vector steps.  No kernel loop assigns a name that is not read
-before its next assignment.
+loop is the last law's block alone, written into the loop's own names
+whatever the law's shape, and the engine never steps a chain through
+the ``survival`` and ``pgf_diff`` projections.  Each vector loop steps
+in place, one coordinate at a time in type order: law i's block, then
+the store of coordinate i (in the block or after it), never a
+transposed list of whole-vector steps.  No kernel loop assigns a name
+that is not read before its next assignment, or adds or subtracts a
+literal zero, whose only work would be the sign of a zero (the kernel
+takes -0.0 as +0.0 once, at entry), and ``_compile_kernel`` never
+looks at a law's shape.
 
 No dead code: every top-level function and class of the package is
 named somewhere in ``src/`` or ``perfbench/`` besides its own
@@ -137,14 +140,22 @@ def test_engine_advances_orbits_only_through_the_kernel():
         loops = _loops(spec.kernel.source)
         assert set(loops) == {"advance", "table", "terminal"}
         # both vector loops run each law's block once, the kernel being
-        # the only code compiled from it; the terminal loop runs a
-        # terminal table law's block (a product law's own factor is
-        # counted below)
-        blocks = [_statements("\n".join(law._block()[0])) for law in spec.laws]
-        for name in ("advance", "table"):
+        # the only code compiled from it: advance's written into the
+        # law's coordinate, the table's into the value it checks; the
+        # terminal loop is the last law's block alone, written into the
+        # loop's own names, whatever the law's shape
+        for name, blocks in _blocks(spec).items():
             assert [_count(loops[name], block) for block in blocks] == [1] * len(blocks)
-        if isinstance(spec.laws[-1], TableLaw):
-            assert _count(loops["terminal"], blocks[-1]) == 1
+        assert loops["terminal"] == _blocks(spec)["advance"][-1]
+
+
+def _blocks(spec):
+    """Each law's block as unparsed statements, per vector loop: advance
+    writes law i's results into d{i} and e{i}, the table loop its
+    survival into ``new``."""
+    return {name: [_statements("\n".join(law._block(sa.format(i), f"e{i}")))
+                   for i, law in enumerate(spec.laws)]
+            for name, sa in (("advance", "d{}"), ("table", "new"))}
 
 
 def _users(modules, name):
@@ -247,17 +258,21 @@ def _step_calls(source):
                   and node.func.attr in STEPS | {"pair"})
 
 
-def _rendered_factors(law, **results):
-    """A product law's child factors as its block inlines them: each
-    ``PAIR`` template with its parameters as literals, the last one
-    without its survival at b, which nothing reads; ``results`` names
-    the results as ``pair_source`` takes them."""
+def _rendered_factors(law, sa, gap):
+    """A product law's child factors as its block inlines them, its
+    results written into the names ``sa`` and ``gap``: each ``PAIR``
+    template with its parameters as literals, the last one without its
+    survival at b, which nothing reads.  A lone factor leaves its
+    results in ``sa`` and ``gap``; of several, the first leaves them in
+    acc and total, the others in sa and gap."""
     if not isinstance(law, ProductLaw):
         return []
     last = len(law.children) - 1
+    names = [(sa, gap) if last == 0 else ("acc", "total"),
+             *[("sa", "gap")] * last]
     return ["".join(line for line in pair_source(
                 family, f"d{child - 1}", f"e{child - 1}", f"c{child - 1}_",
-                **results).splitlines(keepends=True)
+                sa=names[k][0], gap=names[k][1]).splitlines(keepends=True)
                     if k < last or not line.startswith("sb = "))
             for k, (child, family) in enumerate(law.children.items())]
 
@@ -265,19 +280,24 @@ def _rendered_factors(law, **results):
 def test_one_family_call_per_factor_and_step():
     assert _projection_calls(ast.parse((SRC / "pgf.py").read_text())) == []
     for spec in SPECS:
-        factors = [f for law in spec.laws for f in _rendered_factors(law)]
-        # a factor held by two laws runs once in each law's block
-        wanted = {factor: factors.count(factor) for factor in factors}
+        j = spec.n_types - 1
+        # a factor held by two laws runs once in each law's block; the
+        # terminal loop is the terminal law's own factor alone, its
+        # results written over the loop's inputs, with no copy after it
+        rendered = {
+            "advance": [f for i, law in enumerate(spec.laws)
+                        for f in _rendered_factors(law, f"d{i}", f"e{i}")],
+            "table": [f for i, law in enumerate(spec.laws)
+                      for f in _rendered_factors(law, "new", f"e{i}")],
+            "terminal": _rendered_factors(spec.laws[-1], f"d{j}", f"e{j}")}
+        factors = sorted(set().union(*rendered.values()))
         assert _step_calls(spec.kernel.source) == []
         assert _factor_runs(spec.kernel.source, factors) == {
-            "advance": wanted, "table": wanted,
-            "terminal": {factor: 0 for factor in factors}}
-        # the terminal loop is the terminal law's own factor alone, its
-        # results written over the loop's inputs, with no copy after it
-        j = spec.n_types - 1
-        own = _rendered_factors(spec.laws[-1], sa=f"d{j}", gap=f"e{j}")
-        if own:
-            assert _loops(spec.kernel.source)["terminal"] == _statements(*own)
+            name: {factor: found.count(factor) for factor in factors}
+            for name, found in rendered.items()}
+        if rendered["terminal"]:
+            assert _loops(spec.kernel.source)["terminal"] == _statements(
+                *rendered["terminal"])
 
 
 def test_the_step_guard_sees_what_it_looks_for():
@@ -331,11 +351,19 @@ def _transposed_steps(tree):
                           for arg in node.args))
 
 
+def _coordinate_stores(stmts):
+    return [("store", int(node.id[1:]))
+            for stmt in stmts for node in ast.walk(ast.parse(stmt))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and re.fullmatch(r"d\d+", node.id)]
+
+
 def _in_place_sweeps(source, blocks):
     """Functions of a kernel's source whose loop steps in place in type
-    order: law 0's block, then a store of coordinate ``d0``, then law
-    1's block, then a store of ``d1``, and so on, each block run whole
-    and once.  ``blocks[i]`` is law i's block as unparsed statements."""
+    order: law 0's block, then a store of coordinate ``d0`` (in the
+    block or after it), then law 1's block, then a store of ``d1``, and
+    so on, each block run whole and once.  ``blocks[i]`` is law i's
+    block as unparsed statements."""
     found = set()
     for name, body in _loops(source).items():
         events, k = [], 0
@@ -344,13 +372,10 @@ def _in_place_sweeps(source, blocks):
                         if body[k:k + len(block)] == block), None)
             if law is not None:
                 events.append(("block", law))
+                events += _coordinate_stores(blocks[law])
                 k += len(blocks[law])
                 continue
-            events += [("store", int(node.id[1:]))
-                       for node in ast.walk(ast.parse(body[k]))
-                       if isinstance(node, ast.Name)
-                       and isinstance(node.ctx, ast.Store)
-                       and re.fullmatch(r"d\d+", node.id)]
+            events += _coordinate_stores(body[k:k + 1])
             k += 1
         if events == [(kind, i) for i in range(len(blocks))
                       for kind in ("block", "store")]:
@@ -361,14 +386,12 @@ def _in_place_sweeps(source, blocks):
 def test_vector_orbits_step_in_place_in_type_order():
     assert _transposed_steps(ast.parse((SRC / "pgf.py").read_text())) == []
     for spec in SPECS:
-        blocks = [_statements("\n".join(law._block()[0])) for law in spec.laws]
+        blocks = _blocks(spec)
         assert _transposed_steps(ast.parse(spec.kernel.source)) == []
-        # with one table law the terminal loop is that law's whole sweep;
-        # a product law's is its factor, written in place
-        sweeps = {"advance", "table"} | (
-            {"terminal"} if spec.n_types == 1
-            and isinstance(spec.laws[0], TableLaw) else set())
-        assert _in_place_sweeps(spec.kernel.source, blocks) == sweeps
+        # with one law the terminal loop is that law's whole sweep
+        assert _in_place_sweeps(spec.kernel.source, blocks["advance"]) == (
+            {"advance", "terminal"} if spec.n_types == 1 else {"advance"})
+        assert _in_place_sweeps(spec.kernel.source, blocks["table"]) == {"table"}
 
 
 def test_the_sweep_guard_sees_what_it_looks_for():
@@ -396,6 +419,14 @@ def test_the_sweep_guard_sees_what_it_looks_for():
         kernel("in_place", "x = d0 + d1", "d0 = x", "y = d1 * 2.0",
                "d1 = y")])
     assert _in_place_sweeps(source, blocks) == {"in_place"}
+    # blocks that write their coordinate themselves
+    writing = [["x = d0 + d1", "d0 = x"], ["d1 = d1 * 2.0"]]
+    source = "\n".join([
+        kernel("in_place", "x = d0 + d1", "d0 = x", "d1 = d1 * 2.0"),
+        kernel("backwards", "d1 = d1 * 2.0", "x = d0 + d1", "d0 = x"),
+        kernel("stored_twice", "x = d0 + d1", "d0 = x", "d0 = x",
+               "d1 = d1 * 2.0")])
+    assert _in_place_sweeps(source, writing) == {"in_place"}
 
 
 def _reads(stmt):
@@ -471,6 +502,82 @@ def test_the_dead_store_guard_sees_what_it_looks_for():
     # a name read only after the loop, or again in the next step, is live
     assert _dead_stores(kernel("x = d0", "d0 = d0 / 2.0", returns="x")) == []
     assert _dead_stores(kernel("acc += d0", "d0 = acc", returns="d0")) == []
+
+
+def _zero(node):
+    """A literal zero, or a product with one."""
+    return (isinstance(node, ast.Constant) and node.value == 0
+            and type(node.value) in (int, float)
+            or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and (_zero(node.left) or _zero(node.right)))
+
+
+def _zero_sums(source):
+    """Statements of a kernel's loops that add or subtract a literal zero
+    or a product with one: identities whose only work is the sign of a
+    zero.  A product with 0.0 elsewhere, a parameter of zero, is left
+    alone, and so is what runs outside the loops."""
+    found = []
+    for func in ast.parse(source).body:
+        for loop in func.body:
+            if not isinstance(loop, ast.For):
+                continue
+            for stmt in loop.body:
+                if any(isinstance(node, ast.BinOp)
+                       and isinstance(node.op, (ast.Add, ast.Sub))
+                       and (_zero(node.left) or _zero(node.right))
+                       or isinstance(node, ast.AugAssign)
+                       and isinstance(node.op, (ast.Add, ast.Sub))
+                       and _zero(node.value)
+                       for node in ast.walk(stmt)):
+                    found.append(f"{func.name}: {ast.unparse(stmt)}")
+    return found
+
+
+def _shape_dispatch(tree, function):
+    """Names of the law shapes and ``isinstance`` in ``function``."""
+    return sorted({name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == function
+                   for name in _named(node)} & (SHAPES | {"isinstance"}))
+
+
+def test_kernel_loops_write_no_sign_of_a_zero():
+    # signed zeros are taken once, at the kernel's entry; a Bernoulli(0.0)
+    # factor and a zero-probability row keep their products with 0.0
+    zeros = ProcessSpec(n_types=2, laws=(
+        ProductLaw(parent=1, children={1: Bernoulli(0.0), 2: Poisson(1.0)}),
+        TableLaw(parent=2, rows=(((0, 0), 0.5), ((0, 1), 0.0),
+                                 ((0, 2), 0.5)))), name="zeros")
+    for spec in SPECS + [zeros]:
+        assert _zero_sums(spec.kernel.source) == []
+    assert "0.0 * d0" in zeros.kernel.source
+    assert _shape_dispatch(ast.parse((SRC / "model.py").read_text()),
+                           "_compile_kernel") == []
+
+
+def test_the_zero_guard_sees_what_it_looks_for():
+    source = ("def advance(da, delta, steps):\n"
+              "    d0, = [x + 0.0 for x in da]\n"
+              "    for _ in range(steps):\n"
+              "        sa = 0.0 * d0\n"
+              "        h0 = 0.0 if d0 < e0 else d0 - e0\n"
+              "        total = 0.0 * (1.0 - sa) + gap\n"
+              "        acc = 0.0 + sa\n"
+              "        d0 = acc - 0.0\n"
+              "        e0 = 0.5 * (e0 * h0) + 0.0\n"
+              "        e0 += 0.0\n"
+              "        e0 = e0 + 0\n")
+    assert _zero_sums(source) == [
+        "advance: total = 0.0 * (1.0 - sa) + gap", "advance: acc = 0.0 + sa",
+        "advance: d0 = acc - 0.0", "advance: e0 = 0.5 * (e0 * h0) + 0.0",
+        "advance: e0 += 0.0", "advance: e0 = e0 + 0"]
+    tree = ast.parse("def _compile_kernel(spec):\n"
+                     "    if isinstance(law, ProductLaw):\n"
+                     "        pass\n"
+                     "def other(law):\n"
+                     "    return model.TableLaw\n")
+    assert _shape_dispatch(tree, "_compile_kernel") == ["ProductLaw", "isinstance"]
+    assert _shape_dispatch(tree, "other") == ["TableLaw"]
 
 
 # module attributes that the interpreter calls: a package's lazy names
