@@ -332,12 +332,16 @@ def _cmd_conditional(req: RunRequest, spec: ProcessSpec):
     if not req.m < req.n:
         raise UsageError("m must be smaller than n", field="m",
                          stanza="  " + _EXAMPLES["conditional"])
-    table = build_survival_table(spec, req.n)
-    args = (1.0,) * (spec.n_types - 1) + (req.s,)
-    value = conditional_transform(spec, table, args, m=req.m, n=req.n)
+    value = _exact_conditional(req, spec, build_survival_table(spec, req.n))
     rows = [(req.n, req.m, req.s, value)]
     return Table("conditional", spec.name, ("n", "m", "s", "value"), rows,
                  {"n_types": spec.n_types})
+
+
+def _exact_conditional(req: RunRequest, spec: ProcessSpec, table) -> float:
+    """E[s^(last-type count at m) | T = n] for the request, exactly."""
+    args = (1.0,) * (spec.n_types - 1) + (req.s,)
+    return conditional_transform(spec, table, args, m=req.m, n=req.n)
 
 
 def _cmd_mc(req: RunRequest, spec: ProcessSpec):
@@ -351,6 +355,7 @@ def _cmd_mc(req: RunRequest, spec: ProcessSpec):
     config = SimConfig(master_seed=req.seed, replicates=req.replicates,
                        max_steps=n,
                        snapshot_times=() if req.m is None else (req.m,))
+    table = build_survival_table(spec, n)
 
     if req.m is not None:
         # conditional mode: E[s^(last-type count at m) | extinction at n]
@@ -358,9 +363,7 @@ def _cmd_mc(req: RunRequest, spec: ProcessSpec):
             spec, config, n,
             lambda summary: req.s ** summary.snapshots[req.m][-1],
             workers=req.workers)
-        table = build_survival_table(spec, n)
-        args = (1.0,) * (spec.n_types - 1) + (req.s,)
-        exact = conditional_transform(spec, table, args, m=req.m, n=n)
+        exact = _exact_conditional(req, spec, table)
         z = (est.value - exact) / est.stderr if est.stderr > 0 else math.nan
         rows = [(n, req.m, req.s, est.value, est.stderr, est.acceptance_rate,
                  exact, z)]
@@ -371,7 +374,6 @@ def _cmd_mc(req: RunRequest, spec: ProcessSpec):
                             "seed": req.seed, "mode": "conditional"})
 
     estimates = estimate_pmf_T(spec, config, workers=req.workers)
-    table = build_survival_table(spec, n)
     rows = []
     curves: dict[str, list[tuple[float, float]]] = {"estimate": [], "exact": []}
     for nn in sorted(estimates):

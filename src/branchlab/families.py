@@ -11,12 +11,12 @@ intermediates, the survival forms ``1 - pgf(a)`` and ``1 - pgf(b)`` and
 the difference form ``pgf(a) - pgf(b)``: all three stay accurate when
 their inputs are 1e-300-sized, where the naive expressions would return
 zero or noise.  Each family writes it once, as the straight-line source
-template ``PAIR``, the one definition of its arithmetic: the family's
-``pair(da, delta)`` method is compiled from it, reading the parameters
-off ``self``, and the model kernel inlines it with the parameters as
-literals where they are used, a factor of 1.0 left out
-(``pair_source``).  ``survival(d)`` and ``pgf_diff(da, delta)`` are
-projections of ``pair``.
+template ``PAIR``, the one definition of its arithmetic, rendered one
+way only, with its parameters as literals (``pair_source``): the model
+kernel inlines that rendering, and a family's ``pair(da, delta)`` is
+compiled from it on first use (``survival(d)`` and ``pgf_diff(da,
+delta)`` are its projections).  ``PointMass`` writes its template out
+for its own k, as a table row writes its powers (``power_sum``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 import numbers
 import textwrap
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .numerics import compile_step
 
@@ -34,19 +35,27 @@ from .numerics import compile_step
 # family's own dataclass fields; it leaves its results in {sa}, sb and
 # {gap}.  No line but sb's reads {da} after {sa} or {delta} after {gap}
 # is set, so a last factor, which drops sb, may write its results over
-# its inputs, as each kernel loop does for a lone factor.  A parameter
+# its inputs, as each kernel loop does for a lone factor; a result that
+# is its input unchanged is then no statement at all.  A parameter
 # enters as ``{mean}`` where it is an operand and as ``{mean:*}x`` where
-# it multiplies x: the kernel writes the product of a literal 1.0 as
+# it multiplies x: the rendering writes the product of a literal 1.0 as
 # plain x, which is the same bits (and ``-x`` for ``-{mean:*}x``).
 
 
-class _Param:
-    """How a parameter is written into a rendered template: ``text``,
-    and ``text * `` before a factor, or nothing when it is the literal
-    one."""
+def _fields_only(self) -> dict:
+    # pickled state: the fields only; compiled code does not pickle,
+    # and cached values are rebuilt on first use after unpickling
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def __init__(self, text: str, one: bool = False):
-        self.text, self.one = text, one
+
+class _Param:
+    """How a parameter is written into a rendered template: its literal,
+    and ``literal * `` before a factor, or nothing when it is one."""
+
+    def __init__(self, value):
+        # float() makes a numpy float, whose repr is no literal, a plain one
+        self.text = repr(float(value) if isinstance(value, float) else value)
+        self.one = value == 1
 
     def __format__(self, spec: str) -> str:
         if spec == "*":
@@ -54,37 +63,60 @@ class _Param:
         return self.text
 
 
-def _paired(cls):
-    """Compile the family's ``pair`` method from its ``PAIR`` template."""
-    names = [f.name for f in fields(cls)]
-    body = cls.PAIR.format(da="da", delta="delta", t="", sa="sa", gap="gap",
-                           **{name: _Param(name) for name in names})
-    source = ("def pair(self, da, delta):\n"
-              + "".join(f"    {name} = self.{name}\n" for name in names)
-              + textwrap.indent(body, "    ") + "    return sa, sb, gap\n")
-    cls.pair = compile_step(source, f"{cls.__name__}.pair")["pair"]
-    cls.pair.__qualname__ = f"{cls.__name__}.pair"
-    return cls
-
-
 def pair_source(law: Marginal, da: str, delta: str, prefix: str, *,
                 sa: str = "sa", gap: str = "gap") -> str:
     """``law``'s ``PAIR`` template with its parameters as literals,
     reading the names ``da`` and ``delta``, its temporaries prefixed
-    with ``prefix``, leaving its results in ``sa``, ``sb`` and ``gap``."""
-    params = {}
-    for f in fields(law):
-        v = getattr(law, f.name)
-        # float() makes a numpy float, whose repr is no literal, a plain one
-        params[f.name] = _Param(repr(float(v) if isinstance(v, float) else v),
-                                one=v == 1)
-    return law.PAIR.format(da=da, delta=delta, t=prefix, sa=sa, gap=gap,
+    with ``prefix``, leaving its results in ``sa``, ``sb`` and ``gap``;
+    a line that would assign a name to itself is left out."""
+    params = {f.name: _Param(getattr(law, f.name)) for f in fields(law)}
+    text = law.PAIR.format(da=da, delta=delta, t=prefix, sa=sa, gap=gap,
                            **params)
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if (parts := line.rstrip().partition(" = "))[0] != parts[2])
 
 
-@_paired
+def power(base: str, c: int) -> str:
+    return base if c == 1 else f"{base} ** {c}"
+
+
+def power_sum(a: str, h: str, c: int) -> str:
+    """The sum in ``power_diff(a, e, c)``, sum_t a^t h^(c-1-t) over
+    t = 0..c-1 with h = max(a - e, 0), as source over the names ``a``
+    and ``h``, in its loop's order.  The powers 0, which are exactly
+    1.0, and the leading 0.0 are left out: h ** (c-1) is never -0.0."""
+    terms = []
+    for t in range(c):
+        powers = [power(a, t)] if t else []
+        if t < c - 1:
+            powers.append(power(h, c - 1 - t))
+        terms.append(" * ".join(powers))
+    return " + ".join(terms)
+
+
+class _Family:
+    """What every family shares: the paired form compiled from its own
+    rendering, its two projections, and fields-only pickling."""
+
+    __getstate__ = _fields_only
+
+    @cached_property
+    def pair(self):
+        """``pair(da, delta) -> (sa, sb, gap)``, the kernel's rendering."""
+        source = ("def pair(da, delta):\n"
+                  + textwrap.indent(pair_source(self, "da", "delta", ""), "    ")
+                  + "    return sa, sb, gap\n")
+        return compile_step(source, f"{self!r}.pair")["pair"]
+
+    def survival(self, d: float) -> float:
+        return self.pair(d, 0.0)[0]
+
+    def pgf_diff(self, da: float, delta: float) -> float:
+        return self.pair(da, delta)[2]
+
+
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_Family):
     """Geometric law on {0, 1, 2, ...} parameterised by its mean.
 
     pgf(s) = 1 / (1 + mean * (1 - s)); variance = mean * (1 + mean).
@@ -107,12 +139,6 @@ sb = {mean:*}({da} + {delta}) / {t}low
 {gap} = {mean:*}{delta} / ({t}up * {t}low)
 """
 
-    def survival(self, d: float) -> float:
-        return self.pair(d, 0.0)[0]
-
-    def pgf_diff(self, da: float, delta: float) -> float:
-        return self.pair(da, delta)[2]
-
     @property
     def second_factorial_moment(self) -> float:
         return 2.0 * self.mean * self.mean
@@ -126,9 +152,8 @@ sb = {mean:*}({da} + {delta}) / {t}low
         return rng.negative_binomial(z, 1.0 / (1.0 + self.mean))
 
 
-@_paired
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Family):
     """Poisson law; pgf(s) = exp(mean * (s - 1))."""
 
     mean: float
@@ -148,12 +173,6 @@ sb = -expm1(-{mean:*}({da} + {delta}))
 {gap} = exp({t}xa) * -expm1(-{mean:*}{delta})
 """
 
-    def survival(self, d: float) -> float:
-        return self.pair(d, 0.0)[0]
-
-    def pgf_diff(self, da: float, delta: float) -> float:
-        return self.pair(da, delta)[2]
-
     @property
     def second_factorial_moment(self) -> float:
         return self.mean * self.mean
@@ -162,9 +181,8 @@ sb = -expm1(-{mean:*}({da} + {delta}))
         return rng.poisson(self.mean * z)
 
 
-@_paired
 @dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(_Family):
     """Bernoulli law on {0, 1}; pgf(s) = 1 - p + p * s."""
 
     p: float
@@ -183,12 +201,6 @@ sb = {p:*}({da} + {delta})
 {gap} = {p:*}{delta}
 """
 
-    def survival(self, d: float) -> float:
-        return self.pair(d, 0.0)[0]
-
-    def pgf_diff(self, da: float, delta: float) -> float:
-        return self.pair(da, delta)[2]
-
     @property
     def mean(self) -> float:
         return self.p
@@ -201,9 +213,8 @@ sb = {p:*}({da} + {delta})
         return rng.binomial(z, self.p)
 
 
-@_paired
 @dataclass(frozen=True)
-class PointMass:
+class PointMass(_Family):
     """Deterministic count; pgf(s) = s ** k."""
 
     k: int
@@ -215,18 +226,24 @@ class PointMass:
     def pgf(self, s: float) -> float:
         return s**self.k
 
-    # the gap comes first: it reads {da}, which {sa} may overwrite
-    PAIR = """\
-{gap} = power_diff(1.0 - {da}, {delta}, {k})
-{sa} = power_complement({da}, {k})
-sb = power_complement({da} + {delta}, {k})
-"""
-
-    def survival(self, d: float) -> float:
-        return self.pair(d, 0.0)[0]
-
-    def pgf_diff(self, da: float, delta: float) -> float:
-        return self.pair(da, delta)[2]
+    @property
+    def PAIR(self) -> str:
+        """The template for this k: first the gap, which reads {da}
+        that {sa} may overwrite, as ``power_diff(1 - da, delta, k)``
+        written out, then 1 - (1 - x)^k = -expm1(k log1p(-x)), 1 at
+        x >= 1, for x = da and da + delta; zeros for k = 0."""
+        if self.k == 0:
+            return "{gap} = 0.0\n{sa} = 0.0\nsb = 0.0\n"
+        gap = "{gap} = {delta}\n"
+        if self.k > 1:
+            gap = ("{t}a = 1.0 - {da}\n"
+                   "{t}h = 0.0 if {t}a < {delta} else {t}a - {delta}\n"
+                   "{gap} = {delta} * ("
+                   + power_sum("{t}a", "{t}h", self.k) + ")\n")
+        return gap + (
+            "{sa} = 1.0 if {da} >= 1.0 else -expm1({k:*}log1p(-{da}))\n"
+            "sb = 1.0 if {da} + {delta} >= 1.0 else "
+            "-expm1({k:*}log1p(-({da} + {delta})))\n")
 
     @property
     def mean(self) -> float:

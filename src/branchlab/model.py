@@ -26,7 +26,9 @@ factor of 1.0 is left out, the last factor's survival at b is dropped,
 the product survival has no pin at 1 and no clamp, the product and a
 table's Neumaier sums start from their first factor or term (all-zero
 rows left out), ``power_diff`` is written out in its loop's order
-without ``** 1``, ``** 0`` or ``1 *``, and no statement writes the
+without ``** 1``, ``** 0`` or ``1 *`` (by a table row and by a
+``PointMass`` factor alike, through ``families.power_sum``), no
+statement assigns a name to itself, and no statement writes the
 sign of a zero: the kernel takes -0.0 as +0.0 once per call.  A spec
 compiles its laws' blocks, in type order, into one kernel on first use
 (``ProcessSpec.kernel``), the one stepper of the spec: of every vector
@@ -44,7 +46,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
@@ -54,19 +56,14 @@ from .errors import (
     ModelStructureError,
     NonCritical,
 )
-from .families import Marginal, PointMass, pair_source
+from .families import (Marginal, PointMass, _fields_only, pair_source, power,
+                       power_sum)
 from .numerics import compile_step, neumaier_sum
 
 if TYPE_CHECKING:
     import numpy as np
 
 CRITICALITY_TOL = 1e-10
-
-
-def _fields_only(self) -> dict:
-    # pickled state: the fields only; a spec's kernel does not pickle,
-    # and cached values are rebuilt on first use after unpickling
-    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,9 @@ class ProductLaw:
         numbers are ever subtracted.
 
         Only what changes bits is written.  A lone factor leaves its
-        results in ``sa`` and ``gap``; of several, the first one's
+        results in ``sa`` and ``gap`` (a result equal to its input is
+        no statement, so the block of an identity factor, Bernoulli(1.0),
+        is empty); of several, the first one's
         start acc and total, and the last one's update of both goes to
         ``sa`` and ``gap``, without its survival at b, never read (its
         ``expm1`` argument is <= 0, so it cannot raise).  No sign of a
@@ -137,7 +136,7 @@ class ProductLaw:
             elif k > 0:
                 lines += [f"{sa} = acc + sa * (1.0 - acc)",
                           f"{gap} = total * (1.0 - sa) + lower * gap"]
-        return lines or [f"{sa} = 0.0", f"{gap} = 0.0"]
+        return lines if self.children else [f"{sa} = 0.0", f"{gap} = 0.0"]
 
     def mean_row(self, n_types: int) -> tuple[float, ...]:
         row = [0.0] * n_types
@@ -247,9 +246,10 @@ class TableLaw:
         for p, nz in rows:
             expo = " + ".join(_times(c, f"l{j}") for j, c in nz)
             steps = [" * ".join([
-                f"e{j}" if c == 1 else f"e{j} * ({_power_sum(j, c)})",
-                *(_power(f"b{l}", cl) for l, cl in nz[:k]),
-                *(_power(f"a{l}", cl) for l, cl in nz[k + 1:])])
+                f"e{j}" if c == 1
+                else f"e{j} * ({power_sum(f'a{j}', f'h{j}', c)})",
+                *(power(f"b{l}", cl) for l, cl in nz[:k]),
+                *(power(f"a{l}", cl) for l, cl in nz[k + 1:])])
                 for k, (j, c) in enumerate(nz)]
             survs.append(_times(p, f"-expm1({expo})"))
             gaps.append(_times(p, " + ".join(steps)))
@@ -301,23 +301,6 @@ def _times(factor, operand: str) -> str:
     if not operand.isidentifier():
         operand = f"({operand})"
     return f"{factor!r} * {operand}"
-
-
-def _power(base: str, c: int) -> str:
-    return base if c == 1 else f"{base} ** {c}"
-
-
-def _power_sum(j: int, c: int) -> str:
-    """The sum in ``power_diff(a_j, e_j, c)``, sum_t a^t h^(c-1-t) over
-    t = 0..c-1, in its loop's order.  The powers 0, which are exactly
-    1.0, and the leading 0.0 are left out: h ** (c-1) is never -0.0."""
-    terms = []
-    for t in range(c):
-        powers = [_power(f"a{j}", t)] if t else []
-        if t < c - 1:
-            powers.append(_power(f"h{j}", c - 1 - t))
-        terms.append(" * ".join(powers))
-    return " + ".join(terms)
 
 
 def _neumaier(terms: list[str], name: str, target: str) -> list[str]:
@@ -390,6 +373,7 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
     # The terminal type reads only its own coordinate, so the last
     # law's block in advance is its scalar step.  advance and terminal
     # take -0.0 as +0.0 at entry; table starts from 1.0 and f(0) >= +0.0.
+    # The block of an identity law (a lone Bernoulli(1.0)) is empty.
     j = spec.n_types - 1
 
     def names(letter):
@@ -400,7 +384,7 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
         "def advance(da, delta, steps):",
         f"    {ds}= [x + 0.0 for x in da]", f"    {es}= [x + 0.0 for x in delta]",
         "    for _ in range(steps):",
-        *(f"        {line}" for line in sweep),
+        *(f"        {line}" for line in sweep or ["pass"]),
         f"    return ({ds}), ({es})", "",
         "def table(d, pmf, pi):",
         f"    {names('D')}= map(memoryview, d)",
@@ -416,7 +400,7 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
         f"def terminal(d{j}, e{j}, steps):",
         f"    d{j}, e{j} = d{j} + 0.0, e{j} + 0.0",
         "    for _ in range(steps):",
-        *(f"        {line}" for line in block),
+        *(f"        {line}" for line in block or ["pass"]),
         f"    return d{j}, e{j}", ""])
     compiled = compile_step(source, f"{spec.name} kernel")
     return Kernel(advance=compiled["advance"], table=compiled["table"],

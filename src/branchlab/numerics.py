@@ -4,8 +4,11 @@ Everything here exists to avoid cancellation: probabilities close to
 one are always carried as complements, sums of many small terms use
 compensated accumulation, and differences of nearby transform values
 are propagated as first-class quantities instead of being recomputed
-by subtraction.  ``compile_step`` turns the generated source of a paired
-step into a function over these helpers and the ``math`` functions.
+by subtraction.  ``power_diff`` is the reference form of the
+telescoped difference of powers that the generated steps write out
+inline.  ``compile_step`` turns the generated source of a paired step
+into functions that call only ``math``'s ``exp``, ``expm1`` and
+``log1p``.
 """
 
 from __future__ import annotations
@@ -45,15 +48,6 @@ def complement_product(survivals: Iterable[float]) -> float:
     return min(acc, 1.0)
 
 
-def power_complement(base_complement: float, k: int) -> float:
-    """1 - (1 - d)^k without cancellation, for d in [0, 1], k >= 0."""
-    if k == 0:
-        return 0.0
-    if base_complement >= 1.0:
-        return 1.0
-    return -math.expm1(k * math.log1p(-base_complement))
-
-
 def power_diff(a: float, gap: float, k: int) -> float:
     """a^k - (a - gap)^k for 0 <= a - gap <= a <= 1, telescoped.
 
@@ -87,17 +81,15 @@ def richardson_derivative(f: Callable[[float], float], x: float,
     return (4.0 * d1 - d2) / 3.0
 
 
-# the names generated step source may call
+# the names generated step source may read besides the builtins: math's
 _STEP_NAMES = {"exp": math.exp, "expm1": math.expm1, "log1p": math.log1p,
-               "inf": math.inf, "power_complement": power_complement,
-               "power_diff": power_diff}
+               "inf": math.inf}
 
 
 def compile_step(source: str, label: str) -> dict[str, Callable]:
     """The namespace of ``source``, generated step code that calls only
-    the helpers above, ``math``'s ``exp``, ``expm1`` and ``log1p`` and
-    the functions it defines itself; ``label`` names it in
-    tracebacks."""
+    ``math``'s ``exp``, ``expm1`` and ``log1p``, builtins and the
+    functions it defines itself; ``label`` names it in tracebacks."""
     namespace = dict(_STEP_NAMES)
     exec(compile(source, f"<{label}>", "exec"), namespace)
     return namespace

@@ -157,8 +157,8 @@ def iterate_point(spec: ProcessSpec, s: Sequence[float], m: int
         raise ValueError("iteration count must be nonnegative")
     check_point(spec, s)
     if m == 0:
-        # avoid the complement round trip perturbing the identity map
-        return tuple(float(x) for x in s)
+        # the identity map without the complement round trip, -0.0 as +0.0
+        return tuple(float(x) + 0.0 for x in s)
     d = spec.kernel.advance([1.0 - x for x in s], [0.0] * spec.n_types, m)[0]
     return tuple(1.0 - x for x in d)
 
@@ -178,7 +178,7 @@ def conditional_orbit(spec: ProcessSpec, table: SurvivalTable,
     start state is one type-1 particle.
     """
     _require_same_model(spec, table)
-    sv = list(s)
+    sv = [x + 0.0 for x in s]  # -0.0 as +0.0, as the kernel takes it
     check_point(spec, sv)
     done, da, delta = 0, None, None
 

@@ -11,6 +11,11 @@ require it to agree with these bit for bit.  The sweep and the chain
 take an input of -0.0 as +0.0, as the kernel does at its entry; the
 steps keep their sums from 0.0, which the kernel leaves out.
 
+A point mass steps through ``power_complement``, kept here as the
+reference form of the survival that the kernel writes out, and
+``numerics.power_diff``, the reference form of its gap; the engine
+calls neither.
+
 Apart from those stands the 40-digit table (``extended_table``): plain
 iteration of each law's pgf, written out again in mpmath (``mp_pgf``),
 so it shares no code with the engine it checks.
@@ -25,7 +30,16 @@ import numpy as np
 
 from branchlab.families import Bernoulli, Geometric, PointMass, Poisson
 from branchlab.model import ProductLaw
-from branchlab.numerics import neumaier_sum, power_complement, power_diff
+from branchlab.numerics import neumaier_sum, power_diff
+
+
+def power_complement(base_complement: float, k: int) -> float:
+    """1 - (1 - d)^k without cancellation, for d in [0, 1], k >= 0."""
+    if k == 0:
+        return 0.0
+    if base_complement >= 1.0:
+        return 1.0
+    return -math.expm1(k * math.log1p(-base_complement))
 
 
 def family_pair(law, da: float, delta: float) -> tuple[float, float, float]:

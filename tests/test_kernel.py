@@ -16,9 +16,14 @@ clamp, which the reference keeps), and tables that truncate at n = 1
 and n = 2.  A pinned table checks that its sums run in row order, a
 pinned ``PointMass(2)`` terminal that the terminal loop, which writes
 the results over its inputs, reads the complement before it
-overwrites it, and two pinned tables that a complement rounding
-upward stops the table.  On every stock model and a table terminal,
--0.0 inputs give +0.0 results from every public step.
+overwrites it, two pinned tables that a complement rounding upward
+stops the table, and a pinned identity law (a lone Bernoulli(1.0),
+whose block is empty) that its step keeps the pair.  ``PointMass(0..5)``
+pairs are checked at the ends of [0, 1] too.  On every stock model and
+a table terminal, -0.0 inputs give +0.0 results from every public
+step, the m = 0 shortcuts of ``iterate_point`` and
+``conditional_transform`` included.  A spec whose family has stepped
+still pickles, and samples the same bits at one and two workers.
 """
 
 import math
@@ -33,7 +38,9 @@ import reference_step as ref
 from branchlab.families import Bernoulli, Geometric, PointMass, Poisson
 from branchlab.model import (ProcessSpec, ProductLaw, TableLaw, pair_diff_map,
                              survival_map)
-from branchlab.pgf import build_survival_table, terminal_gap
+from branchlab.montecarlo import SimConfig, estimate_pmf_T
+from branchlab.pgf import (build_survival_table, conditional_transform,
+                           iterate_point, terminal_gap)
 from branchlab.zoo import STOCK_MODELS
 from test_layering import _all_tables
 
@@ -147,6 +154,9 @@ def hexes(values):
 
 
 @given(models(), pairs(), pairs())
+@example(ProcessSpec(n_types=1, laws=(
+    ProductLaw(parent=1, children={1: Bernoulli(1.0)}),)),
+    ([0.5] * 4, [0.25] * 4), ([0.0] * 4, [0.0] * 4))
 @settings(max_examples=300, deadline=None)
 def test_compiled_pair_step_is_the_reference(spec, pair, lower):
     # coordinate i of one kernel step is law i's paired step, whatever
@@ -260,6 +270,18 @@ def test_family_pair_methods_are_the_reference(family, pair):
         ref.family_pair(family, da, delta))
 
 
+@pytest.mark.parametrize("k", range(6))
+def test_point_mass_pairs_are_the_reference_at_the_edges(k):
+    # the written-out PointMass arithmetic against power_complement and
+    # power_diff at the ends of [0, 1], with no gap, with the gap
+    # reaching b = 0, and one ulp past it, where b is clamped to 0
+    family = PointMass(k)
+    for da in (0.0, 5e-324, 1e-300, 1e-16, 1.0 - 1e-16, 0.5, 1.0):
+        for delta in (0.0, 1.0 - da, math.nextafter(1.0 - da, 2.0)):
+            assert hexes(family.pair(da, delta)) == hexes(
+                ref.family_pair(family, da, delta))
+
+
 def test_table_sums_run_in_row_order():
     # Neumaier's sum is not free of order: these probabilities sum to
     # 0x1.1ffffffffffffp-6 in row order and to 0x1.2p-6 reversed.  At
@@ -315,6 +337,14 @@ def test_signed_zero_inputs_give_positive_zeros(spec):
         da, delta = spec.kernel.advance(minus, minus, steps)
         assert positive_zeros(da) and positive_zeros(delta)
         assert positive_zeros(spec.kernel.terminal(-0.0, -0.0, steps))
+    # and so do the m = 0 shortcuts outside the kernel: the identity
+    # map, and a conditioned transform observed at extinction
+    assert positive_zeros(iterate_point(spec, minus, 0))
+    if spec.name != "all_tables":  # whose type 2 never dies
+        table = build_survival_table(spec, 10)
+        for m in (0, 1):
+            assert positive_zeros(
+                [conditional_transform(spec, table, minus, m, 10)])
 
 
 def test_a_spec_with_its_kernel_built_still_pickles():
@@ -326,3 +356,14 @@ def test_a_spec_with_its_kernel_built_still_pickles():
         assert copy == spec
         table = build_survival_table(copy, 10)
         assert np.array_equal(table.d, build_survival_table(spec, 10).d)
+
+
+def test_a_spec_whose_family_has_stepped_still_pickles():
+    # a family's compiled pair does not pickle; a spec whose family has
+    # been probed must still reach the Monte Carlo workers
+    spec = STOCK_MODELS["two_type_cascade"]()
+    spec.laws[0].children[1].survival(0.5)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    config = SimConfig(master_seed=11, replicates=2000, max_steps=20)
+    assert estimate_pmf_T(spec, config, workers=2) == estimate_pmf_T(
+        spec, config, workers=1)

@@ -9,7 +9,11 @@ kernel, built from the laws' own blocks, never through the model maps
 ``survival_map`` and ``pair_diff_map``, the two halves of one kernel
 step kept for the per-layer probe.  The kernel is the one stepper
 compiled from a law: ``numerics.compile_step`` is called only for it
-and for the families' ``pair`` methods.  A kernel step inlines each
+and for a family's ``pair``, compiled from the rendering the kernel
+inlines.  A kernel calls only ``math``'s ``exp``, ``expm1`` and
+``log1p`` (the only functions ``compile_step`` gives it), builtins and
+its own functions, a ``PointMass`` factor included, and no kernel
+statement assigns a name to itself.  A kernel step inlines each
 child factor's ``PAIR`` template exactly once per law, its terminal
 loop is the last law's block alone, written into the loop's own names
 whatever the law's shape, and the engine never steps a chain through
@@ -41,6 +45,7 @@ package imports, inside functions too.
 """
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -52,6 +57,7 @@ import pytest
 import branchlab
 from branchlab.families import Bernoulli, Geometric, PointMass, Poisson, pair_source
 from branchlab.model import ProcessSpec, ProductLaw, TableLaw
+from branchlab.numerics import _STEP_NAMES, power_diff
 from branchlab.zoo import STOCK_MODELS
 
 SRC = Path(branchlab.__file__).parent
@@ -80,8 +86,22 @@ def _all_tables():
     ), name="all_tables")
 
 
-SPECS = [make() for make in STOCK_MODELS.values()] + [_all_families(),
-                                                      _all_tables()]
+def _point_masses():
+    # PointMass(0..3) as a last feed factor, as a lone own-type factor
+    # (and terminal), and as an own-type factor beside a feed
+    return [spec for k in range(4) for spec in (
+        ProcessSpec(n_types=2, laws=(
+            ProductLaw(parent=1, children={1: Geometric(1.0), 2: PointMass(k)}),
+            ProductLaw(parent=2, children={2: PointMass(k)})),
+            name=f"point_mass_{k}_feed"),
+        ProcessSpec(n_types=2, laws=(
+            ProductLaw(parent=1, children={1: PointMass(k), 2: Poisson(1.0)}),
+            ProductLaw(parent=2, children={2: Geometric(1.0)})),
+            name=f"point_mass_{k}_own"))]
+
+
+SPECS = [make() for make in STOCK_MODELS.values()] + [
+    _all_families(), _all_tables(), *_point_masses()]
 
 
 def _loops(source):
@@ -184,7 +204,7 @@ def _users(modules, name):
 def test_the_kernel_is_the_only_compiled_stepper():
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _users(modules, "compile_step") == [
-        "families._paired", "model._compile_kernel"]
+        "families.pair", "model._compile_kernel"]
 
 
 def test_the_stepper_guard_sees_what_it_looks_for():
@@ -335,6 +355,89 @@ def test_the_step_guard_sees_what_it_looks_for():
     assert _step_calls(called) == [5]
     by_projection = kernel(*inlined, "d0 = law.survival(d0)", "e0 = gap")
     assert _step_calls(by_projection) == [5 + len(inlined)]
+
+
+# what a kernel may call besides the functions it defines
+MATH_CALLS = {"exp", "expm1", "log1p"}
+BUILTIN_CALLS = {"abs", "map", "memoryview", "range"}
+
+
+def _not_math(namespace):
+    """Names in ``namespace`` (name -> value) that are not ``math``'s
+    own attribute of that name."""
+    return sorted(name for name, value in namespace.items()
+                  if getattr(math, name, None) != value)
+
+
+def _foreign_calls(source):
+    """Calls in a kernel's source to anything but ``MATH_CALLS``,
+    ``BUILTIN_CALLS``, the functions the source defines and an array's
+    ``tolist``."""
+    tree = ast.parse(source)
+    allowed = MATH_CALLS | BUILTIN_CALLS | {
+        func.name for func in tree.body if isinstance(func, ast.FunctionDef)}
+    return sorted(ast.unparse(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and not (isinstance(node.func, ast.Name)
+                           and node.func.id in allowed
+                           or isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "tolist"))
+
+
+def test_kernels_call_only_math_functions():
+    assert sorted(_STEP_NAMES) == sorted(MATH_CALLS | {"inf"})
+    assert _not_math(_STEP_NAMES) == []
+    for spec in SPECS:
+        assert _foreign_calls(spec.kernel.source) == []
+
+
+def test_the_math_guard_sees_what_it_looks_for():
+    assert _not_math({"exp": math.exp, "inf": math.inf, "log": math.log1p,
+                      "power_diff": power_diff}) == ["log", "power_diff"]
+    source = ("def advance(da, delta, steps):\n"
+              "    d0, = [x + 0.0 for x in d[:, 0].tolist()]\n"
+              "    for _ in range(steps):\n"
+              "        c0_a = 1.0 - d0\n"
+              "        gap = power_diff(c0_a, e0, 3)\n"
+              "        sa = power_complement(d0, 3)\n"
+              "        sb = math.expm1(-d0) + abs(exp(d0))\n"
+              "        d0 = -expm1(3 * log1p(-d0))\n"
+              "        e0 = law.pair(d0, e0)[2]\n"
+              "    return advance(da, delta, 0)\n")
+    assert _foreign_calls(source) == [
+        "law.pair", "math.expm1", "power_complement", "power_diff"]
+
+
+def _self_assignments(source):
+    """Statements of a kernel's source that assign a name to itself."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assign)
+            and any(ast.unparse(target) == ast.unparse(node.value)
+                    for target in node.targets)]
+
+
+def test_no_kernel_statement_assigns_a_name_to_itself():
+    # a lone PointMass(1) leaves the gap as it is, and a lone
+    # Bernoulli(1.0) both the complement and the gap
+    identities = [ProcessSpec(n_types=1, laws=(
+        ProductLaw(parent=1, children={1: family}),), name="identity")
+        for family in (PointMass(1), Bernoulli(1.0))]
+    for spec in SPECS + identities:
+        assert _self_assignments(spec.kernel.source) == []
+
+
+def test_the_self_assignment_guard_sees_what_it_looks_for():
+    source = ("def terminal(d1, e1, steps):\n"
+              "    d1, e1 = d1 + 0.0, e1 + 0.0\n"
+              "    for _ in range(steps):\n"
+              "        e1 = e1\n"
+              "        d1, e1 = d1, e1\n"
+              "        e1 = e0\n"
+              "        d1 = D1[n] = d1\n"
+              "        d1 = 1.0 if d1 >= 1.0 else -expm1(log1p(-d1))\n"
+              "    return d1, e1\n")
+    assert _self_assignments(source) == [
+        "e1 = e1", "d1, e1 = (d1, e1)", "d1 = D1[n] = d1"]
 
 
 def _transposed_steps(tree):
