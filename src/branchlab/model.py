@@ -32,11 +32,12 @@ statement assigns a name to itself, and no statement writes the
 sign of a zero: the kernel takes -0.0 as +0.0 once per call.  A spec
 compiles its laws' blocks, in type order, into one kernel on first use
 (``ProcessSpec.kernel``), the one stepper of the spec: of every vector
-orbit, of the survival table (step n = 1, whose gap is dropped, runs
-before the loop, which stores through memoryviews of the rows) and of
-the terminal type's scalar chain (its own loop, ``terminal``, the last
-law's block).  ``survival_map`` and ``pair_diff_map`` are the two
-halves of one kernel step, kept for probes.
+orbit, of the survival table (the vector sweep, then a check and store
+of each value it wrote, through memoryviews of the rows; step n = 1,
+whose gap is dropped, runs before the loop) and of the terminal type's
+scalar chain (its own loop, ``terminal``, the last law's block).
+``survival_map`` and ``pair_diff_map`` are the two halves of one
+kernel step, kept for probes.
 
 All public operations take the process spec as their first argument
 and are plain functions, mirroring how the engine modules consume
@@ -46,6 +47,7 @@ them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
@@ -335,7 +337,8 @@ class Kernel(NamedTuple):
     gap) pair ``steps`` times and returns tuples (coordinate i of a step
     is law i's paired step); ``table(d, pmf, pi)`` fills columns 1.. of
     the survival table arrays from d[:, 0] and the gaps ``pi`` at n = 1,
-    and returns the first column it could not fill, or None;
+    and returns the first column it does not keep (``_stall_check``),
+    or None;
     ``terminal(da, delta, steps) -> (da, delta)`` steps the terminal
     type's scalar pair alone; both take an input of -0.0 as +0.0.
     ``source`` is the code all three were compiled from.
@@ -347,15 +350,22 @@ class Kernel(NamedTuple):
     source: str
 
 
-def _stall_check(i: int, new: str, n) -> list[str]:
-    """The table's stall test of the value ``new`` for coordinate i at
-    column n, then the store.  Deterministic feed links keep early death
-    mass at exactly zero, which is structure, not precision loss, so a
-    stall only counts once the complement has left 1."""
-    return [f"if ({new} > d{i} or not ({new} > 0.0) or (d{i} < 1.0 and "
-            f"({new} == d{i} or not (e{i} > 0.0)))):",
-            f"    return {n}",
-            f"d{i} = D{i}[{n}] = {new}", f"P{i}[{n}] = e{i}"]
+def _stall_check(n_types: int, n) -> list[str]:
+    """The table's test of column n on the values the sweep just wrote,
+    then their store, coordinate by coordinate.  A column is kept while
+    every complement is a normal double in [``sys.float_info.min``, 1]
+    and, from n = 2 on, every gap of a complement below 1 is one too, so
+    every stored entry has a double's relative precision.  A complement
+    of exactly 1 may have a zero gap (deterministic feed links keep
+    early death mass at zero), and so may the n = 1 gap f(0), exact,
+    beside a complement just below 1 (a table law without a childless
+    row whose probabilities round below 1)."""
+    tiny, lines = repr(sys.float_info.min), []
+    for i in range(n_types):
+        gap = "" if n == 1 else f" or d{i} < 1.0 and not ({tiny} <= e{i})"
+        lines += [f"if not ({tiny} <= d{i} <= 1.0){gap}:", f"    return {n}",
+                  f"D{i}[{n}] = d{i}", f"P{i}[{n}] = e{i}"]
+    return lines
 
 
 def _compile_kernel(spec: ProcessSpec) -> Kernel:
@@ -363,18 +373,15 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
     # as soon as law i's block has run.  That is the simultaneous update
     # bit for bit because the process is decomposable: law i reads only
     # coordinates i..N (a table's rows are zero below its own type), and
-    # those still hold the previous step's values when it runs.
-    sweep, first, checked = [], [], []
-    for i, law in enumerate(spec.laws):
-        block = law._block(f"d{i}", f"e{i}")
-        sweep += block
-        first += _stall_check(i, f"q{i}", 1)
-        checked += [*law._block("new", f"e{i}"), *_stall_check(i, "new", "n")]
+    # those still hold the previous step's values when it runs.  The
+    # table loop is that sweep, then each coordinate's check and store.
+    blocks = [law._block(f"d{i}", f"e{i}") for i, law in enumerate(spec.laws)]
+    sweep = [line for block in blocks for line in block]
     # The terminal type reads only its own coordinate, so the last
     # law's block in advance is its scalar step.  advance and terminal
     # take -0.0 as +0.0 at entry; table starts from 1.0 and f(0) >= +0.0.
     # The block of an identity law (a lone Bernoulli(1.0)) is empty.
-    j = spec.n_types - 1
+    j, block = spec.n_types - 1, blocks[-1]
 
     def names(letter):
         return "".join(f"{letter}{i}, " for i in range(spec.n_types))
@@ -389,13 +396,13 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
         "def table(d, pmf, pi):",
         f"    {names('D')}= map(memoryview, d)",
         f"    {names('P')}= map(memoryview, pmf)",
-        f"    {ds}= d[:, 0].tolist()", f"    {es}= pi",
         # step n = 1 is one sweep whose gaps are dropped: pi already
         # holds q(1) = f(0)
-        f"    ({names('q')}), _ = advance(({ds}), pi, 1)",
-        *(f"    {line}" for line in first),
+        f"    ({ds}), _ = advance(d[:, 0].tolist(), pi, 1)", f"    {es}= pi",
+        *(f"    {line}" for line in _stall_check(spec.n_types, 1)),
         "    for n in range(2, d.shape[1]):",
-        *(f"        {line}" for line in checked),
+        *(f"        {line}"
+          for line in sweep + _stall_check(spec.n_types, "n")),
         "    return None", "",
         f"def terminal(d{j}, e{j}, steps):",
         f"    d{j}, e{j} = d{j} + 0.0, e{j} + 0.0",

@@ -147,8 +147,7 @@ class EstimateWithCI:
             raise ValueError("acceptance rate must lie in [0, 1]")
 
 
-def _run_chunks(spec: ProcessSpec, config: SimConfig, group, horizon: int,
-                flows=None):
+def _run_chunks(spec: ProcessSpec, config: SimConfig, group, horizon: int):
     """Advance the replicates of ``group`` for ``horizon`` steps.
 
     ``group`` is a run of consecutive (stream index, size) chunks, each
@@ -162,10 +161,7 @@ def _run_chunks(spec: ProcessSpec, config: SimConfig, group, horizon: int,
     Returns per-row arrays: extinction time (0 = not observed),
     cap-censoring step (0 = never), first lower-block extinction step
     (-1 = never), accumulated last-type immigrant count, and recorded
-    snapshots (zero where a row no longer lived).  ``flows`` is an
-    audit hook for single-replicate runs: called once per step with
-    (t, parents vector, flow matrix, children vector) where flow[i][j]
-    counts type-j children of type-i parents.
+    snapshots (zero where a row no longer lived).
     """
     n = spec.n_types
     rngs = [np.random.Generator(np.random.Philox(
@@ -188,7 +184,6 @@ def _run_chunks(spec: ProcessSpec, config: SimConfig, group, horizon: int,
         if idx.size == 0:
             break
         new = [np.zeros(idx.size, dtype=np.int64) for _ in range(n)]
-        flow_mat = np.zeros((n, n), dtype=np.int64) if flows is not None else None
         for i, law in enumerate(spec.laws):
             sub = np.flatnonzero(live[i])
             if sub.size == 0:
@@ -207,11 +202,6 @@ def _run_chunks(spec: ProcessSpec, config: SimConfig, group, horizon: int,
                     new[j][sub] += vals
                 if j == n - 1 and i < n - 1:
                     w[idx if full else idx[sub]] += vals
-                if flow_mat is not None:
-                    flow_mat[i, j] += int(vals.sum())
-        if flows is not None:
-            flows(t, np.array([col[0] for col in live]), flow_mat,
-                  np.array([col[0] for col in new]))
 
         lows = sum(new[:-1])  # 0 for one type, whose early is already 0
         totals = lows + new[-1]
@@ -253,16 +243,13 @@ def _summary_from_row(config: SimConfig, horizon: int, r: int,
     )
 
 
-def simulate_once(spec: ProcessSpec, config: SimConfig, stream_index: int,
-                  *, record_flows: Callable | None = None) -> TrajectorySummary:
+def simulate_once(spec: ProcessSpec, config: SimConfig,
+                  stream_index: int) -> TrajectorySummary:
     """One trajectory from a single type-1 ancestor, on its own stream.
 
-    Deterministic given (master_seed, stream_index).  ``record_flows``
-    is called each generation with (t, parents, flow matrix, children)
-    so tests can audit that the population update conserves offspring.
+    Deterministic given (master_seed, stream_index).
     """
-    out = _run_chunks(spec, config, [(stream_index, 1)], config.max_steps,
-                      flows=record_flows)
+    out = _run_chunks(spec, config, [(stream_index, 1)], config.max_steps)
     return _summary_from_row(config, config.max_steps, 0, *out)
 
 

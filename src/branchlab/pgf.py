@@ -84,9 +84,11 @@ class SurvivalTable:
     type-i particle is still alive at generation n; ``pmf[i-1, n]`` is
     the probability it dies at exactly generation n.  Both come from
     the complement / paired recurrences, so the small entries keep
-    relative accuracy.  If the recurrence stalls (entries below 64-bit
-    resolution) the table is truncated and ``truncated_at`` records the
-    first unusable index.
+    relative accuracy.  Every stored entry is a normal double: the table
+    is truncated at the first column where a complement leaves
+    [``sys.float_info.min``, 1] or, from n = 2 on, the gap of a
+    complement below 1 falls below ``sys.float_info.min`` (the kernel's
+    ``table`` loop), and ``truncated_at`` records that index.
     """
 
     spec: ProcessSpec
@@ -232,19 +234,18 @@ def censored_transform(spec: ProcessSpec, table: SurvivalTable,
             return iterate_point(spec, sv, m)[0]
         return conditional_transform(spec, table, sv, m, n)
 
-    terminal = spec.kernel.terminal
-    s_term = sv[n_types - 1]
+    # the terminal walk from the start pair (1 - s, 0) or the one
+    # conditioned on T = n, then t steps of the whole vector from the
+    # all-terminal state; from a gap of 0.0 the terminal gap stays +0.0
+    # (and advance would take -0.0 as +0.0), so both are one walk
     if n is None:
-        du = terminal(1.0 - s_term, 0.0, m - t)[0]
-        dvec = [1.0] * (n_types - 1) + [du]
-        return 1.0 - spec.kernel.advance(dvec, [0.0] * n_types, t)[0][0]
-
-    da, delta, den = _conditioned_start(table, sv, m, n)
-    dx, ds = terminal(da[-1], delta[-1], m - t)
-    da = [1.0] * (n_types - 1) + [dx]
-    delta = [0.0] * (n_types - 1) + [ds]
-    da, delta = spec.kernel.advance(da, delta, t)
-    return delta[0] / den
+        da, delta = [1.0 - sv[-1]], [0.0]
+    else:
+        da, delta, den = _conditioned_start(table, sv, m, n)
+    dx, ds = spec.kernel.terminal(da[-1], delta[-1], m - t)
+    da, delta = spec.kernel.advance([1.0] * (n_types - 1) + [dx],
+                                    [0.0] * (n_types - 1) + [ds], t)
+    return 1.0 - da[0] if n is None else delta[0] / den
 
 
 def _conditioned_start(table: SurvivalTable, sv: list[float], m: int,

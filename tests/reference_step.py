@@ -16,14 +16,16 @@ reference form of the survival that the kernel writes out, and
 ``numerics.power_diff``, the reference form of its gap; the engine
 calls neither.
 
-Apart from those stands the 40-digit table (``extended_table``): plain
-iteration of each law's pgf, written out again in mpmath (``mp_pgf``),
-so it shares no code with the engine it checks.
+Apart from those stands the extended-precision table
+(``extended_table``, 40 digits unless asked for more): plain iteration
+of each law's pgf, written out again in mpmath (``mp_pgf``), so it
+shares no code with the engine it checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -152,6 +154,14 @@ def advance_pair(spec, da, delta, steps):
     return tuple(da), tuple(delta)
 
 
+def kept(n, complement, gap) -> bool:
+    """The table's rule for one coordinate of column n: the complement
+    is a normal double in [``sys.float_info.min``, 1] and, from n = 2
+    on, so is the gap of a complement below 1."""
+    return (sys.float_info.min <= complement <= 1.0
+            and (n == 1 or complement == 1.0 or sys.float_info.min <= gap))
+
+
 def survival_table(spec, n_max):
     """(d, pmf, truncated_at) of the table build, with its stall check."""
     n_types = spec.n_types
@@ -166,9 +176,7 @@ def survival_table(spec, n_max):
             new, gap = pair_step(law, da, pi)
             if n > 1:
                 pi[i] = gap
-            cur = da[i]
-            if (new > cur or not (new > 0.0)
-                    or (cur < 1.0 and (new == cur or not (pi[i] > 0.0)))):
+            if not kept(n, new, pi[i]):
                 truncated_at = n
                 break
             da[i] = d[i, n] = new
@@ -201,16 +209,18 @@ def mp_law_pgf(law, x):
                    for counts, p in law.rows)
 
 
-def extended_table(spec, n_max):
+def extended_table(spec, n_max, digits=40):
     """(d, pmf) for n = 0..n_max by plain iteration q(n) = f(q(n-1)) at
-    40 digits, each entry rounded once to a double.  The cancellations
-    in 1 - q and q(n) - q(n-1) that the engine's paired orbit avoids
-    cost nothing at this precision for any horizon a test builds."""
+    ``digits`` digits, each entry rounded once to a double.  The
+    cancellations in 1 - q and q(n) - q(n-1) that the engine's paired
+    orbit avoids cost an entry about as many digits as it lies below
+    one, so 40 digits resolve entries down to about 1e-24 to a double's
+    precision, and 340 down to the smallest normal double, 2.2e-308."""
     n_types = spec.n_types
     d = np.empty((n_types, n_max + 1))
     pmf = np.zeros((n_types, n_max + 1))
     d[:, 0] = 1.0
-    with mp.workdps(40):
+    with mp.workdps(digits):
         q = [mp.mpf(0)] * n_types
         for n in range(1, n_max + 1):
             new = [mp_law_pgf(law, q) for law in spec.laws]

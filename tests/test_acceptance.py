@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import properties
 from enumeration import Enumerator
+from reference_sampler import check_replay
 
 from branchlab.constants import constant_set
 from branchlab.experiments import (
@@ -253,13 +254,8 @@ def test_criterion_10_pair_step_properties(spec, point, shrink, pin):
 @given(properties.model_specs(max_types=3))
 def test_criterion_10_montecarlo_properties(spec):
     config = SimConfig(master_seed=77, max_steps=6, population_cap=10**6)
-    trace = []
-    summary = simulate_once(spec, config, 2,
-                            record_flows=lambda *a: trace.append(a))
+    summary = check_replay(spec, config, 2)
     assert summary == simulate_once(spec, config, 2)
-    for t, parents, mat, children in trace:
-        assert np.array_equal(mat.sum(axis=0), children)
-        assert parents.min() >= 0 and children.min() >= 0
     if isinstance(summary.T, int):
         assert 1 <= summary.T <= 6
     assert summary.W_N >= 0

@@ -16,18 +16,23 @@ clamp, which the reference keeps), and tables that truncate at n = 1
 and n = 2.  A pinned table checks that its sums run in row order, a
 pinned ``PointMass(2)`` terminal that the terminal loop, which writes
 the results over its inputs, reads the complement before it
-overwrites it, two pinned tables that a complement rounding upward
-stops the table, and a pinned identity law (a lone Bernoulli(1.0),
-whose block is empty) that its step keeps the pair.  ``PointMass(0..5)``
-pairs are checked at the ends of [0, 1] too.  On every stock model and
-a table terminal, -0.0 inputs give +0.0 results from every public
-step, the m = 0 shortcuts of ``iterate_point`` and
+overwrites it, pinned tables that each clause of the table's rule
+stops the table (a complement above 1, a complement or a gap below
+the smallest normal double) and that a zero gap at n = 1 or a
+complement that ticks up does not, and a pinned identity law (a lone
+Bernoulli(1.0), whose block is empty) that its step keeps the pair.
+Up to its truncation the table holds no subnormal entry and agrees
+with plain iteration at 340 digits within 1e-13 relative.
+``PointMass(0..5)`` pairs are checked at the ends of [0, 1] too.  On
+every stock model and a table terminal, -0.0 inputs give +0.0 results
+from every public step, the m = 0 shortcuts of ``iterate_point`` and
 ``conditional_transform`` included.  A spec whose family has stepped
 still pickles, and samples the same bits at one and two workers.
 """
 
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -40,9 +45,21 @@ from branchlab.model import (ProcessSpec, ProductLaw, TableLaw, pair_diff_map,
                              survival_map)
 from branchlab.montecarlo import SimConfig, estimate_pmf_T
 from branchlab.pgf import (build_survival_table, conditional_transform,
-                           iterate_point, terminal_gap)
+                           extinction_time_pmf, iterate_point, terminal_gap)
 from branchlab.zoo import STOCK_MODELS
 from test_layering import _all_tables
+
+GEOMETRIC_2 = ProcessSpec(n_types=1, laws=(
+    ProductLaw(parent=1, children={1: Geometric(2.0)}),))
+GEOMETRIC_09 = ProcessSpec(n_types=1, laws=(
+    ProductLaw(parent=1, children={1: Geometric(0.9)}),))
+TABLE_LAW = ProcessSpec(n_types=1, laws=(TableLaw(parent=1, rows=(
+    ((0,), 0.6), ((1,), 0.2), ((2,), 0.2))),))
+# supercritical type 2 feeding a critical type 1: both settle on a
+# fixed point below 1
+SETTLING = ProcessSpec(n_types=2, laws=(
+    ProductLaw(parent=1, children={1: Geometric(1.0), 2: Poisson(3.0)}),
+    ProductLaw(parent=2, children={2: Geometric(2.0)})))
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 means = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
@@ -102,7 +119,8 @@ def stalling_models(draw):
     """Random models with one law replaced so that the table truncates
     at n = 1 or n = 2 (or earlier in type order): a law without
     offspring stalls at n = 1, and a parent whose only children are of a
-    type with one certain child keeps its complement at n = 2."""
+    type with one certain child keeps its complement at n = 2 with a
+    zero gap."""
     spec = draw(models())
     n = spec.n_types
     laws = list(spec.laws)
@@ -205,10 +223,8 @@ def test_kernel_table_stalls_early_where_the_reference_does(spec, n_max):
 
 
 def test_kernel_table_truncates_where_the_reference_does():
-    spec = ProcessSpec(n_types=1, laws=(
-        ProductLaw(parent=1, children={1: Geometric(2.0)}),))
-    table = assert_table_is_the_reference(spec, 500)
-    assert table.truncated_at == 52
+    table = assert_table_is_the_reference(GEOMETRIC_2, 1100)
+    assert table.truncated_at == 1021
 
 
 def test_kernel_table_truncates_at_the_peeled_step_and_the_next():
@@ -221,35 +237,81 @@ def test_kernel_table_truncates_at_the_peeled_step_and_the_next():
     assert assert_table_is_the_reference(feed, 5).truncated_at == 2
 
 
-def test_kernel_table_truncates_where_the_complement_ticks_up():
-    # a complement that rounds upward is the only stall: at n = 1 these
-    # probabilities sum to 1 + 2^-52, and at n = 52 type 1 of this
-    # supercritical cascade, settling on its fixed point from above,
-    # steps up by one ulp while its gap is still positive
+def test_kernel_table_keeps_a_zero_gap_at_the_peeled_step():
+    # the gap at n = 1 is f(0), exact: without a childless row it is
+    # 0.0, beside a complement that these probabilities round below 1
+    spec = ProcessSpec(n_types=2, laws=(
+        TableLaw(parent=1, rows=(((0, 1), 0.05673758865248227),
+                                 ((0, 1), 0.9432624113475176))),
+        ProductLaw(parent=2, children={2: Geometric(1.0)})))
+    table = assert_table_is_the_reference(spec, 5)
+    assert table.truncated_at is None
+    assert table.d[0, 1] == 0.9999999999999999 and table.pmf[0, 1] == 0.0
+
+
+def test_kernel_table_truncates_where_a_complement_exceeds_one():
+    # at n = 1 these probabilities sum to 1 + 2^-52; at n = 52 type 1
+    # of this supercritical cascade, settling on its fixed point from
+    # above, steps up by one ulp, which stops nothing: the table runs on
+    # until the gap leaves the normal range
     above_one = ProcessSpec(n_types=1, laws=(TableLaw(parent=1, rows=(
         ((1,), 0.37 / 1.17), ((2,), 0.8 / 1.17))),))
     assert assert_table_is_the_reference(above_one, 5).truncated_at == 1
-    settling = ProcessSpec(n_types=2, laws=(
-        ProductLaw(parent=1, children={1: Geometric(1.0), 2: Poisson(3.0)}),
-        ProductLaw(parent=2, children={2: Geometric(2.0)})))
-    table = assert_table_is_the_reference(settling, 100)
-    assert table.truncated_at == 52
-    d, e = settling.kernel.advance(table.d[:, 51].tolist(),
-                                   table.pmf[:, 51].tolist(), 1)
-    assert d[0] > table.d[0, 51] and e[0] > 0.0
+    assert above_one.kernel.advance([1.0], [0.0], 1)[0][0] > 1.0
+    table = assert_table_is_the_reference(SETTLING, 1100)
+    assert table.truncated_at == 1020
+    assert table.d[0, 52] > table.d[0, 51] and table.pmf[0, 52] > 0.0
+
+
+def _step_past(table):
+    """The kernel step from the table's last usable column."""
+    n = table.usable_n()
+    return table.spec.kernel.advance(table.d[:, n].tolist(),
+                                     table.pmf[:, n].tolist(), 1)
+
+
+def test_kernel_table_truncates_where_the_complement_underflows():
+    # subcritical with mean below 1/2: the complement leaves the normal
+    # range while its gap, about 3 times larger, is still in it
+    spec = ProcessSpec(n_types=1, laws=(
+        ProductLaw(parent=1, children={1: Geometric(0.25)}),))
+    table = assert_table_is_the_reference(spec, 600)
+    assert table.truncated_at == 511
+    (d,), (e,) = _step_past(table)
+    assert 0.0 < d < sys.float_info.min <= e
 
 
 def test_kernel_table_truncates_where_the_gap_underflows():
-    # subcritical: at n = 1456 the complement falls from 1e-323 to
-    # 5e-324 while the gap rounds to 0.0, and only the gap test stops
-    # the table
-    spec = ProcessSpec(n_types=1, laws=(TableLaw(parent=1, rows=(
-        ((0,), 0.6), ((1,), 0.2), ((2,), 0.2))),))
-    table = assert_table_is_the_reference(spec, 2000)
-    assert table.truncated_at == 1456
-    d, e = spec.kernel.advance(table.d[:, 1455].tolist(),
-                               table.pmf[:, 1455].tolist(), 1)
-    assert 0.0 < d[0] < table.d[0, 1455] and e[0] == 0.0
+    # the complement is still a normal double when its gap leaves the
+    # normal range: supercritical, settled on the survival probability
+    # 1/2, and subcritical with mean above 1/2
+    for spec, stall in ((GEOMETRIC_2, 1021), (TABLE_LAW, 1385)):
+        table = assert_table_is_the_reference(spec, stall + 20)
+        assert table.truncated_at == stall
+        (d,), (e,) = _step_past(table)
+        assert sys.float_info.min <= d < 1.0 and 0.0 < e < sys.float_info.min
+
+
+def test_kernel_table_is_normal_and_accurate_up_to_its_truncation():
+    # against plain iteration at 340 digits, which resolves every entry
+    # down to the smallest normal double: no stored entry is subnormal,
+    # every one is within 1e-13 relative, and the table stops at the
+    # first column where the exact values leave the normal range
+    tiny = sys.float_info.min
+    for spec, stall in ((GEOMETRIC_2, 1021), (GEOMETRIC_09, 6681),
+                        (TABLE_LAW, 1385), (SETTLING, 1020)):
+        table = build_survival_table(spec, stall + 5)
+        d, pmf = ref.extended_table(spec, stall, digits=340)
+        assert table.truncated_at == stall
+        got_d, got_pmf = table.d[:, 1:stall], table.pmf[:, 1:stall]
+        assert (got_d >= tiny).all()
+        assert ((got_pmf == 0.0) | (got_pmf >= tiny)).all()
+        assert np.allclose(got_d, d[:, 1:stall], rtol=1e-13, atol=0.0)
+        assert np.allclose(got_pmf, pmf[:, 1:stall], rtol=1e-13, atol=0.0)
+        assert [n for n in range(1, stall + 1) if not all(
+            ref.kept(n, x, g) for x, g in zip(d[:, n], pmf[:, n]))] == [stall]
+    table = build_survival_table(GEOMETRIC_2, 500)
+    assert extinction_time_pmf(table, 1, 400) > 0.0
 
 
 @given(terminal_specs(), pairs(1), st.integers(0, 8))

@@ -20,11 +20,12 @@ whatever the law's shape, and the engine never steps a chain through
 the ``survival`` and ``pgf_diff`` projections.  Each vector loop steps
 in place, one coordinate at a time in type order: law i's block, then
 the store of coordinate i (in the block or after it), never a
-transposed list of whole-vector steps.  No kernel loop assigns a name
-that is not read before its next assignment, or adds or subtracts a
-literal zero, whose only work would be the sign of a zero (the kernel
-takes -0.0 as +0.0 once, at entry), and ``_compile_kernel`` never
-looks at a law's shape.
+transposed list of whole-vector steps; the table loop is ``advance``'s
+sweep, then checks and stores that read only the values it wrote.  No
+kernel loop assigns a name that is not read before its next
+assignment, or adds or subtracts a literal zero, whose only work would
+be the sign of a zero (the kernel takes -0.0 as +0.0 once, at entry),
+and ``_compile_kernel`` never looks at a law's shape.
 
 No dead code: every top-level function and class of the package is
 named somewhere in ``src/`` or ``perfbench/`` besides its own
@@ -159,23 +160,30 @@ def test_engine_advances_orbits_only_through_the_kernel():
         assert MAPS.isdisjoint(kernel)
         loops = _loops(spec.kernel.source)
         assert set(loops) == {"advance", "table", "terminal"}
-        # both vector loops run each law's block once, the kernel being
-        # the only code compiled from it: advance's written into the
-        # law's coordinate, the table's into the value it checks; the
-        # terminal loop is the last law's block alone, written into the
-        # loop's own names, whatever the law's shape
-        for name, blocks in _blocks(spec).items():
+        # both vector loops run each law's block once, written into the
+        # law's coordinate, the kernel being the only code compiled from
+        # it; the terminal loop is the last law's block alone, written
+        # into the loop's own names, whatever the law's shape
+        blocks = _blocks(spec)
+        for name in ("advance", "table"):
             assert [_count(loops[name], block) for block in blocks] == [1] * len(blocks)
-        assert loops["terminal"] == _blocks(spec)["advance"][-1]
+        assert loops["terminal"] == blocks[-1]
+        # the table loop is advance's sweep, then checks and stores that
+        # read only the values the sweep wrote, the column n and the
+        # row views, and assign no name
+        sweep = loops["advance"]
+        assert loops["table"][:len(sweep)] == sweep
+        after = [ast.parse(stmt).body[0] for stmt in loops["table"][len(sweep):]]
+        coordinates = {f"{x}{i}" for x in "deDP" for i in range(spec.n_types)}
+        assert set().union(*map(_reads, after)) == coordinates | {"n"}
+        assert set().union(*map(_writes, after)) == set()
 
 
 def _blocks(spec):
-    """Each law's block as unparsed statements, per vector loop: advance
-    writes law i's results into d{i} and e{i}, the table loop its
-    survival into ``new``."""
-    return {name: [_statements("\n".join(law._block(sa.format(i), f"e{i}")))
-                   for i, law in enumerate(spec.laws)]
-            for name, sa in (("advance", "d{}"), ("table", "new"))}
+    """Each law's block as unparsed statements, its results written
+    into d{i} and e{i}."""
+    return [_statements("\n".join(law._block(f"d{i}", f"e{i}")))
+            for i, law in enumerate(spec.laws)]
 
 
 def _users(modules, name):
@@ -301,15 +309,14 @@ def test_one_family_call_per_factor_and_step():
     assert _projection_calls(ast.parse((SRC / "pgf.py").read_text())) == []
     for spec in SPECS:
         j = spec.n_types - 1
-        # a factor held by two laws runs once in each law's block; the
-        # terminal loop is the terminal law's own factor alone, its
-        # results written over the loop's inputs, with no copy after it
-        rendered = {
-            "advance": [f for i, law in enumerate(spec.laws)
-                        for f in _rendered_factors(law, f"d{i}", f"e{i}")],
-            "table": [f for i, law in enumerate(spec.laws)
-                      for f in _rendered_factors(law, "new", f"e{i}")],
-            "terminal": _rendered_factors(spec.laws[-1], f"d{j}", f"e{j}")}
+        # a factor held by two laws runs once in each law's block, in
+        # both vector loops; the terminal loop is the terminal law's own
+        # factor alone, its results written over the loop's inputs, with
+        # no copy after it
+        sweep = [f for i, law in enumerate(spec.laws)
+                 for f in _rendered_factors(law, f"d{i}", f"e{i}")]
+        rendered = {"advance": sweep, "table": sweep, "terminal":
+                    _rendered_factors(spec.laws[-1], f"d{j}", f"e{j}")}
         factors = sorted(set().union(*rendered.values()))
         assert _step_calls(spec.kernel.source) == []
         assert _factor_runs(spec.kernel.source, factors) == {
@@ -489,12 +496,11 @@ def _in_place_sweeps(source, blocks):
 def test_vector_orbits_step_in_place_in_type_order():
     assert _transposed_steps(ast.parse((SRC / "pgf.py").read_text())) == []
     for spec in SPECS:
-        blocks = _blocks(spec)
         assert _transposed_steps(ast.parse(spec.kernel.source)) == []
         # with one law the terminal loop is that law's whole sweep
-        assert _in_place_sweeps(spec.kernel.source, blocks["advance"]) == (
-            {"advance", "terminal"} if spec.n_types == 1 else {"advance"})
-        assert _in_place_sweeps(spec.kernel.source, blocks["table"]) == {"table"}
+        assert _in_place_sweeps(spec.kernel.source, _blocks(spec)) == (
+            {"advance", "table", "terminal"} if spec.n_types == 1
+            else {"advance", "table"})
 
 
 def test_the_sweep_guard_sees_what_it_looks_for():

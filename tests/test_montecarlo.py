@@ -8,7 +8,6 @@ import multiprocessing
 import os
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -35,6 +34,7 @@ from branchlab.pgf import (
 )
 
 from properties import model_specs
+from reference_sampler import check_replay
 
 
 def forced_death_spec() -> ProcessSpec:
@@ -143,29 +143,13 @@ class TestSimulateOnce:
         assert seen >= 5
 
     def test_flow_audit_conserves_population(self):
-        # every child drawn at step t must appear in Z(t+1), no leaks
+        # every child drawn at step t must appear in Z(t+1), no leaks,
+        # in a replay of the stream that is the sampler's trajectory
         for spec in (zoo.two_type_cascade(), zoo.micro_table(),
                      zoo.three_type_chain()):
-            n = spec.n_types
-            trace = []
-            cfg = SimConfig(master_seed=23, max_steps=60)
-            s = simulate_once(spec, cfg, 2, record_flows=lambda *a: trace.append(a))
-            assert trace
-            w_from_flows = 0
-            prev = None
-            for t, parents, mat, children in trace:
-                assert np.array_equal(mat.sum(axis=0), children)
-                for i in range(n):
-                    for j in range(i):
-                        assert mat[i, j] == 0  # children never outrank parents
-                w_from_flows += int(mat[:-1, n - 1].sum())
-                if prev is not None:
-                    assert np.array_equal(prev, parents)
-                prev = children
-            if not s.censored:
-                assert not prev.any()
-                assert s.T == trace[-1][0]
-            assert s.W_N == w_from_flows
+            cfg = SimConfig(master_seed=23, max_steps=60,
+                            snapshot_times=tuple(range(0, 61, 5)))
+            check_replay(spec, cfg, 2)
 
 
 # ------------------------------------------------------------ estimators
@@ -393,12 +377,8 @@ def test_golden_trajectories(name):
 @given(spec=model_specs(max_types=3))
 def test_random_models_conserve_and_repeat(spec):
     cfg = SimConfig(master_seed=31, max_steps=8, population_cap=10**6)
-    trace = []
-    s = simulate_once(spec, cfg, 1, record_flows=lambda *a: trace.append(a))
+    s = check_replay(spec, cfg, 1)
     assert s == simulate_once(spec, cfg, 1)
-    for t, parents, mat, children in trace:
-        assert np.array_equal(mat.sum(axis=0), children)
-        assert parents.min() >= 0 and children.min() >= 0
     if isinstance(s.T, int):
         assert 1 <= s.T <= 8
     assert s.W_N >= 0

@@ -435,12 +435,7 @@ def simultaneous_table(spec, n_max):
                           for law in spec.laws])
         if n > 1:
             picur = gap
-        stalled = any(
-            new > cur or not (new > 0.0)
-            or (cur < 1.0 and (new == cur or not (pi > 0.0)))
-            for new, cur, pi in zip(dnew, dcur, picur)
-        )
-        if stalled:
+        if not all(ref.kept(n, new, pi) for new, pi in zip(dnew, picur)):
             truncated_at = n
             d[:, n:] = np.nan
             pmf[:, n:] = np.nan
@@ -487,11 +482,11 @@ def test_property_sweep_is_the_simultaneous_update(spec, point, gaps, steps,
 
 
 @pytest.mark.parametrize("mean, n_max, stall", [
-    # subcritical: the complement underflows past the last subnormal
-    (0.5, 5000, 1074),
+    # subcritical: the complement falls below the smallest normal double
+    (0.5, 5000, 1022),
     # supercritical: the complement settles on the survival probability
-    # 1/2 and stops moving
-    (2.0, 500, 52),
+    # 1/2 while the gap falls below the smallest normal double
+    (2.0, 1100, 1021),
 ])
 def test_table_truncates_where_the_recurrence_stalls(mean, n_max, stall):
     spec = ProcessSpec(n_types=1, laws=(
