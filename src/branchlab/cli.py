@@ -16,9 +16,11 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import (Callable, Collection, Iterable, Iterator, Mapping,
                     NamedTuple, Sequence)
@@ -125,63 +127,62 @@ class Table:
     passed: bool | None = None
     curves: Mapping[str, Iterable[tuple[float, float]]] | None = None
 
-    def csv_lines(self) -> Iterator[str]:
-        """The CSV artifact, one newline-terminated line at a time."""
-        yield f"# table={self.experiment}\n"
-        yield f"# model={self.model}\n"
-        if self.passed is not None:
-            yield f"# verdict={'PASS' if self.passed else 'FAIL'}\n"
-        for key in sorted(self.meta):
-            yield f"# {key}={_fmt(self.meta[key])}\n"
-        yield ",".join(self.columns) + "\n"
-        # a row of one int followed by floats, as every extinction row
-        # is, goes through one format; '%d' and '%.17g' write what
-        # _fmt writes for those types
-        plain = (int,) + (float,) * (len(self.columns) - 1)
-        line = "%d" + ",%.17g" * (len(self.columns) - 1) + "\n"
-        for row in self.rows:
-            if tuple(map(type, row)) == plain:
-                yield line % row
-            else:
-                yield ",".join([format(c, ".17g") if type(c) is float
-                                else _fmt(c) for c in row]) + "\n"
-
-    def json_lines(self, config: dict) -> Iterator[str]:
-        """The JSON artifact, byte for byte what ``json.dump`` writes with
-        ``indent=2, sort_keys=True`` for {"config": config, "table": doc}.
-        ``json`` lays out all but the rows, which a NUL string stands in
-        for (no config or meta value holds one) and which are written
-        straight from ``self.rows``, non-finite floats as null."""
+    def frame(self, fmt: str, config: dict) -> tuple[str, str]:
+        """The text before and after the rows: the JSON is ``json.dump``'s
+        (``indent=2, sort_keys=True``) with a NUL string for the rows."""
+        if fmt == "csv":
+            head = [*_config_lines(config), f"# table={self.experiment}\n",
+                    f"# model={self.model}\n"]
+            if self.passed is not None:
+                head.append(f"# verdict={'PASS' if self.passed else 'FAIL'}\n")
+            head += [f"# {key}={_fmt(self.meta[key])}\n"
+                     for key in sorted(self.meta)]
+            return "".join(head) + ",".join(self.columns) + "\n", ""
         doc = {"table": self.experiment, "model": self.model,
                "verdict": self.passed,
                "meta": {k: _clean(v) for k, v in self.meta.items()},
                "columns": list(self.columns), "rows": "\0"}
         head, _, tail = json.dumps({"config": config, "table": doc}, indent=2,
                                    sort_keys=True).partition('"\\u0000"')
-        yield head
-        opening = "[\n"
-        for row in self.rows:
+        return head, ("\n    ]" if self.rows else "[]") + tail + "\n"
+
+    def lines(self, fmt: str, rows: Iterable, first: bool = True) -> Iterator[str]:
+        """The text of ``rows``, a contiguous run of ``self.rows``, row
+        by row; JSON writes non-finite floats as null, and its ``first``
+        run opens the list of rows that a later run continues."""
+        if fmt == "csv":
+            # one format for an int then floats, as in every extinction
+            # row: '%d' and '%.17g' write what _fmt writes for them
+            plain = (int,) + (float,) * (len(self.columns) - 1)
+            line = "%d" + ",%.17g" * (len(self.columns) - 1) + "\n"
+            for row in rows:
+                if tuple(map(type, row)) == plain:
+                    yield line % row
+                else:
+                    yield ",".join([format(c, ".17g") if type(c) is float
+                                    else _fmt(c) for c in row]) + "\n"
+            return
+        opening = "[\n" if first else ",\n"
+        for row in rows:
             cells = [repr(c) if type(c) is int or (type(c) is float
                                                    and math.isfinite(c))
                      else json.dumps(_clean(c)) for c in row]
             yield (opening + "      [\n        " + ",\n        ".join(cells)
                    + "\n      ]")
             opening = ",\n"
-        yield "\n    ]" if self.rows else "[]"
-        yield tail + "\n"
 
 
 _BLOCK = 4096  # rows that _TableRows converts to Python floats at a time
 
 
 class _TableRows:
-    """Rows ``(n, columns[0][n - 1], columns[1][n - 1], ...)`` for n = 1,
-    2, ... over equal-length 1-D float arrays, converted to Python
+    """Rows ``(n, columns[0][i], columns[1][i], ...)`` with n = start +
+    i + 1 over equal-length 1-D float arrays, converted to Python
     scalars one block at a time: only the arrays and one block of rows
     are ever held, and every pass walks the arrays afresh."""
 
-    def __init__(self, *columns):
-        self.columns = columns
+    def __init__(self, *columns, start: int = 0):
+        self.columns, self.start = columns, start
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -189,8 +190,18 @@ class _TableRows:
     def __iter__(self) -> Iterator[tuple]:
         for lo in range(0, len(self), _BLOCK):
             hi = min(lo + _BLOCK, len(self))
-            yield from zip(range(lo + 1, hi + 1),
+            yield from zip(range(self.start + lo + 1, self.start + hi + 1),
                            *[c[lo:hi].tolist() for c in self.columns])
+
+    def split(self) -> list[_TableRows]:
+        """These rows in contiguous runs, one per core that formats them
+        (at most one per block; one without ``os.fork``)."""
+        cores = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+        count = max(1, min(cores, len(self) // _BLOCK))
+        cuts = [len(self) * i // count for i in range(count + 1)]
+        return [_TableRows(*[c[lo:hi] for c in self.columns],
+                           start=self.start + lo)
+                for lo, hi in zip(cuts, cuts[1:])]
 
 
 # ------------------------------------------------------------- model lookup
@@ -479,15 +490,49 @@ def _slug(label: str) -> str:
     return re.sub(r"[^0-9A-Za-z._=+-]+", "-", label).strip("-") or "curve"
 
 
-def _write_plotdata(stem: Path, curves: Mapping[str, Iterable[tuple]]) -> list[Path]:
-    written = []
-    for label in sorted(curves):
-        path = stem.parent / f"{stem.name}_{_slug(label)}.dat"
+def _write_jobs(jobs: Iterable[tuple[Path, Iterable[str]]]) -> None:
+    for path, lines in jobs:
         with open(path, "w") as fh:
-            # '%.17g' formats an int n as float(n), as _fmt(float(n)) does
-            fh.writelines("%.17g %.17g\n" % point for point in curves[label])
-        written.append(path)
-    return written
+            fh.writelines(lines)
+
+
+def _write_parts(path: Path, head: str, parts: list, tail: str, files: list):
+    """Write ``head``, the k parts and ``tail`` to ``path`` and each
+    ``(path, lines)`` of ``files``.  Job j of [*parts, *files] runs here if
+    j % k == 0, else in forked child j % k, which writes its part to a
+    temporary file, appended here in order, and leaves by ``os._exit``,
+    flushing no inherited buffer.  No child or temporary file is left."""
+    k = len(parts)
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.{w}") for w in range(1, k)]
+    jobs = [(path, chain([head], parts[0])), *zip(temps, parts[1:]), *files]
+    children: list[int] = []
+    try:
+        for w in range(1, k):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _write_jobs(jobs[w::k])
+                    os._exit(0)
+                except Exception:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(1)
+            children.append(pid)
+        _write_jobs(jobs[::k])
+        with open(path, "a") as fh:
+            for temp in temps:
+                status = os.waitpid(children[0], 0)[1]
+                del children[0]
+                if status:
+                    raise BranchLabError("a part writer failed")
+                with open(temp, "rb") as part:
+                    shutil.copyfileobj(part, fh.buffer)
+            fh.write(tail)
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def _emit(req: RunRequest, resolved: dict,
@@ -495,21 +540,26 @@ def _emit(req: RunRequest, resolved: dict,
     exp_id, model_name, verdict = payload.experiment, payload.model, payload.passed
     path = _artifact_path(req, exp_id, model_name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # streamed: the artifact text is never held in memory whole
-    with open(path, "w") as fh:
-        if req.format == "csv":
-            fh.writelines(_config_lines(resolved))
-            fh.writelines(payload.csv_lines())
-        elif isinstance(payload, Table):
-            fh.writelines(payload.json_lines(resolved))
-        else:
-            json.dump({"config": resolved, "report": payload.to_doc()}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-    written = [path]
-    curves = payload.curves if req.plotdata else None
-    if curves:
-        written += _write_plotdata(path.with_suffix(""), curves)
+    if isinstance(payload, Table):
+        # streamed: a table's text is never held in memory whole
+        head, tail = payload.frame(req.format, resolved)
+        rows = payload.rows
+        runs = rows.split() if isinstance(rows, _TableRows) else [rows]
+        parts = [payload.lines(req.format, run, first=i == 0)
+                 for i, run in enumerate(runs)]
+    else:
+        head = ("".join(_config_lines(resolved)) + payload.to_csv()
+                if req.format == "csv" else
+                json.dumps({"config": resolved, "report": payload.to_doc()},
+                           indent=2, sort_keys=True) + "\n")
+        parts, tail = [()], ""
+    # a .dat per curve; '%.17g' writes an int n as _fmt(float(n)) does
+    curves = (payload.curves if req.plotdata else None) or {}
+    files = [(path.with_name(f"{path.stem}_{_slug(label)}.dat"),
+              ("%.17g %.17g\n" % point for point in curves[label]))
+             for label in sorted(curves)]
+    _write_parts(path, head, parts, tail, files)
+    written = [path, *(p for p, _ in files)]
 
     if verdict is None:
         print(f"{exp_id} {model_name}: ok")

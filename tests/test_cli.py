@@ -16,6 +16,7 @@ import pytest
 
 from branchlab import cli
 from branchlab.cli import RunRequest, main, run
+from branchlab.errors import PrecisionLoss
 from branchlab.experiments import _fmt, verify_death, verify_deathfin
 from branchlab.pgf import build_survival_table, extinction_time_pmf
 from branchlab.zoo import STOCK_MODELS, stock_model, two_type_cascade
@@ -469,6 +470,15 @@ def test_non_finite_cells_are_written_as_null(tmp_path, monkeypatch):
     assert "        null" in (tmp_path / "artifact.json").read_text()
 
 
+def _composed(table, fmt, config, cut):
+    """The artifact a Table's head, rows and tail make, with the rows
+    written as the runs ``rows[:cut]`` and ``rows[cut:]``."""
+    head, tail = table.frame(fmt, config)
+    return (head + "".join(table.lines(fmt, table.rows[:cut]))
+            + "".join(table.lines(fmt, table.rows[cut:], first=not cut))
+            + tail)
+
+
 def test_every_kind_of_cell_is_written_as_json_writes_it():
     cells = (0, -7, 2**70, 0.1, -0.0, 1e-300, 1.5e300, math.nan, math.inf,
              -math.inf, None, True, False, "a,\"b\"\\\t", "\u00e9", "",
@@ -483,16 +493,22 @@ def test_every_kind_of_cell_is_written_as_json_writes_it():
         width = len(rows[0]) if rows else len(cells)
         table = cli.Table("t", "m", tuple(f"c{i}" for i in range(width)),
                           rows, {"n_types": 1, "w": math.nan}, passed=True)
-        assert "".join(table.json_lines(config)) == \
-            _reference_json(config, table)
-        lines = "".join(table.csv_lines()).splitlines()
-        assert lines[len(lines) - len(rows) - 1:] == _reference_csv_rows(table)
+        # the whole table as one run of rows, and as two runs cut at
+        # every row boundary
+        for cut in range(1, len(rows) + 1) if rows else [0]:
+            assert _composed(table, "json", config, cut) == \
+                _reference_json(config, table)
+            lines = _composed(table, "csv", config, cut).splitlines()
+            assert lines[len(lines) - len(rows) - 1:] == \
+                _reference_csv_rows(table)
 
 
-def test_plotdata_points_are_written_as_each_cell_was(tmp_path):
+def test_plotdata_points_are_written_as_each_cell_was(tmp_path, capsys):
     points = [(1, 0.1), (100_000, 1e-300), (2**60 + 1, -0.0),
               (0.5, math.nan), (3.0, -math.inf), (7, np.float64(0.3))]
-    cli._write_plotdata(tmp_path / "p", {"a curve": points})
+    table = cli.Table("t", "m", ("c",), [], {}, curves={"a curve": points})
+    req = RunRequest("validate", plotdata=True, output=str(tmp_path / "p.csv"))
+    assert cli._emit(req, {}, table)[0] == 0
     assert (tmp_path / "p_a-curve.dat").read_text() == "".join(
         f"{_fmt(float(x))} {_fmt(float(y))}\n" for x, y in points)
 
@@ -568,6 +584,89 @@ def test_extinction_holds_only_the_table_arrays_and_one_block(plotdata,
     finally:
         tracemalloc.stop()
     assert peak < arrays + 1_500_000
+
+
+# `extinction` formats its rows in contiguous parts, one per core: the
+# parent writes part 0 and a forked child each other part
+
+def _extinction_files(model, n, fmt, out):
+    assert main(["extinction", "--model", model, "--n", str(n), "--format",
+                 fmt, "--plotdata", "--output", str(out / f"ext.{fmt}")]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _counting_fork(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("model", ["micro_table", "three_type_chain"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_extinction_parts_write_the_bytes_of_one_part(model, fmt, tmp_path,
+                                                      monkeypatch, capsys):
+    n = 3 * _B + 5  # three parts of 4097, 4098 and 4098 rows
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    one = _extinction_files(model, n, fmt, tmp_path / "one")
+    forks = _counting_fork(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    parted = _extinction_files(model, n, fmt, tmp_path / "parted")
+    assert len(forks) == 2
+    assert parted == one and len(one) == 1 + 2 * stock_model(model).n_types
+    text = one[f"ext.{fmt}"].decode()
+    if fmt == "json":
+        rows = json.loads(text)["table"]["rows"]
+    else:
+        rows = [line.split(",") for line in text.splitlines()
+                if line[:1].isdigit()]
+    assert [int(row[0]) for row in rows] == list(range(1, n + 1))
+
+
+def test_extinction_forks_only_for_two_blocks_of_rows(tmp_path, monkeypatch,
+                                                      capsys):
+    def refused():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for fmt in ("csv", "json"):
+        assert main(["extinction", "--model", "three_type_chain", "--n",
+                     str(2 * _B - 1), "--format", fmt, "--plotdata",
+                     "--output", str(tmp_path / f"ext.{fmt}")]) == 0
+    plotted = [*_SMALL_RUNS.values(), _TABLE_RUNS["mc-pmf"]]
+    for argv in [*_TABLE_RUNS.values(), *(a + ["--plotdata"] for a in plotted)]:
+        for fmt in ("csv", "json"):
+            assert main(argv + ["--format", fmt, "--output",
+                                str(tmp_path / f"other.{fmt}")]) in (0, 1)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_failing_part_fails_the_run_and_leaves_nothing_behind(
+        failing, tmp_path, monkeypatch, capsys):
+    rows = cli._TableRows.__iter__
+
+    def iterate(self):  # the parts start at rows 0, 4097 and 8195
+        if self.start // 4097 == failing:
+            raise PrecisionLoss("part failed")
+        return rows(self)
+
+    monkeypatch.setattr(cli._TableRows, "__iter__", iterate)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    forks = _counting_fork(monkeypatch)
+    out = tmp_path / "ext.csv"
+    assert main(["extinction", "--model", "micro_table", "--n", str(3 * _B + 5),
+                 "--output", str(out)]) == 1
+    assert len(forks) == 2
+    assert "run failed:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_mc_reads_s_only_in_conditional_mode(tmp_path, capsys):

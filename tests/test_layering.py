@@ -36,6 +36,10 @@ class.  Every experiment report is built in one place, and no verdict
 reads frozen data: the package holds only Python source and no module
 imports ``importlib.resources``.
 
+Only one function forks, the artifact's part writer in ``cli.py``;
+no module imports ``multiprocessing``, and only the sampler imports
+``concurrent.futures``, for its pool.
+
 Only the sampler imports numpy when it is imported: ``import
 branchlab``, model loading, the kernels and plain orbits, the moment
 checks, the constants and the ``validate`` and ``constants`` commands
@@ -990,6 +994,67 @@ def test_the_dependency_guard_sees_what_it_looks_for():
                  '[project.optional-dependencies]\n'
                  'dev = [\n    "mpmath>=1.3",\n]\n')
     assert _declared_dependencies(pyproject) == {"numpy", "yaml"}
+
+
+POOLS = ("multiprocessing", "concurrent.futures")
+
+
+def _forks_and_pools(modules):
+    """Where the modules (name -> source) name ``fork``, as
+    ``module.function`` (``module`` outside any function), and, for each
+    of ``POOLS``, the modules that import it or a submodule, inside
+    functions too (``from concurrent import futures`` included)."""
+    forks, pools = set(), {pool: [] for pool in POOLS}
+
+    def visit(node, name, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{name}.{node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                or isinstance(node, ast.alias) and node.name == "fork"):
+            forks.add(where)
+        imported = []
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported = [node.module] + [f"{node.module}.{alias.name}"
+                                        for alias in node.names]
+        for pool in POOLS:
+            if any(m == pool or m.startswith(pool + ".") for m in imported):
+                pools[pool].append(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, where)
+
+    for name, text in modules.items():
+        visit(ast.parse(text), name, name)
+    return forks, pools
+
+
+def test_one_function_forks_and_only_the_sampler_pools():
+    # the artifact's part writer is the one place that forks; the
+    # sampler's pool is the one executor, and the `validate` and
+    # `constants` commands still load no numpy (checked below)
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    forks, pools = _forks_and_pools(modules)
+    assert forks == {"cli._write_parts"}
+    assert pools == {"multiprocessing": [], "concurrent.futures": ["montecarlo"]}
+
+
+def test_the_fork_and_pool_guard_sees_what_it_looks_for():
+    modules = {
+        "a": "import os\npid = os.fork()\n"
+             "def spawn():\n    return os.fork()\n"
+             "class Pool:\n    def start(self):\n"
+             "        from os import fork\n        fork()\n",
+        "b": "import multiprocessing.pool\n"
+             "def late():\n    from concurrent import futures\n",
+        "c": "from multiprocessing import get_context\n"
+             "import concurrent.futures as cf\n",
+        "d": "import os\nos.getpid()\nfrom .multiprocessing import x\n",
+    }
+    forks, pools = _forks_and_pools(modules)
+    assert forks == {"a", "a.spawn", "a.start"}
+    assert pools == {"multiprocessing": ["b", "c"],
+                     "concurrent.futures": ["b", "c"]}
 
 
 # the package's public names, the sampler's among them
