@@ -498,13 +498,16 @@ def _write_jobs(jobs: Iterable[tuple[Path, Iterable[str]]]) -> None:
 
 def _write_parts(path: Path, head: str, parts: list, tail: str, files: list):
     """Write ``head``, the k parts and ``tail`` to ``path`` and each
-    ``(path, lines)`` of ``files``.  Job j of [*parts, *files] runs here if
+    ``(path, lines)`` of ``files``, under temporary names that replace
+    them once all parts succeed.  Job j of [*parts, *files] runs here if
     j % k == 0, else in forked child j % k, which writes its part to a
     temporary file, appended here in order, and leaves by ``os._exit``,
     flushing no inherited buffer.  No child or temporary file is left."""
     k = len(parts)
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.{w}") for w in range(1, k)]
-    jobs = [(path, chain([head], parts[0])), *zip(temps, parts[1:]), *files]
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.{w}") for w in range(k)]
+    dats = [(path.with_name(f".{p.name}.{os.getpid()}.0"), p) for p, _ in files]
+    jobs = [(temps[0], chain([head], parts[0])), *zip(temps[1:], parts[1:]),
+            *((temp, lines) for (temp, _), (_, lines) in zip(dats, files))]
     children: list[int] = []
     try:
         for w in range(1, k):
@@ -519,8 +522,8 @@ def _write_parts(path: Path, head: str, parts: list, tail: str, files: list):
                     os._exit(1)
             children.append(pid)
         _write_jobs(jobs[::k])
-        with open(path, "a") as fh:
-            for temp in temps:
+        with open(temps[0], "a") as fh:
+            for temp in temps[1:]:
                 status = os.waitpid(children[0], 0)[1]
                 del children[0]
                 if status:
@@ -528,10 +531,12 @@ def _write_parts(path: Path, head: str, parts: list, tail: str, files: list):
                 with open(temp, "rb") as part:
                     shutil.copyfileobj(part, fh.buffer)
             fh.write(tail)
+        for temp, final in [(temps[0], path), *dats]:
+            os.replace(temp, final)
     finally:
         for pid in children:
             os.waitpid(pid, 0)
-        for temp in temps:
+        for temp in [*temps, *(temp for temp, _ in dats)]:
             temp.unlink(missing_ok=True)
 
 

@@ -25,19 +25,20 @@ that is read and that changes bits: parameters are literals and a
 factor of 1.0 is left out, the last factor's survival at b is dropped,
 the product survival has no pin at 1 and no clamp, the product and a
 table's Neumaier sums start from their first factor or term (all-zero
-rows left out), ``power_diff`` is written out in its loop's order
-without ``** 1``, ``** 0`` or ``1 *`` (by a table row and by a
-``PointMass`` factor alike, through ``families.power_sum``), no
-statement assigns a name to itself, and no statement writes the
-sign of a zero: the kernel takes -0.0 as +0.0 once per call.  A spec
-compiles its laws' blocks, in type order, into one kernel on first use
-(``ProcessSpec.kernel``), the one stepper of the spec: of every vector
-orbit, of the survival table (the vector sweep, then a check and store
-of each value it wrote, through memoryviews of the rows; step n = 1,
-whose gap is dropped, runs before the loop) and of the terminal type's
-scalar chain (its own loop, ``terminal``, the last law's block).
-``survival_map`` and ``pair_diff_map`` are the two halves of one
-kernel step, kept for probes.
+and zero-probability rows left out; two terms are a plain sum),
+``power_diff`` is written out in its loop's order without ``** 1``,
+``** 0`` or ``1 *`` (by a table row and by a ``PointMass`` factor
+alike, through ``families.power_sum``), no statement assigns a name to
+itself, and no statement writes the sign of a zero: the kernel takes
+-0.0 as +0.0 once per call.  A spec compiles its laws' blocks, in type
+order, into one kernel on first use (``ProcessSpec.kernel``), which
+defines each value of a coordinate that a table row reads once per
+sweep, the one stepper of the spec: of every vector orbit, of the
+survival table (the vector sweep, then a check and store of each value
+it wrote, through memoryviews of the rows; step n = 1, whose gap is
+dropped, runs before the loop) and of the terminal type's scalar chain
+(its own loop, ``terminal``, the last law's block).  ``survival_map``
+and ``pair_diff_map`` are the two halves of one kernel step, for probes.
 
 All public operations take the process spec as their first argument
 and are plain functions, mirroring how the engine modules consume
@@ -47,6 +48,7 @@ them.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,7 +167,7 @@ class TableLaw:
 
     ``rows`` holds (counts, probability) pairs where ``counts`` is a
     full-length tuple over all N types.  Probabilities must sum to one
-    within 1e-12.
+    within 1e-12; an exact excess above 2^-54 is taken off the largest.
     """
 
     parent: int
@@ -176,7 +178,6 @@ class TableLaw:
     def __post_init__(self):
         rows = tuple((tuple(int(c) for c in counts), float(p))
                      for counts, p in self.rows)
-        object.__setattr__(self, "rows", rows)
         if not rows:
             raise ModelStructureError(f"type {self.parent} table is empty")
         width = len(rows[0][0])
@@ -200,10 +201,15 @@ class TableLaw:
                         f"{child0 + 1} below the parent type"
                     )
         total = neumaier_sum(p for _, p in rows)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # a NaN or inf sum too
             raise ModelStructureError(
                 f"type {self.parent} table probabilities sum to {total!r}"
             )
+        excess = math.fsum([*(p for _, p in rows), -1.0])
+        if excess > 2.0 ** -54:  # leaves an excess of at most 2^-54
+            k = max(range(len(rows)), key=lambda r: rows[r][1])
+            rows = (*rows[:k], (rows[k][0], rows[k][1] - excess), *rows[k + 1:])
+        object.__setattr__(self, "rows", rows)
 
     def pgf(self, s: Sequence[float]) -> float:
         return neumaier_sum(
@@ -212,40 +218,27 @@ class TableLaw:
         )
 
     def _block(self, sa: str, gap: str) -> list[str]:
-        """The paired step as straight-line source over the locals d{j}
-        (complement) and e{j} (gap) of the coordinates j the rows emit,
-        writing the survival into the name ``sa``, then the gap into
-        ``gap`` (no term reads d{j} itself).  The survival
-        is sum_w p_w (1 - prod_j (1-d_j)^w_j), using sum p_w = 1, with
-        log1p(-d_j) once per coordinate and -inf standing for a certain
-        child line; the gap is telescoped over each row's nonzero
-        coordinates, with ``power_diff`` written out in its loop's
-        order.  Rows are unrolled in table order and both sums written
-        out with Neumaier's compensation in that order.
+        """The paired step as straight-line source over the gaps e{j} and
+        the values the kernel defines (``_DERIVED``) of the coordinates j
+        the rows emit, writing the survival into the name ``sa``, then
+        the gap into ``gap``.  The survival is sum_w p_w (1 - prod_j
+        (1-d_j)^w_j), using sum p_w = 1; the gap is telescoped over each
+        row's nonzero coordinates, with ``power_diff`` written out in its
+        loop's order.  Rows are unrolled in table order and both sums
+        written out with Neumaier's compensation in that order.
 
-        Only what changes bits is written: no ``** 1``, ``1 *`` or
-        factor 1.0, no leading ``0 +`` or ``0.0 +`` in a row, and an
-        all-zero row, whose terms are constant zeros, is left out of
-        both sums (see ``_neumaier``)."""
-        rows = [(p, [(j, c) for j, c in enumerate(w) if c])
-                for w, p in self.rows]
-        rows = [(p, nz) for p, nz in rows if nz]
-        reads = sorted({j for _, nz in rows for j, _ in nz})
-        # a_j = 1 - d_j enters power_diff (count > 1) and later factors of
-        # the telescope, b_j = 1 - (d_j + e_j) its earlier factors, and
-        # power_diff's lower point is h_j = max(a_j - e_j, 0)
-        uses_h = sorted({j for _, nz in rows for j, c in nz if c > 1})
-        uses_a = sorted({j for _, nz in rows for k, (j, c) in enumerate(nz)
-                         if c > 1 or k > 0})
-        uses_b = sorted({l for _, nz in rows for l, _ in nz[:-1]})
-        lines = [f"l{j} = log1p(-d{j}) if d{j} < 1.0 else -inf"
-                 for j in reads]
-        lines += [f"a{j} = 1.0 - d{j}" for j in uses_a]
-        lines += [f"b{j} = 1.0 - (d{j} + e{j})" for j in uses_b]
-        # max(a - e, 0.0) as power_diff takes it, without the call
-        lines += [f"h{j} = 0.0 if a{j} < e{j} else a{j} - e{j}" for j in uses_h]
+        Only what changes bits is written: no ``** 1``, ``1 *`` or factor
+        1.0, no leading ``0 +`` or ``0.0 +`` in a row, and no all-zero or
+        zero-probability row, whose terms are +0.0 (``_neumaier``).  For
+        d in [0, 1] the survival is at most 1: each term fl(p * -expm1(x)),
+        x <= 0, is at most p, the p sum to at most 1 + 2^-54 exactly, so a
+        sum of one or two terms rounds to at most 1 and Neumaier's, within
+        2^-53 s + O(n^2 2^-106) of the exact s, to below 1 + 2^-52."""
         survs, gaps = [], []
-        for p, nz in rows:
+        for w, p in self.rows:
+            nz = [(j, c) for j, c in enumerate(w) if c]
+            if not (nz and p):
+                continue
             expo = " + ".join(_times(c, f"l{j}") for j, c in nz)
             steps = [" * ".join([
                 f"e{j}" if c == 1
@@ -255,7 +248,7 @@ class TableLaw:
                 for k, (j, c) in enumerate(nz)]
             survs.append(_times(p, f"-expm1({expo})"))
             gaps.append(_times(p, " + ".join(steps)))
-        return lines + _neumaier(survs, "s", sa) + _neumaier(gaps, "g", gap)
+        return _neumaier(survs, "s", sa) + _neumaier(gaps, "g", gap)
 
     def mean_row(self, n_types: int) -> tuple[float, ...]:
         row = [0.0] * n_types
@@ -297,12 +290,11 @@ def _factor(family: Marginal, j: int, last: bool, **results) -> list[str]:
 
 
 def _times(factor, operand: str) -> str:
-    """``factor * (operand)``, just the operand for a factor of one."""
-    if factor == 1:
-        return operand
-    if not operand.isidentifier():
+    """``factor * (operand)``, just the operand for a factor of one, in
+    parentheses if it holds a sum, so that it adds as one term."""
+    if not operand.isidentifier() and (factor != 1 or " + " in operand):
         operand = f"({operand})"
-    return f"{factor!r} * {operand}"
+    return operand if factor == 1 else f"{factor!r} * {operand}"
 
 
 def _neumaier(terms: list[str], name: str, target: str) -> list[str]:
@@ -313,10 +305,11 @@ def _neumaier(terms: list[str], name: str, target: str) -> list[str]:
     second, and one term is the sum: 0.0 + term differs only for a term
     of -0.0, and past the kernel's entry none is (p * -expm1(x) for x
     <= -0.0, or p times sums of products of gaps, 1 - d_j and 1 - (d_j
-    + e_j), all >= +0.0 while d_j + e_j <= 1).  A constant zero term
-    changes neither total nor carry and is never passed here."""
-    if len(terms) < 2:
-        return [f"{target} = {terms[0] if terms else '0.0'}"]
+    + e_j), all >= +0.0 while d_j + e_j <= 1), and a +0.0 term changes
+    nothing.  Two terms are a plain sum: their carry is the sum's exact
+    rounding error, which rounds off again."""
+    if len(terms) < 3:
+        return [f"{target} = {' + '.join(terms) or '0.0'}"]
     lines = [f"{name}0 = {terms[0]}"]
     carry = f"{name}c"
     for k, term in enumerate(terms[1:], start=1):
@@ -325,6 +318,13 @@ def _neumaier(terms: list[str], name: str, target: str) -> list[str]:
                   f"{carry} {'+=' if k > 1 else '='} ({total} - {t}) + {v} "
                   f"if abs({total}) >= abs({v}) else ({v} - {t}) + {total}"]
     return lines + [f"{target} = {t} + {carry}"]
+
+
+# the values of coordinate j a table row reads: log(1 - d_j) (-inf at
+# d_j = 1), a_j, b_j and power_diff's lower point h_j = max(a_j - e_j, 0.0)
+# without the call; a row that reads h_j reads a_j too (``power_sum``)
+_DERIVED = {"l": "log1p(-d{j}) if d{j} < 1.0 else -inf", "a": "1.0 - d{j}",
+            "b": "1.0 - (d{j} + e{j})", "h": "0.0 if a{j} < e{j} else a{j} - e{j}"}
 
 
 OffspringLaw = ProductLaw | TableLaw
@@ -353,9 +353,9 @@ class Kernel(NamedTuple):
 def _stall_check(n_types: int, n) -> list[str]:
     """The table's test of column n on the values the sweep just wrote,
     then their store, coordinate by coordinate.  A column is kept while
-    every complement is a normal double in [``sys.float_info.min``, 1]
-    and, from n = 2 on, every gap of a complement below 1 is one too, so
-    every stored entry has a double's relative precision.  A complement
+    every complement (at most 1: see the laws' ``_block``) is a normal
+    double and, from n = 2 on, every gap of a complement below 1 is one
+    too, so every stored entry has a double's relative precision.  A complement
     of exactly 1 may have a zero gap (deterministic feed links keep
     early death mass at zero), and so may the n = 1 gap f(0), exact,
     beside a complement just below 1 (a table law without a childless
@@ -363,7 +363,7 @@ def _stall_check(n_types: int, n) -> list[str]:
     tiny, lines = repr(sys.float_info.min), []
     for i in range(n_types):
         gap = "" if n == 1 else f" or d{i} < 1.0 and not ({tiny} <= e{i})"
-        lines += [f"if not ({tiny} <= d{i} <= 1.0){gap}:", f"    return {n}",
+        lines += [f"if not ({tiny} <= d{i}){gap}:", f"    return {n}",
                   f"D{i}[{n}] = d{i}", f"P{i}[{n}] = e{i}"]
     return lines
 
@@ -373,15 +373,25 @@ def _compile_kernel(spec: ProcessSpec) -> Kernel:
     # as soon as law i's block has run.  That is the simultaneous update
     # bit for bit because the process is decomposable: law i reads only
     # coordinates i..N (a table's rows are zero below its own type), and
-    # those still hold the previous step's values when it runs.  The
-    # table loop is that sweep, then each coordinate's check and store.
+    # those still hold the previous step's values when it runs; so do
+    # the values of coordinate j, defined once before the first block
+    # that reads them.  The table loop is that sweep, then checks and stores.
+    def defining(block, defined):
+        # block after the values it reads that defined lacks, and gains
+        reads = set(re.findall(r"\b[labh]\d+\b", "\n".join(block)))
+        new = [f"{x}{j} = {rule.format(j=j)}" for x, rule in _DERIVED.items()
+               for j in range(spec.n_types) if f"{x}{j}" in reads - defined]
+        defined |= reads
+        return new + block
+
     blocks = [law._block(f"d{i}", f"e{i}") for i, law in enumerate(spec.laws)]
-    sweep = [line for block in blocks for line in block]
+    defined: set[str] = set()
+    sweep = [line for block in blocks for line in defining(block, defined)]
     # The terminal type reads only its own coordinate, so the last
     # law's block in advance is its scalar step.  advance and terminal
     # take -0.0 as +0.0 at entry; table starts from 1.0 and f(0) >= +0.0.
     # The block of an identity law (a lone Bernoulli(1.0)) is empty.
-    j, block = spec.n_types - 1, blocks[-1]
+    j, block = spec.n_types - 1, defining(blocks[-1], set())
 
     def names(letter):
         return "".join(f"{letter}{i}, " for i in range(spec.n_types))

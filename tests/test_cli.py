@@ -652,7 +652,8 @@ def test_a_failing_part_fails_the_run_and_leaves_nothing_behind(
     rows = cli._TableRows.__iter__
 
     def iterate(self):  # the parts start at rows 0, 4097 and 8195
-        if self.start // 4097 == failing:
+        # (the .dat curves, one column each, start at row 0 and pass)
+        if self.start // 4097 == failing and len(self.columns) > 1:
             raise PrecisionLoss("part failed")
         return rows(self)
 
@@ -660,11 +661,18 @@ def test_a_failing_part_fails_the_run_and_leaves_nothing_behind(
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     forks = _counting_fork(monkeypatch)
     out = tmp_path / "ext.csv"
-    assert main(["extinction", "--model", "micro_table", "--n", str(3 * _B + 5),
-                 "--output", str(out)]) == 1
+    argv = ["extinction", "--model", "micro_table", "--n", str(3 * _B + 5),
+            "--plotdata", "--output", str(out)]
+    assert main(argv) == 1
     assert len(forks) == 2
     assert "run failed:" in capsys.readouterr().err
+    # no artifact, no .dat file and no temporary file
+    assert list(tmp_path.iterdir()) == []
+    # and an artifact already at --output is left byte for byte
+    out.write_bytes(b"an earlier run\n")
+    assert main(argv) == 1
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
+    assert out.read_bytes() == b"an earlier run\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

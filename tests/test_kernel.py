@@ -8,18 +8,23 @@ the kernel's ``advance``, ``build_survival_table`` and the kernel's
 terminal loop must return the same bits, ``truncated_at`` included.  The
 strategies reach every rule by which the kernel leaves arithmetic out:
 the parameters it folds (a mean or probability of exactly 1.0, the
-counts 0 and 1), a table's all-zero and single nonzero rows, counts up
-to 4, signed zeros (both sides take -0.0 as +0.0 once, at entry; the
-reference keeps its running sums from 0.0, which the kernel's steps
-leave out), certain child lines (the product survival's pin and
-clamp, which the reference keeps), and tables that truncate at n = 1
-and n = 2.  A pinned table checks that its sums run in row order, a
+counts 0 and 1), a table's all-zero, zero-probability and single
+nonzero rows, counts up to 4, signed zeros (both sides take -0.0 as
++0.0 once, at entry; the reference keeps its running sums from 0.0,
+which the kernel's steps leave out), certain child lines (the product
+survival's pin and clamp, which the reference keeps), and tables that
+truncate at n = 1 and n = 2.  A table whose probabilities sum above 1
+(a pinned example, and random tables raised by up to 64 ulps) keeps
+every complement at most 1, and a two-term sum with a row of
+probability 1 adds that row's gap as one term.  A pinned table checks
+that its sums run in row order, a
 pinned ``PointMass(2)`` terminal that the terminal loop, which writes
 the results over its inputs, reads the complement before it
 overwrites it, pinned tables that each clause of the table's rule
-stops the table (a complement above 1, a complement or a gap below
-the smallest normal double) and that a zero gap at n = 1 or a
-complement that ticks up does not, and a pinned identity law (a lone
+stops the table (a complement or a gap below the smallest normal
+double) and that a zero gap at n = 1, a complement that ticks up or
+a table whose probabilities sum above 1 (lowered at construction, so
+no complement exceeds 1) does not, and a pinned identity law (a lone
 Bernoulli(1.0), whose block is empty) that its step keeps the pair.
 Up to its truncation the table holds no subnormal entry and agrees
 with plain iteration at 340 digits within 1e-13 relative.
@@ -97,9 +102,12 @@ def table_laws(draw, parent, n_types):
         rows = draw(st.lists(counts, min_size=1, max_size=4))
     if draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), [0] * width)
-    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(rows),
-                            max_size=len(rows)))
-    weights = [w + 1e-3 for w in weights]
+    # now and then an exact 0.0 weight: a zero-probability row, which
+    # the kernel leaves out of both sums
+    weight = st.one_of(st.floats(0.0, 1.0).map(lambda w: w + 1e-3),
+                       st.just(0.0))
+    weights = draw(st.lists(weight, min_size=len(rows),
+                            max_size=len(rows)).filter(any))
     total = sum(weights)
     return TableLaw(parent=parent, rows=tuple(
         ((0,) * (parent - 1) + tuple(counts), w / total)
@@ -190,8 +198,17 @@ def test_compiled_pair_step_is_the_reference(spec, pair, lower):
 
 
 @given(models(), pairs(), st.integers(0, 8))
+@example(ProcessSpec(n_types=2, laws=(
+    ProductLaw(parent=1, children={1: Geometric(0.5), 2: Bernoulli(1.0)}),
+    TableLaw(parent=2, rows=(((0, 1), 0.000997008973080758),
+                             ((0, 1), 0.9980059820538387),
+                             ((0, 1), 0.000997008973080758))))),
+    ([1.0] * 4, [0.0] * 4), 2)
 @settings(max_examples=200, deadline=None)
 def test_kernel_advance_is_the_reference_sweep(spec, pair, steps):
+    # the example's probabilities sum to 1 + 2^-52 in the kernel's sum
+    # as given; lowered at construction, its complement of 1 stays 1,
+    # which Bernoulli(1.0) passes on unpinned
     n = spec.n_types
     da, delta = pair[0][:n], pair[1][:n]
     got = spec.kernel.advance(da, delta, steps)
@@ -249,18 +266,42 @@ def test_kernel_table_keeps_a_zero_gap_at_the_peeled_step():
     assert table.d[0, 1] == 0.9999999999999999 and table.pmf[0, 1] == 0.0
 
 
-def test_kernel_table_truncates_where_a_complement_exceeds_one():
-    # at n = 1 these probabilities sum to 1 + 2^-52; at n = 52 type 1
-    # of this supercritical cascade, settling on its fixed point from
-    # above, steps up by one ulp, which stops nothing: the table runs on
-    # until the gap leaves the normal range
-    above_one = ProcessSpec(n_types=1, laws=(TableLaw(parent=1, rows=(
-        ((1,), 0.37 / 1.17), ((2,), 0.8 / 1.17))),))
-    assert assert_table_is_the_reference(above_one, 5).truncated_at == 1
-    assert above_one.kernel.advance([1.0], [0.0], 1)[0][0] > 1.0
+def test_kernel_table_runs_on_where_a_complement_would_exceed_one():
+    # these probabilities sum to 1 + 1.7e-16, 1 + 2^-52 in the kernel's
+    # sum: construction lowers the larger by the excess (one ulp), so
+    # the complement of this table without a childless row stays
+    # exactly 1 and the table runs on.  At n = 52 type 1 of this
+    # supercritical cascade, settling on its fixed point from above,
+    # steps up by one ulp, which stops nothing: the table runs on until
+    # the gap leaves the normal range
+    rows = (((1,), 0.37 / 1.17), ((2,), 0.8 / 1.17))
+    above_one = ProcessSpec(n_types=1, laws=(TableLaw(parent=1, rows=rows),))
+    assert math.fsum([p for _, p in rows] + [-1.0]) > 2.0 ** -53
+    assert above_one.law(1).rows == (
+        rows[0], ((2,), math.nextafter(rows[1][1], 0.0)))
+    assert assert_table_is_the_reference(above_one, 5).truncated_at is None
+    assert above_one.kernel.advance([1.0], [0.0], 1)[0][0] == 1.0
     table = assert_table_is_the_reference(SETTLING, 1100)
     assert table.truncated_at == 1020
     assert table.d[0, 52] > table.d[0, 51] and table.pmf[0, 52] > 0.0
+
+
+@given(table_laws(1, 2), st.integers(0, 64), pairs(2))
+@settings(max_examples=300, deadline=None)
+def test_table_complements_stay_at_most_one(law, ulps, pair):
+    # probabilities raised by up to 64 ulps of 1 in all: construction
+    # leaves their exact excess over 1 at most 2^-54, so one step from
+    # d = 1 or from any d in [0, 1] gives a complement of at most 1
+    law = TableLaw(parent=1, rows=tuple(
+        (counts, p * (1.0 + ulps * 2.0 ** -52)) for counts, p in law.rows))
+    assert math.fsum([p for _, p in law.rows] + [-1.0]) <= 2.0 ** -54
+    spec = ProcessSpec(n_types=2, laws=(law, ProductLaw(
+        parent=2, children={2: Geometric(1.0)})))
+    for da, delta in (([1.0, 1.0], [0.0, 0.0]), pair):
+        step = spec.kernel.advance(da, delta, 1)
+        assert step[0][0] <= 1.0
+        assert hexes(v[0] for v in step) == hexes(
+            ref.pair_step(law, [x + 0.0 for x in da], [x + 0.0 for x in delta]))
 
 
 def _step_past(table):
@@ -360,6 +401,21 @@ def test_table_sums_run_in_row_order():
     assert survival.hex() == gap.hex() == "0x1.1ffffffffffffp-6"
     assert survival == ref.pair_step(spec.law(1), [1.0], [0.0])[0]
     assert gap == ref.pair_step(spec.law(1), [0.0], [1.0])[1]
+
+
+def test_a_plain_two_term_sum_adds_each_term_whole():
+    # a row of probability 1 beside one of 1e-17, an excess below 2^-54
+    # that stays: its gap term, a sum of two products, is added as one
+    # term, as Neumaier's sum adds it
+    spec = ProcessSpec(n_types=2, laws=(
+        TableLaw(parent=1, rows=(((1, 0), 1e-17), ((1, 1), 1.0))),
+        ProductLaw(parent=2, children={2: Geometric(1.0)})))
+    rng = np.random.default_rng(5)
+    for da in rng.random((200, 2)).tolist():
+        delta = [x * (1.0 - d) for x, d in zip(rng.random(2).tolist(), da)]
+        got = spec.kernel.advance(da, delta, 1)
+        want = ref.advance_pair(spec, da, delta, 1)
+        assert [hexes(v) for v in got] == [hexes(v) for v in want]
 
 
 def test_stock_kernels_are_the_reference():

@@ -14,11 +14,14 @@ inlines.  A kernel calls only ``math``'s ``exp``, ``expm1`` and
 ``log1p`` (the only functions ``compile_step`` gives it), builtins and
 its own functions, a ``PointMass`` factor included, and no kernel
 statement assigns a name to itself.  A kernel step inlines each
-child factor's ``PAIR`` template exactly once per law, its terminal
-loop is the last law's block alone, written into the loop's own names
-whatever the law's shape, and the engine never steps a chain through
-the ``survival`` and ``pgf_diff`` projections.  Each vector loop steps
-in place, one coordinate at a time in type order: law i's block, then
+child factor's ``PAIR`` template exactly once per law, runs each law's
+body once and defines each per-coordinate value (``l{j}``, ``a{j}``,
+``b{j}``, ``h{j}``) once per loop; its terminal loop is the last law's
+body alone, after the values of its coordinate that it reads, written
+into the loop's own names whatever the law's shape, and the engine
+never steps a chain through the ``survival`` and ``pgf_diff``
+projections.  Each vector loop steps in place, one coordinate at a
+time in type order: law i's block, then
 the store of coordinate i (in the block or after it), never a
 transposed list of whole-vector steps; the table loop is ``advance``'s
 sweep, then checks and stores that read only the values it wrote.  No
@@ -164,14 +167,19 @@ def test_engine_advances_orbits_only_through_the_kernel():
         assert MAPS.isdisjoint(kernel)
         loops = _loops(spec.kernel.source)
         assert set(loops) == {"advance", "table", "terminal"}
-        # both vector loops run each law's block once, written into the
+        # both vector loops run each law's body once, written into the
         # law's coordinate, the kernel being the only code compiled from
-        # it; the terminal loop is the last law's block alone, written
-        # into the loop's own names, whatever the law's shape
-        blocks = _blocks(spec)
+        # it; the terminal loop is the last law's body alone, written
+        # into the loop's own names, whatever the law's shape, after the
+        # definitions of the terminal coordinate's values that it reads
+        bodies = _bodies(spec)
         for name in ("advance", "table"):
-            assert [_count(loops[name], block) for block in blocks] == [1] * len(blocks)
-        assert loops["terminal"] == blocks[-1]
+            assert [_count(loops[name], body) for body in bodies] == [1] * len(bodies)
+        head = len(loops["terminal"]) - len(bodies[-1])
+        assert loops["terminal"][head:] == bodies[-1]
+        j = spec.n_types - 1
+        assert all(re.fullmatch(f"[labh]{j}", name) for stmt in
+                   loops["terminal"][:head] for name in _writes(ast.parse(stmt)))
         # the table loop is advance's sweep, then checks and stores that
         # read only the values the sweep wrote, the column n and the
         # row views, and assign no name
@@ -183,9 +191,10 @@ def test_engine_advances_orbits_only_through_the_kernel():
         assert set().union(*map(_writes, after)) == set()
 
 
-def _blocks(spec):
-    """Each law's block as unparsed statements, its results written
-    into d{i} and e{i}."""
+def _bodies(spec):
+    """Each law's body, its block as unparsed statements, its results
+    written into d{i} and e{i}; the per-coordinate values it reads are
+    the kernel's own statements, not the block's."""
     return [_statements("\n".join(law._block(f"d{i}", f"e{i}")))
             for i, law in enumerate(spec.laws)]
 
@@ -451,6 +460,42 @@ def test_the_self_assignment_guard_sees_what_it_looks_for():
         "e1 = e1", "d1, e1 = (d1, e1)", "d1 = D1[n] = d1"]
 
 
+def _redefinitions(source):
+    """Per-coordinate names (l{j}, a{j}, b{j}, h{j}) that a loop of a
+    kernel's source assigns more than once, as ``function: name``."""
+    found = []
+    for name, body in _loops(source).items():
+        stores = [target for stmt in body for target in _writes(ast.parse(stmt))
+                  if re.fullmatch(r"[labh]\d+", target)]
+        found += sorted({f"{name}: {x}" for x in stores if stores.count(x) > 1})
+    return found
+
+
+def test_each_coordinate_value_is_defined_once_per_loop():
+    # law i writes only coordinate i and no later law reads it, so a
+    # value of coordinate j defined before the first block that reads it
+    # holds for every later block of the sweep
+    for spec in SPECS:
+        assert _redefinitions(spec.kernel.source) == []
+
+
+def test_the_redefinition_guard_sees_what_it_looks_for():
+    source = ("def advance(da, delta, steps):\n"
+              "    for _ in range(steps):\n"
+              "        l1 = log1p(-d1) if d1 < 1.0 else -inf\n"
+              "        a1 = 1.0 - d1\n"
+              "        d0 = -expm1(l1)\n"
+              "        l1 = log1p(-d1) if d1 < 1.0 else -inf\n"
+              "        acc = d0\n"
+              "        acc = acc + d1\n"
+              "        d1 = 0.5 * -expm1(2 * l1) + acc * a1\n"
+              "def terminal(d1, e1, steps):\n"
+              "    for _ in range(steps):\n"
+              "        l1 = log1p(-d1) if d1 < 1.0 else -inf\n"
+              "        d1 = 0.5 * -expm1(2 * l1)\n")
+    assert _redefinitions(source) == ["advance: l1"]
+
+
 def _transposed_steps(tree):
     """Lines that transpose a comprehension of calls, ``zip(*[step(da,
     delta) for step in steppers])``: the simultaneous vector update."""
@@ -502,7 +547,7 @@ def test_vector_orbits_step_in_place_in_type_order():
     for spec in SPECS:
         assert _transposed_steps(ast.parse(spec.kernel.source)) == []
         # with one law the terminal loop is that law's whole sweep
-        assert _in_place_sweeps(spec.kernel.source, _blocks(spec)) == (
+        assert _in_place_sweeps(spec.kernel.source, _bodies(spec)) == (
             {"advance", "table", "terminal"} if spec.n_types == 1
             else {"advance", "table"})
 
@@ -656,7 +701,8 @@ def _shape_dispatch(tree, function):
 
 def test_kernel_loops_write_no_sign_of_a_zero():
     # signed zeros are taken once, at the kernel's entry; a Bernoulli(0.0)
-    # factor and a zero-probability row keep their products with 0.0
+    # factor keeps its products with 0.0, and a zero-probability row,
+    # whose terms are +0.0, is left out of both sums
     zeros = ProcessSpec(n_types=2, laws=(
         ProductLaw(parent=1, children={1: Bernoulli(0.0), 2: Poisson(1.0)}),
         TableLaw(parent=2, rows=(((0, 0), 0.5), ((0, 1), 0.0),
@@ -664,6 +710,8 @@ def test_kernel_loops_write_no_sign_of_a_zero():
     for spec in SPECS + [zeros]:
         assert _zero_sums(spec.kernel.source) == []
     assert "0.0 * d0" in zeros.kernel.source
+    assert "0.0 * (-expm1(l1))" not in zeros.kernel.source
+    assert "0.0 * e1" not in zeros.kernel.source
     assert _shape_dispatch(ast.parse((SRC / "model.py").read_text()),
                            "_compile_kernel") == []
 

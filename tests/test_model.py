@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,9 @@ def test_table_law_validation():
         TableLaw(parent=1, rows=(((0,), 0.5), ((1, 0), 0.5)))  # ragged
     with pytest.raises(ModelStructureError):
         TableLaw(parent=1, rows=(((0, 0), -0.1), ((1, 0), 1.1)))
+    for bad in (math.nan, math.inf):  # their sums compare false
+        with pytest.raises(ModelStructureError):
+            TableLaw(parent=1, rows=(((0, 0), bad), ((1, 0), 1.0)))
 
 
 def test_process_spec_validation():
