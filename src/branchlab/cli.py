@@ -194,9 +194,10 @@ class _TableRows:
                            *[c[lo:hi].tolist() for c in self.columns])
 
     def split(self) -> list[_TableRows]:
-        """These rows in contiguous runs, one per core that formats them
-        (at most one per block; one without ``os.fork``)."""
-        cores = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+        """These rows in contiguous runs, one per core this process may
+        run on (at most one per block; one without ``os.fork``)."""
+        cores = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1) if hasattr(os, "fork") else 1)
         count = max(1, min(cores, len(self) // _BLOCK))
         cuts = [len(self) * i // count for i in range(count + 1)]
         return [_TableRows(*[c[lo:hi] for c in self.columns],

@@ -12,31 +12,30 @@ the difference form ``pgf(a) - pgf(b)``: all three stay accurate when
 their inputs are 1e-300-sized, where the naive expressions would return
 zero or noise.  Each family writes it once, as the straight-line source
 template ``PAIR``, the one definition of its arithmetic, rendered one
-way only, with its parameters as literals (``pair_source``): the model
-kernel inlines that rendering, and a family's ``pair(da, delta)`` is
-compiled from it on first use (``survival(d)`` and ``pgf_diff(da,
-delta)`` are its projections).  ``PointMass`` writes its template out
-for its own k, as a table row writes its powers (``power_sum``).
+way only, with its parameters as literals (``pair_source``), and only
+by the model kernel, which inlines it.  ``PointMass`` writes its
+template out for its own k, over the values of its coordinate that the
+kernel defines for a table row too (``power_sum``).  A family's
+``survival(d)`` and ``pgf_diff(da, delta)`` are the two results of one
+``terminal`` step of the one-type spec whose only law is the family.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import textwrap
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .numerics import compile_step
-
 
 # A PAIR template is straight-line code over the fields {da} and {delta}
-# (the names of the inputs), {t} (a prefix for temporaries) and the
-# family's own dataclass fields; it leaves its results in {sa}, sb and
-# {gap}.  No line but sb's reads {da} after {sa} or {delta} after {gap}
-# is set, so a last factor, which drops sb, may write its results over
-# its inputs, as each kernel loop does for a lone factor; a result that
-# is its input unchanged is then no statement at all.  A parameter
+# (coordinate j's complement and gap), {l}, {a} and {h} (its values that
+# the kernel defines), {t} (a prefix for temporaries) and the family's
+# own dataclass fields; it leaves its results in {sa}, sb and {gap}.  No
+# line but sb's reads {da} after {sa} or {delta} after {gap} is set, so
+# a last factor, which drops sb, may write its results over its inputs,
+# as each kernel loop does for a lone factor; a result that is its input
+# unchanged is then no statement at all.  A parameter
 # enters as ``{mean}`` where it is an operand and as ``{mean:*}x`` where
 # it multiplies x: the rendering writes the product of a literal 1.0 as
 # plain x, which is the same bits (and ``-x`` for ``-{mean:*}x``).
@@ -63,17 +62,19 @@ class _Param:
         return self.text
 
 
-def pair_source(law: Marginal, da: str, delta: str, prefix: str, *,
-                sa: str = "sa", gap: str = "gap") -> str:
-    """``law``'s ``PAIR`` template with its parameters as literals,
-    reading the names ``da`` and ``delta``, its temporaries prefixed
-    with ``prefix``, leaving its results in ``sa``, ``sb`` and ``gap``;
-    a line that would assign a name to itself is left out."""
+def pair_source(law: Marginal, j: int, *, sa: str = "sa", gap: str = "gap",
+                last: bool = False) -> str:
+    """``law``'s ``PAIR`` template with its parameters as literals, over
+    coordinate ``j`` (d{j}, e{j} and the kernel's l{j}, a{j} and h{j}),
+    its temporaries prefixed with c{j}_, leaving its results in ``sa``,
+    ``sb`` and ``gap``; a line that would assign a name to itself is
+    left out, and so is a ``last`` factor's sb, which nothing reads."""
     params = {f.name: _Param(getattr(law, f.name)) for f in fields(law)}
-    text = law.PAIR.format(da=da, delta=delta, t=prefix, sa=sa, gap=gap,
-                           **params)
+    text = law.PAIR.format(da=f"d{j}", delta=f"e{j}", l=f"l{j}", a=f"a{j}",
+                           h=f"h{j}", t=f"c{j}_", sa=sa, gap=gap, **params)
     return "".join(line for line in text.splitlines(keepends=True)
-                   if (parts := line.rstrip().partition(" = "))[0] != parts[2])
+                   if (parts := line.rstrip().partition(" = "))[0] != parts[2]
+                   and not (last and parts[0] == "sb"))
 
 
 def power(base: str, c: int) -> str:
@@ -95,24 +96,24 @@ def power_sum(a: str, h: str, c: int) -> str:
 
 
 class _Family:
-    """What every family shares: the paired form compiled from its own
-    rendering, its two projections, and fields-only pickling."""
+    """What every family shares: its two probes, one step of its own
+    kernel, and fields-only pickling."""
 
     __getstate__ = _fields_only
 
     @cached_property
-    def pair(self):
-        """``pair(da, delta) -> (sa, sb, gap)``, the kernel's rendering."""
-        source = ("def pair(da, delta):\n"
-                  + textwrap.indent(pair_source(self, "da", "delta", ""), "    ")
-                  + "    return sa, sb, gap\n")
-        return compile_step(source, f"{self!r}.pair")["pair"]
+    def _terminal(self):
+        """``terminal`` of the one-type spec whose only law is this family."""
+        from .model import ProcessSpec, ProductLaw  # model imports families
+
+        law = ProductLaw(parent=1, children={1: self})
+        return ProcessSpec(n_types=1, laws=(law,), name=repr(self)).kernel.terminal
 
     def survival(self, d: float) -> float:
-        return self.pair(d, 0.0)[0]
+        return self._terminal(d, 0.0, 1)[0]
 
     def pgf_diff(self, da: float, delta: float) -> float:
-        return self.pair(da, delta)[2]
+        return self._terminal(da, delta, 1)[1]
 
 
 @dataclass(frozen=True)
@@ -228,22 +229,15 @@ class PointMass(_Family):
 
     @property
     def PAIR(self) -> str:
-        """The template for this k: first the gap, which reads {da}
-        that {sa} may overwrite, as ``power_diff(1 - da, delta, k)``
-        written out, then 1 - (1 - x)^k = -expm1(k log1p(-x)), 1 at
-        x >= 1, for x = da and da + delta; zeros for k = 0."""
-        if self.k == 0:
-            return "{gap} = 0.0\n{sa} = 0.0\nsb = 0.0\n"
-        gap = "{gap} = {delta}\n"
-        if self.k > 1:
-            gap = ("{t}a = 1.0 - {da}\n"
-                   "{t}h = 0.0 if {t}a < {delta} else {t}a - {delta}\n"
-                   "{gap} = {delta} * ("
-                   + power_sum("{t}a", "{t}h", self.k) + ")\n")
-        return gap + (
-            "{sa} = 1.0 if {da} >= 1.0 else -expm1({k:*}log1p(-{da}))\n"
-            "sb = 1.0 if {da} + {delta} >= 1.0 else "
-            "-expm1({k:*}log1p(-({da} + {delta})))\n")
+        """The template for k >= 1 (a product leaves k = 0 out): the gap,
+        ``power_diff(a, delta, k)`` written out, then 1 - (1 - x)^k =
+        -expm1(k log(1 - x)) at x = da from l (-inf at da = 1 gives 1),
+        and at x = da + delta, pinned at 1."""
+        gap = "{gap} = {delta}\n" if self.k == 1 else (
+            "{gap} = {delta} * (" + power_sum("{a}", "{h}", self.k) + ")\n")
+        return gap + ("{sa} = -expm1({k:*}{l})\n"
+                      "sb = 1.0 if {da} + {delta} >= 1.0 else "
+                      "-expm1({k:*}log1p(-({da} + {delta})))\n")
 
     @property
     def mean(self) -> float:

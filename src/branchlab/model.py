@@ -21,24 +21,27 @@ The paired step is written once per law, as straight-line source over
 local variables that writes its survival and gap into the names it is
 given (``_block``): a product law inlines each child family's ``PAIR``
 template, a table law unrolls its rows.  A block holds only arithmetic
-that is read and that changes bits: parameters are literals and a
-factor of 1.0 is left out, the last factor's survival at b is dropped,
-the product survival has no pin at 1 and no clamp, the product and a
-table's Neumaier sums start from their first factor or term (all-zero
-and zero-probability rows left out; two terms are a plain sum),
-``power_diff`` is written out in its loop's order without ``** 1``,
-``** 0`` or ``1 *`` (by a table row and by a ``PointMass`` factor
-alike, through ``families.power_sum``), no statement assigns a name to
-itself, and no statement writes the sign of a zero: the kernel takes
--0.0 as +0.0 once per call.  A spec compiles its laws' blocks, in type
-order, into one kernel on first use (``ProcessSpec.kernel``), which
-defines each value of a coordinate that a table row reads once per
-sweep, the one stepper of the spec: of every vector orbit, of the
-survival table (the vector sweep, then a check and store of each value
-it wrote, through memoryviews of the rows; step n = 1, whose gap is
-dropped, runs before the loop) and of the terminal type's scalar chain
-(its own loop, ``terminal``, the last law's block).  ``survival_map``
-and ``pair_diff_map`` are the two halves of one kernel step, for probes.
+that is read and that changes bits: parameters are literals, a factor
+of 1.0 and a constant factor (mean 0) are left out, the last factor's
+survival at b is dropped, the product survival has no pin at 1 and no
+clamp, the product and a table's Neumaier sums start from their first
+factor or term (all-zero and zero-probability rows left out; two terms
+are a plain sum), ``power_diff`` is written out in its loop's order
+without ``** 1``, ``** 0`` or ``1 *`` (by a table row and by a
+``PointMass`` factor alike, through ``families.power_sum``), no
+statement assigns a name to itself, and no statement writes the sign
+of a zero: the kernel takes -0.0 as +0.0 once per call.  A spec
+compiles its laws' blocks, in type order, into one kernel on first use
+(``ProcessSpec.kernel``), which defines each value of a coordinate
+that a table row or a ``PointMass`` factor reads once per sweep, the
+one stepper of the spec and the only code compiled from a law (a
+family's probes step the kernel of a one-type spec): of every vector
+orbit, of the survival table (the vector sweep, then a check and store
+of each value it wrote, through memoryviews of the rows; step n = 1,
+whose gap is dropped, runs before the loop) and of the terminal type's
+scalar chain (its own loop, ``terminal``, the last law's block).
+``survival_map`` and ``pair_diff_map`` are the two halves of one
+kernel step, for probes.
 
 All public operations take the process spec as their first argument
 and are plain functions, mirroring how the engine modules consume
@@ -99,12 +102,15 @@ class ProductLaw:
     def _block(self, sa: str, gap: str) -> list[str]:
         """The paired step as straight-line source over the locals d{j}
         (complement) and e{j} (gap) of the 0-based child coordinates j,
-        writing the survival into the name ``sa``, then the gap into
-        ``gap``.  Each child factor's ``PAIR`` template is inlined once,
-        in child order.  The survival follows the pairwise complement
-        rule, acc + sa * (1 - acc); the gap is telescoped over the
-        factors (earlier ones at b, later ones at a), so no nearby
-        numbers are ever subtracted.
+        and their values the kernel defines (``_DERIVED``), writing the
+        survival into the name ``sa``, then the gap into ``gap``.  Each
+        child factor's ``PAIR`` template is inlined once, in child order,
+        but a constant factor's (mean 0: PointMass(0), Bernoulli(0.0)),
+        whose results are 0.0: as the first, a middle or the last factor
+        it would add 0.0 or multiply by 1.0 only.  The survival follows
+        the pairwise complement rule, acc + sa * (1 - acc); the gap is
+        telescoped over the factors (earlier ones at b, later ones at a),
+        so no nearby numbers are ever subtracted.
 
         Only what changes bits is written.  A lone factor leaves its
         results in ``sa`` and ``gap`` (a result equal to its input is
@@ -120,18 +126,21 @@ class ProductLaw:
         No pin or clamp at 1 is needed: for da in [0, 1] each template
         gives sa in [0, 1] (Geometric m*da / (1 + m*da), whose rounded
         denominator is at least its numerator; Poisson and PointMass
-        -expm1(x) for x <= 0, or 0 or 1; Bernoulli p*da, p in [0, 1]),
+        -expm1(x) for x <= 0, -inf included; Bernoulli p*da, p in [0, 1]),
         so acc starts in [0, 1].  For acc in [0, 1], fl(1 - acc) is
         exact if acc >= 1/2 (Sterbenz) and within 2^-54 otherwise, so
         acc + 1.0 * (1.0 - acc) is exactly 1; rounding is monotone, so
         each update stays in [0, 1], a factor with sa = 1 gives exactly
         1 and later ones keep it (acc + sa * 0.0)."""
         lines = []
-        last = len(self.children) - 1
-        for k, (child, law) in enumerate(self.children.items()):
+        factors = [(child, law) for child, law in self.children.items()
+                   if law.mean]
+        last = len(factors) - 1
+        for k, (child, law) in enumerate(factors):
             names = ({"sa": sa, "gap": gap} if k == last == 0 else
                      {"sa": "acc", "gap": "total"} if k == 0 else {})
-            lines += _factor(law, child - 1, k == last, **names)
+            lines += pair_source(law, child - 1, last=k == last,
+                                 **names).splitlines()
             if k == 0 < last:
                 lines.append("lower = 1.0 - sb")
             elif k < last:
@@ -140,7 +149,7 @@ class ProductLaw:
             elif k > 0:
                 lines += [f"{sa} = acc + sa * (1.0 - acc)",
                           f"{gap} = total * (1.0 - sa) + lower * gap"]
-        return lines if self.children else [f"{sa} = 0.0", f"{gap} = 0.0"]
+        return lines if factors else [f"{sa} = 0.0", f"{gap} = 0.0"]
 
     def mean_row(self, n_types: int) -> tuple[float, ...]:
         row = [0.0] * n_types
@@ -186,9 +195,9 @@ class TableLaw:
                 raise ModelStructureError(
                     f"type {self.parent} table rows have mixed widths"
                 )
-            if p < 0.0:
+            if not 0.0 <= p <= 1.0 + 1e-12:  # a NaN too; fsum cannot overflow
                 raise ModelStructureError(
-                    f"type {self.parent} table has a negative probability"
+                    f"type {self.parent} table has a probability {p!r} outside [0, 1]"
                 )
             if any(c < 0 for c in counts):
                 raise ModelStructureError(
@@ -200,12 +209,11 @@ class TableLaw:
                         f"type {self.parent} table emits child type "
                         f"{child0 + 1} below the parent type"
                     )
-        total = neumaier_sum(p for _, p in rows)
-        if not abs(total - 1.0) <= 1e-12:  # a NaN or inf sum too
+        excess = math.fsum([*(p for _, p in rows), -1.0])  # exact, rounded once
+        if abs(excess) > 1e-12:
             raise ModelStructureError(
-                f"type {self.parent} table probabilities sum to {total!r}"
+                f"type {self.parent} table probabilities sum to {1.0 + excess!r}"
             )
-        excess = math.fsum([*(p for _, p in rows), -1.0])
         if excess > 2.0 ** -54:  # leaves an excess of at most 2^-54
             k = max(range(len(rows)), key=lambda r: rows[r][1])
             rows = (*rows[:k], (rows[k][0], rows[k][1] - excess), *rows[k + 1:])
@@ -280,15 +288,6 @@ class TableLaw:
             yield j, kids[..., j]
 
 
-def _factor(family: Marginal, j: int, last: bool, **results) -> list[str]:
-    """``family``'s ``PAIR`` template over d{j} and e{j} as statements,
-    with its results named by ``results`` (``pair_source``); a last
-    factor's survival at b, which nothing reads, is left out."""
-    lines = pair_source(family, f"d{j}", f"e{j}", f"c{j}_", **results)
-    return [line for line in lines.splitlines()
-            if not (last and line.startswith("sb = "))]
-
-
 def _times(factor, operand: str) -> str:
     """``factor * (operand)``, just the operand for a factor of one, in
     parentheses if it holds a sum, so that it adds as one term."""
@@ -320,9 +319,9 @@ def _neumaier(terms: list[str], name: str, target: str) -> list[str]:
     return lines + [f"{target} = {t} + {carry}"]
 
 
-# the values of coordinate j a table row reads: log(1 - d_j) (-inf at
-# d_j = 1), a_j, b_j and power_diff's lower point h_j = max(a_j - e_j, 0.0)
-# without the call; a row that reads h_j reads a_j too (``power_sum``)
+# the values of coordinate j a table row or a PointMass factor reads: log(1 - d_j)
+# (-inf at d_j = 1), a_j, b_j and power_diff's lower point h_j = max(a_j - e_j, 0.0)
+# without the call; a block that reads h_j reads a_j too (``power_sum``)
 _DERIVED = {"l": "log1p(-d{j}) if d{j} < 1.0 else -inf", "a": "1.0 - d{j}",
             "b": "1.0 - (d{j} + e{j})", "h": "0.0 if a{j} < e{j} else a{j} - e{j}"}
 

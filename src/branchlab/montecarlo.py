@@ -262,8 +262,11 @@ def _chunk_layout(total: int) -> list[list[tuple[int, int]]]:
 
 
 def _pool_size(workers: int, groups: int) -> int:
-    """Worker processes for a run: never more than groups or cores."""
-    return max(1, min(workers, groups, os.cpu_count() or 1))
+    """Worker processes for a run: never more than groups or the cores
+    this process may run on."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return max(1, min(workers, groups, cores))
 
 
 def _map_groups(job, groups, workers: int) -> list:

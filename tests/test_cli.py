@@ -607,15 +607,25 @@ def _counting_fork(monkeypatch):
     return forks
 
 
+def _cores(monkeypatch, count):
+    """Let the process run on ``count`` cores, as the part writer counts
+    them."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
 @pytest.mark.parametrize("model", ["micro_table", "three_type_chain"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_extinction_parts_write_the_bytes_of_one_part(model, fmt, tmp_path,
                                                       monkeypatch, capsys):
     n = 3 * _B + 5  # three parts of 4097, 4098 and 4098 rows
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    one = _extinction_files(model, n, fmt, tmp_path / "one")
     forks = _counting_fork(monkeypatch)
+    # one core to run on, of the eight the host has: one part
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _cores(monkeypatch, 1)
+    one = _extinction_files(model, n, fmt, tmp_path / "one")
+    assert forks == []
+    _cores(monkeypatch, 8)
     parted = _extinction_files(model, n, fmt, tmp_path / "parted")
     assert len(forks) == 2
     assert parted == one and len(one) == 1 + 2 * stock_model(model).n_types
@@ -634,7 +644,7 @@ def test_extinction_forks_only_for_two_blocks_of_rows(tmp_path, monkeypatch,
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", refused)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _cores(monkeypatch, 8)
     for fmt in ("csv", "json"):
         assert main(["extinction", "--model", "three_type_chain", "--n",
                      str(2 * _B - 1), "--format", fmt, "--plotdata",
@@ -658,7 +668,7 @@ def test_a_failing_part_fails_the_run_and_leaves_nothing_behind(
         return rows(self)
 
     monkeypatch.setattr(cli._TableRows, "__iter__", iterate)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _cores(monkeypatch, 3)
     forks = _counting_fork(monkeypatch)
     out = tmp_path / "ext.csv"
     argv = ["extinction", "--model", "micro_table", "--n", str(3 * _B + 5),

@@ -28,10 +28,11 @@ no complement exceeds 1) does not, and a pinned identity law (a lone
 Bernoulli(1.0), whose block is empty) that its step keeps the pair.
 Up to its truncation the table holds no subnormal entry and agrees
 with plain iteration at 340 digits within 1e-13 relative.
-``PointMass(0..5)`` pairs are checked at the ends of [0, 1] too.  On
-every stock model and a table terminal, -0.0 inputs give +0.0 results
-from every public step, the m = 0 shortcuts of ``iterate_point`` and
-``conditional_transform`` included.  A spec whose family has stepped
+A family's probes (``survival`` and ``pgf_diff``, one step of its own
+kernel) give the reference's pair, ``PointMass(0..5)`` at the ends of
+[0, 1] too.  On every stock model and a table terminal, -0.0 inputs
+give +0.0 results from every public step, the m = 0 shortcuts of
+``iterate_point`` and ``conditional_transform`` included.  A spec whose family has stepped
 still pickles, and samples the same bits at one and two workers.
 """
 
@@ -365,12 +366,21 @@ def test_kernel_terminal_is_the_reference_chain(spec, pair, steps):
     assert hexes(got) == hexes(ref.terminal_pair(spec, da, delta, steps))
 
 
+def probes(family, da, delta):
+    """A family's probes laid out like the reference's pair: the survival
+    at a and at b (the survival of da + delta, bit for bit in every
+    template), and the gap."""
+    return (family.survival(da), family.survival(da + delta),
+            family.pgf_diff(da, delta))
+
+
 @given(families, pairs(1))
 @settings(max_examples=300, deadline=None)
 def test_family_pair_methods_are_the_reference(family, pair):
+    # the probes step a kernel, which takes -0.0 as +0.0
     (da,), (delta,) = pair
-    assert hexes(family.pair(da, delta)) == hexes(
-        ref.family_pair(family, da, delta))
+    assert hexes(probes(family, da, delta)) == hexes(
+        ref.family_pair(family, da + 0.0, delta + 0.0))
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -381,7 +391,7 @@ def test_point_mass_pairs_are_the_reference_at_the_edges(k):
     family = PointMass(k)
     for da in (0.0, 5e-324, 1e-300, 1e-16, 1.0 - 1e-16, 0.5, 1.0):
         for delta in (0.0, 1.0 - da, math.nextafter(1.0 - da, 2.0)):
-            assert hexes(family.pair(da, delta)) == hexes(
+            assert hexes(probes(family, da, delta)) == hexes(
                 ref.family_pair(family, da, delta))
 
 
@@ -477,7 +487,7 @@ def test_a_spec_with_its_kernel_built_still_pickles():
 
 
 def test_a_spec_whose_family_has_stepped_still_pickles():
-    # a family's compiled pair does not pickle; a spec whose family has
+    # a family's compiled kernel does not pickle; a spec whose family has
     # been probed must still reach the Monte Carlo workers
     spec = STOCK_MODELS["two_type_cascade"]()
     spec.laws[0].children[1].survival(0.5)

@@ -28,9 +28,8 @@ for a complement or for a gap below the smallest normal double.  The
 specs are ``test_layering.SPECS``, the truncating specs of
 ``test_kernel.py`` and a table whose survival sums three terms.  No
 hypothesis: the corpus is the same every run.  A mutant that survives
-must match an entry of ``SURVIVORS``, which says why it changes no bit
-(or names the dead code an open item), and every entry must match a
-survivor.
+must match an entry of ``SURVIVORS``, which says why it changes no bit,
+and every entry must match a survivor.
 """
 
 import ast
@@ -106,14 +105,15 @@ SURVIVORS = [
      "outside the kernel's domain"),
     (r"\S+ [a-z+]+: l\d+ = log1p\(-d\d+\) if d\d+ < 0\.9999999999999999 else -inf",
      "the log's guard moved one ulp down changes l{j} only at d{j} = "
-     "1 - 2^-53, from -inf to log(2^-53): a row's term -expm1(c l + ...) "
-     "is 1 either way for a count c >= 2 and moves by at most p 2^-53 "
-     "for a count of 1, which these tables' sums round away"),
-    (r"\S+ [a-z+]+: \w+ = 1\.0 if d\d+( \+ e\d+)? >= 0\.9999999999999999 "
+     "1 - 2^-53, from log(2^-53) to -inf: a PointMass(k >= 2) factor's "
+     "survival -expm1(k l) and a row's term -expm1(c l + ...) are 1 "
+     "either way for a count c >= 2, and a row's term moves by at most "
+     "p 2^-53 for a count of 1, which these tables' sums round away"),
+    (r"\S+ [a-z+]+: sb = 1\.0 if d\d+ \+ e\d+ >= 0\.9999999999999999 "
      r"else -expm1\([2-9] \* log1p.*",
-     "a PointMass(k >= 2) pin moved one ulp down: at x = 1 - 2^-53, "
-     "(1 - x)^k <= 2^-106 and -expm1(k log1p(-x)) rounds to 1 as the pin "
-     "does"),
+     "a PointMass(k >= 2) factor's pin of its survival at b moved one ulp "
+     "down: at x = 1 - 2^-53, (1 - x)^k <= 2^-106 and "
+     "-expm1(k log1p(-x)) rounds to 1 as the pin does"),
     (r"\S+ [a-z+]+: ([sg])c \+?= \1\d+ - \1\d+ \+ \1v\d+ if "
      r"abs\(\1\d+\) > abs\(\1v\d+\) else .*",
      "Neumaier's carry with its branch made strict: the terms are >= "
@@ -126,15 +126,6 @@ SURVIVORS = [
     (r"point_mass_0_own table: if not .* or \(d1 > 1\.0 and .*",
      "type 2's gap clause turned off: type 1's gap is its feed's, so a "
      "zero gap stops the table at type 1 before type 2 is checked"),
-    (r"point_mass_0_(feed|own) advance\+table: (sb|lower|d0|e0) = .*",
-     "a PointMass(0) factor is the constant 1: its sa, sb and gap are "
-     "0.0, so the product's update by it adds or multiplies by 0.0 and "
-     "changes no bit; the emitter still writes it (an open item)"),
-    (r"point_mass_[23]_feed advance\+table: dropped c1_[ah] = .*",
-     "both laws hold a PointMass(k) factor on coordinate 1, and each "
-     "renders its a = 1 - d1 and h = max(a - e1, 0.0): the second pair "
-     "is the first's values again, per-coordinate values that the kernel "
-     "does not yet define once per sweep (an open item)"),
 ]
 
 

@@ -8,16 +8,19 @@ one way to advance an orbit: the engine steps through the spec's
 kernel, built from the laws' own blocks, never through the model maps
 ``survival_map`` and ``pair_diff_map``, the two halves of one kernel
 step kept for the per-layer probe.  The kernel is the one stepper
-compiled from a law: ``numerics.compile_step`` is called only for it
-and for a family's ``pair``, compiled from the rendering the kernel
-inlines.  A kernel calls only ``math``'s ``exp``, ``expm1`` and
+compiled from a law: ``numerics.compile_step`` is called only for it,
+no family has a ``pair`` of its own and ``families.py`` imports neither
+``compile_step`` nor ``textwrap`` (a family's probes step the kernel of
+a one-type spec).  A kernel calls only ``math``'s ``exp``, ``expm1`` and
 ``log1p`` (the only functions ``compile_step`` gives it), builtins and
 its own functions, a ``PointMass`` factor included, and no kernel
 statement assigns a name to itself.  A kernel step inlines each
-child factor's ``PAIR`` template exactly once per law, runs each law's
-body once and defines each per-coordinate value (``l{j}``, ``a{j}``,
-``b{j}``, ``h{j}``) once per loop; its terminal loop is the last law's
-body alone, after the values of its coordinate that it reads, written
+child factor's ``PAIR`` template exactly once per law (a constant
+factor, of mean 0, not at all), runs each law's body once and defines
+each per-coordinate value (``l{j}``, ``a{j}``, ``b{j}``, ``h{j}``) once
+per loop, for table rows and ``PointMass`` factors alike; its terminal
+loop is the last law's body alone, after the values of its coordinate
+that it reads, written
 into the loop's own names whatever the law's shape, and the engine
 never steps a chain through the ``survival`` and ``pgf_diff``
 projections.  Each vector loop steps in place, one coordinate at a
@@ -94,6 +97,15 @@ def _all_tables():
     ), name="all_tables")
 
 
+def _shared_values():
+    # a PointMass factor and a table row read the same coordinate's
+    # values: l1, a1 and h1, defined once per sweep for both
+    return ProcessSpec(n_types=2, laws=(
+        ProductLaw(parent=1, children={1: Geometric(1.0), 2: PointMass(2)}),
+        TableLaw(parent=2, rows=(((0, 0), 0.25), ((0, 1), 0.5),
+                                 ((0, 2), 0.25)))), name="point_mass_and_table")
+
+
 def _point_masses():
     # PointMass(0..3) as a last feed factor, as a lone own-type factor
     # (and terminal), and as an own-type factor beside a feed
@@ -109,7 +121,7 @@ def _point_masses():
 
 
 SPECS = [make() for make in STOCK_MODELS.values()] + [
-    _all_families(), _all_tables(), *_point_masses()]
+    _all_families(), _all_tables(), _shared_values(), *_point_masses()]
 
 
 def _loops(source):
@@ -224,8 +236,13 @@ def _users(modules, name):
 
 def test_the_kernel_is_the_only_compiled_stepper():
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert _users(modules, "compile_step") == [
-        "families.pair", "model._compile_kernel"]
+    assert _users(modules, "compile_step") == ["model._compile_kernel"]
+    # a family's probes step a kernel: no family compiles a pair of its own
+    families = ast.parse(modules["families"])
+    assert "textwrap" not in set(_imported_modules(families))
+    assert "compile_step" not in set(_named(families))
+    for family in (Geometric(1.0), Poisson(1.0), Bernoulli(0.5), PointMass(2)):
+        assert not hasattr(family, "pair")
 
 
 def test_the_stepper_guard_sees_what_it_looks_for():
@@ -303,19 +320,20 @@ def _rendered_factors(law, sa, gap):
     """A product law's child factors as its block inlines them, its
     results written into the names ``sa`` and ``gap``: each ``PAIR``
     template with its parameters as literals, the last one without its
-    survival at b, which nothing reads.  A lone factor leaves its
-    results in ``sa`` and ``gap``; of several, the first leaves them in
-    acc and total, the others in sa and gap."""
+    survival at b, which nothing reads, and no constant factor (of mean
+    0).  A lone factor leaves its results in ``sa`` and ``gap``; of
+    several, the first leaves them in acc and total, the others in sa
+    and gap."""
     if not isinstance(law, ProductLaw):
         return []
-    last = len(law.children) - 1
+    factors = [(child, family) for child, family in law.children.items()
+               if family.mean]
+    last = len(factors) - 1
     names = [(sa, gap) if last == 0 else ("acc", "total"),
              *[("sa", "gap")] * last]
-    return ["".join(line for line in pair_source(
-                family, f"d{child - 1}", f"e{child - 1}", f"c{child - 1}_",
-                sa=names[k][0], gap=names[k][1]).splitlines(keepends=True)
-                    if k < last or not line.startswith("sb = "))
-            for k, (child, family) in enumerate(law.children.items())]
+    return [pair_source(family, child - 1, sa=names[k][0], gap=names[k][1],
+                        last=k == last)
+            for k, (child, family) in enumerate(factors)]
 
 
 def test_one_family_call_per_factor_and_step():
@@ -324,8 +342,8 @@ def test_one_family_call_per_factor_and_step():
         j = spec.n_types - 1
         # a factor held by two laws runs once in each law's block, in
         # both vector loops; the terminal loop is the terminal law's own
-        # factor alone, its results written over the loop's inputs, with
-        # no copy after it
+        # factor alone, after the values of its coordinate that it reads,
+        # its results written over the loop's inputs, with no copy after it
         sweep = [f for i, law in enumerate(spec.laws)
                  for f in _rendered_factors(law, f"d{i}", f"e{i}")]
         rendered = {"advance": sweep, "table": sweep, "terminal":
@@ -336,8 +354,8 @@ def test_one_family_call_per_factor_and_step():
             name: {factor: found.count(factor) for factor in factors}
             for name, found in rendered.items()}
         if rendered["terminal"]:
-            assert _loops(spec.kernel.source)["terminal"] == _statements(
-                *rendered["terminal"])
+            own = _statements(*rendered["terminal"])
+            assert _loops(spec.kernel.source)["terminal"][-len(own):] == own
 
 
 def test_the_step_guard_sees_what_it_looks_for():
@@ -346,7 +364,7 @@ def test_the_step_guard_sees_what_it_looks_for():
                      "    chain.survival(d)\n"
                      "    law.pgf_diff(da, delta)\n")
     assert _projection_calls(tree) == [3, 4]
-    factor = pair_source(Geometric(1.0), "d0", "e0", "c0_")
+    factor = pair_source(Geometric(1.0), 0)
     inlined = factor.splitlines()
 
     def kernel(*body):
@@ -639,7 +657,7 @@ def test_every_kernel_store_is_read():
 
 
 def test_the_dead_store_guard_sees_what_it_looks_for():
-    factor = pair_source(Geometric(1.0), "d0", "e0", "c0_").splitlines()
+    factor = pair_source(Geometric(1.0), 0).splitlines()
 
     def kernel(*body, returns="d0, e0"):
         return ("def terminal(d0, e0, steps):\n"
@@ -647,7 +665,7 @@ def test_the_dead_store_guard_sees_what_it_looks_for():
                 + "".join(f"        {line}\n" for line in body)
                 + f"    return {returns}\n")
 
-    lean = [line for line in factor if not line.startswith("sb = ")]
+    lean = pair_source(Geometric(1.0), 0, last=True).splitlines()
     assert _dead_stores(kernel(*lean, "d0 = sa", "e0 = gap")) == []
     # the last factor's survival at b, planted back
     assert _dead_stores(kernel(*factor, "d0 = sa", "e0 = gap")) == [
@@ -701,15 +719,15 @@ def _shape_dispatch(tree, function):
 
 def test_kernel_loops_write_no_sign_of_a_zero():
     # signed zeros are taken once, at the kernel's entry; a Bernoulli(0.0)
-    # factor keeps its products with 0.0, and a zero-probability row,
-    # whose terms are +0.0, is left out of both sums
+    # factor, the constant 1, is left out of the product as a
+    # zero-probability row, whose terms are +0.0, is left out of both sums
     zeros = ProcessSpec(n_types=2, laws=(
         ProductLaw(parent=1, children={1: Bernoulli(0.0), 2: Poisson(1.0)}),
         TableLaw(parent=2, rows=(((0, 0), 0.5), ((0, 1), 0.0),
                                  ((0, 2), 0.5)))), name="zeros")
     for spec in SPECS + [zeros]:
         assert _zero_sums(spec.kernel.source) == []
-    assert "0.0 * d0" in zeros.kernel.source
+    assert "0.0 * d0" not in zeros.kernel.source
     assert "0.0 * (-expm1(l1))" not in zeros.kernel.source
     assert "0.0 * e1" not in zeros.kernel.source
     assert _shape_dispatch(ast.parse((SRC / "model.py").read_text()),

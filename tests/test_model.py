@@ -166,6 +166,13 @@ def test_table_law_validation():
             TableLaw(parent=1, rows=(((0, 0), bad), ((1, 0), 1.0)))
 
 
+def test_table_law_refuses_probabilities_whose_sum_overflows():
+    # a row above 1 is refused on its own, before the exact sum of the
+    # probabilities, which would overflow here, is taken
+    with pytest.raises(ModelStructureError, match="outside"):
+        TableLaw(parent=1, rows=(((0,), 1e308), ((1,), 1e308)))
+
+
 def test_process_spec_validation():
     law1 = ProductLaw(parent=1, children={1: Geometric(1.0)})
     with pytest.raises(ModelStructureError):

@@ -262,14 +262,18 @@ class TestWorkerPool:
         assert conditional_estimate(spec, cfg, 3, fn, workers=7) == \
             conditional_estimate(spec, cfg, 3, fn, workers=1)
 
-    def test_pool_size_caps_at_cores_and_groups(self):
-        cores = os.cpu_count() or 1
+    def test_pool_size_caps_at_cores_and_groups(self, monkeypatch):
+        cores = len(os.sched_getaffinity(0))
         assert _pool_size(10**6, 10**6) == cores
         assert _pool_size(10**6, 3) == min(3, cores)
         assert _pool_size(10**6, 1) == 1
         assert _pool_size(1, 10**6) == 1
         assert _pool_size(0, 10**6) == 1
         assert not multiprocessing.active_children()
+        # the cores the process may run on, not every core of the host
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert _pool_size(10**6, 10**6) == 2
 
 
 # --------------------------------------------------------------- grouping
