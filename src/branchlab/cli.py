@@ -41,6 +41,7 @@ from .experiments import (
     verify_local,
 )
 from .model import ProcessSpec, _collect_moments, check_assumptions
+from .numerics import cores, fork_map
 from .pgf import build_survival_table, conditional_transform, extinction_time_pmf
 from .zoo import STOCK_MODELS, stock_model
 
@@ -195,10 +196,8 @@ class _TableRows:
 
     def split(self) -> list[_TableRows]:
         """These rows in contiguous runs, one per core this process may
-        run on (at most one per block; one without ``os.fork``)."""
-        cores = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1) if hasattr(os, "fork") else 1)
-        count = max(1, min(cores, len(self) // _BLOCK))
+        run on (at most one per block)."""
+        count = max(1, min(cores(), len(self) // _BLOCK))
         cuts = [len(self) * i // count for i in range(count + 1)]
         return [_TableRows(*[c[lo:hi] for c in self.columns],
                            start=self.start + lo)
@@ -491,52 +490,34 @@ def _slug(label: str) -> str:
     return re.sub(r"[^0-9A-Za-z._=+-]+", "-", label).strip("-") or "curve"
 
 
-def _write_jobs(jobs: Iterable[tuple[Path, Iterable[str]]]) -> None:
-    for path, lines in jobs:
-        with open(path, "w") as fh:
-            fh.writelines(lines)
+def _write_job(job: tuple[Path, Iterable[str]]) -> None:
+    path, lines = job
+    with open(path, "w") as fh:
+        fh.writelines(lines)
 
 
 def _write_parts(path: Path, head: str, parts: list, tail: str, files: list):
     """Write ``head``, the k parts and ``tail`` to ``path`` and each
     ``(path, lines)`` of ``files``, under temporary names that replace
-    them once all parts succeed.  Job j of [*parts, *files] runs here if
-    j % k == 0, else in forked child j % k, which writes its part to a
-    temporary file, appended here in order, and leaves by ``os._exit``,
-    flushing no inherited buffer.  No child or temporary file is left."""
+    them once all parts succeed.  The jobs [*parts, *files] run through
+    ``fork_map`` in k processes, each writing a temporary file; the
+    caller appends the parts' files to the first in order, then the
+    tail.  No temporary file is left."""
     k = len(parts)
     temps = [path.with_name(f".{path.name}.{os.getpid()}.{w}") for w in range(k)]
     dats = [(path.with_name(f".{p.name}.{os.getpid()}.0"), p) for p, _ in files]
     jobs = [(temps[0], chain([head], parts[0])), *zip(temps[1:], parts[1:]),
             *((temp, lines) for (temp, _), (_, lines) in zip(dats, files))]
-    children: list[int] = []
     try:
-        for w in range(1, k):
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    _write_jobs(jobs[w::k])
-                    os._exit(0)
-                except Exception:
-                    sys.excepthook(*sys.exc_info())
-                finally:
-                    os._exit(1)
-            children.append(pid)
-        _write_jobs(jobs[::k])
+        fork_map(_write_job, jobs, k)
         with open(temps[0], "a") as fh:
             for temp in temps[1:]:
-                status = os.waitpid(children[0], 0)[1]
-                del children[0]
-                if status:
-                    raise BranchLabError("a part writer failed")
                 with open(temp, "rb") as part:
                     shutil.copyfileobj(part, fh.buffer)
             fh.write(tail)
         for temp, final in [(temps[0], path), *dats]:
             os.replace(temp, final)
     finally:
-        for pid in children:
-            os.waitpid(pid, 0)
         for temp in [*temps, *(temp for temp, _ in dats)]:
             temp.unlink(missing_ok=True)
 

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class BranchLabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Each pickles as its type, its ``args`` (the formatted message) and
+    its fields, and unpickles without calling ``__init__``, whose
+    arguments differ from ``args``: a failure in a forked process comes
+    back as it was raised.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ModelStructureError(BranchLabError):

@@ -8,6 +8,10 @@ come with no convergence rates, so acceptance has to be trend-based).
 Each band is recorded with the pilot pair it came from.  ``death`` and
 ``deathfin`` take their pilots as checkpoints of the orbit that gives
 the largest horizon's row, so the pilots cost them no orbit steps.
+A driver's parts are evaluated by one ``fork_map`` call, one process
+per core and part once the largest horizon reaches ``_FORK_HORIZON``,
+and assembled in order here, so a report does not depend on the number
+of processes.
 """
 
 from __future__ import annotations
@@ -15,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .constants import constant_set
 from .errors import PrecisionLoss, SlowConvergence, UnreachableEvent
 from .model import ProcessSpec, validate_hypothesis_A
-from .numerics import richardson_derivative
+from .numerics import cores, fork_map, richardson_derivative
 from .pgf import (
     SurvivalTable,
     build_survival_table,
@@ -60,6 +64,10 @@ _RECOVERABLE = (PrecisionLoss, SlowConvergence, UnreachableEvent)
 # pilots run at half and a quarter of the largest horizon, never below
 # this, so every driver's table reaches at least this far as well
 _MIN_PILOT = 4
+
+# a fork and its pipe cost about as much as 2000 to 4000 orbit steps, so
+# a driver's parts run in one process below this largest horizon
+_FORK_HORIZON = 8192
 
 # the smallest horizon of every diff_lemmas part: from n = 5 on, the
 # local mean's censor time round(n**(2/3)) stays at or below its
@@ -293,30 +301,46 @@ def _score(value: float, limit: float) -> float:
     return value if limit == 0.0 else value / limit
 
 
-def _run_part(part: str, grid: Sequence[int],
-              params: tuple[tuple[str, float], ...], limit: float,
-              value: Callable[[int], float], details: dict, floor: int = 1,
-              ) -> tuple[list[ReportRow], tuple[float, float], bool]:
-    """Rows, band and verdict of one part.
+class _Part(NamedTuple):
+    """One part of a driver: its label, the horizons of its rows, the
+    rows' other parameters, its limit, its value at a horizon, and the
+    smallest horizon it can evaluate, which ``_driver_table`` has
+    checked the grid against."""
 
-    ``value`` runs, guarded, at every horizon in ``grid`` and at the
-    pilots, half and a quarter of the largest horizon (never below
-    ``_MIN_PILOT`` nor below ``floor``, the smallest horizon the part
-    can evaluate, which ``_driver_table`` has checked the grid against),
-    in ascending order, so that a checkpointed orbit runs once.  The
-    grid gives the rows, the pilots the band (recorded as ``pilot:``
-    details; a failed pilot is nan), and the verdict wants every
-    horizon clean and the last row's score in band."""
-    n_max = max(grid)
-    pilots = [max(_MIN_PILOT, floor, n_max // d) for d in (2, 4)]
-    got = {n: _guarded(lambda: value(n)) for n in sorted({*grid, *pilots})}
-    rows = [ReportRow(part, (("n", float(n)),) + params, got[n][0], limit,
-                      got[n][1]) for n in grid]
-    half, quarter = (_score(got[n][0], limit) for n in pilots)
-    details[f"pilot:{part or 'all'}"] = (half, quarter)
+    label: str
+    grid: Sequence[int]
+    params: tuple[tuple[str, float], ...]
+    limit: float
+    value: Callable[[int], float]
+    floor: int = 1
+
+    @property
+    def pilots(self) -> list[int]:
+        """Half and a quarter of the largest horizon, never below
+        ``_MIN_PILOT`` nor below the floor."""
+        return [max(_MIN_PILOT, self.floor, max(self.grid) // d) for d in (2, 4)]
+
+    def evaluate(self) -> dict[int, tuple[float, bool]]:
+        """``value``, guarded, at every horizon of the grid and at the
+        pilots, in ascending order, so that a checkpointed orbit runs
+        once."""
+        return {n: _guarded(lambda: self.value(n))
+                for n in sorted({*self.grid, *self.pilots})}
+
+
+def _run_part(part: _Part, got: Mapping[int, tuple[float, bool]],
+              details: dict) -> tuple[list[ReportRow], tuple[float, float], bool]:
+    """Rows, band and verdict of one part from its evaluated values
+    ``got``: the grid gives the rows, the pilots the band (recorded as
+    ``pilot:`` details; a failed pilot is nan), and the verdict wants
+    every horizon clean and the last row's score in band."""
+    rows = [ReportRow(part.label, (("n", float(n)),) + part.params, got[n][0],
+                      part.limit, got[n][1]) for n in part.grid]
+    half, quarter = (_score(got[n][0], part.limit) for n in part.pilots)
+    details[f"pilot:{part.label or 'all'}"] = (half, quarter)
     band = pilot_band(half, quarter)
     ok = (all(clean for _, clean in got.values())
-          and _in_band(_score(rows[-1].value, limit), band))
+          and _in_band(_score(rows[-1].value, part.limit), band))
     return rows, band, ok
 
 
@@ -342,7 +366,8 @@ def _log_grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
 @dataclass
 class _Accumulator:
     """Rows, bands, details and verdict of one driver run, frozen by
-    ``report`` into the run's one ``ConvergenceReport``."""
+    ``report`` into the run's one ``ConvergenceReport``.  Every part of
+    the run goes through ``parts``, in one call."""
 
     experiment: str
     model: str
@@ -351,14 +376,21 @@ class _Accumulator:
     details: dict[str, object] = field(default_factory=dict)
     passed: bool = True
 
-    def part(self, part: str, grid: Sequence[int],
-             params: tuple[tuple[str, float], ...], limit: float,
-             value: Callable[[int], float], floor: int = 1) -> list[ReportRow]:
-        """One part through ``_run_part``; its verdict counts."""
-        rows, self.bands[part], ok = _run_part(
-            part, grid, params, limit, value, self.details, floor)
-        self.add(ok, *rows)
-        return rows
+    def parts(self, parts: Sequence[_Part]) -> Iterator[tuple[list[ReportRow], bool]]:
+        """Each part's rows and verdict, in the order of ``parts``.
+
+        Every part is evaluated by one ``fork_map`` call, one process
+        per core and part once the largest horizon reaches
+        ``_FORK_HORIZON``; then, as the caller asks for the next part,
+        ``_run_part`` assembles it and its band and pilots are recorded.
+        The caller adds the rows and the verdict, so that rows and
+        details it adds between parts keep their place.
+        """
+        horizon = max((max(part.grid) for part in parts), default=0)
+        procs = cores() if horizon >= _FORK_HORIZON else 1
+        for part, got in zip(parts, fork_map(_Part.evaluate, parts, procs)):
+            rows, self.bands[part.label], ok = _run_part(part, got, self.details)
+            yield rows, ok
 
     def add(self, ok: bool, *rows: ReportRow) -> None:
         """Extra rows, or none, and the verdict they carry."""
@@ -389,14 +421,14 @@ def _power_law_report(experiment: str, spec: ProcessSpec, n: int,
     n_grid = _log_grid(100, n, 5)
     table = _driver_table(spec, n)
     acc = _Accumulator(experiment, spec.name)
-    for i in range(1, spec.n_types + 1):
-        part = f"type={i}"
-        rows = acc.part(part, n_grid, (), scale_of(consts, i),
-                        lambda n, i=i: value_at(table, consts, i, n))
+    parts = [_Part(f"type={i}", n_grid, (), scale_of(consts, i),
+                   lambda n, i=i: value_at(table, consts, i, n))
+             for i in range(1, spec.n_types + 1)]
+    for part, (rows, ok) in zip(parts, acc.parts(parts)):
         mono = _monotone_toward(rows, 1.0)
-        acc.details[f"final_ratio:{part}"] = rows[-1].ratio
-        acc.details[f"monotone:{part}"] = mono
-        acc.add(mono)
+        acc.details[f"final_ratio:{part.label}"] = rows[-1].ratio
+        acc.details[f"monotone:{part.label}"] = mono
+        acc.add(ok and mono, *rows)
     return acc.report(("n", tuple(float(n) for n in n_grid)))
 
 
@@ -471,11 +503,13 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
             spec, table, _cond_point(spec, lam / (b_N * nn), s_lower),
             round(x * nn), nn)
 
-    for part, x, s_lower in checks:
-        acc.part(part, (n,), (("lam", lam), ("x", x)),
-                 limit_finalstage(lam, x, spec.n_types),
-                 lambda nn, x=x, s_lower=s_lower: finite(nn, x, s_lower),
-                 floor=least)
+    for rows, ok in acc.parts([
+            _Part(part, (n,), (("lam", lam), ("x", x)),
+                  limit_finalstage(lam, x, spec.n_types),
+                  lambda nn, x=x, s_lower=s_lower: finite(nn, x, s_lower),
+                  least)
+            for part, x, s_lower in checks]):
+        acc.add(ok, *rows)
 
     acc.normalization(lambda: conditional_transform(
                           spec, table, _cond_point(spec, 0.0), round(0.5 * n), n),
@@ -508,9 +542,11 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
 
     checks = [(f"lam={lam:g}", lam, 1.0) for lam in lambdas]
     checks.append(("insensitivity:lam=1", 1.0, 0.5))
-    for part, lam, s_lower in checks:
-        acc.part(part, (n,), (("k", float(k)), ("lam", lam)), limit_death(lam),
-                 orbit(lam, s_lower), floor=k + 1)
+    for rows, ok in acc.parts([
+            _Part(part, (n,), (("k", float(k)), ("lam", lam)),
+                  limit_death(lam), orbit(lam, s_lower), k + 1)
+            for part, lam, s_lower in checks]):
+        acc.add(ok, *rows)
 
     acc.normalization(lambda: orbit(0.0)(n),
                       (("n", float(n)), ("k", float(k)), ("lam", 0.0)))
@@ -541,15 +577,20 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
     table = _driver_table(spec, n, max(ks, default=0) + 1)
     u_eval = make_u_evaluator(spec, n_u)
     acc = _Accumulator("deathfin", spec.name)
+    # one orbit gives the row at n and both pilots; the limits, and the
+    # memoized U values they read, are computed here, before the parts
+    assembled = acc.parts([
+        _Part(f"k={k},s={s:g}", (n,), (("k", float(k)), ("s", s)),
+              limit_deathfin(s, k, u_eval, table),
+              conditional_orbit(spec, table, _cond_point(spec, -math.log(s)),
+                                k + 1),
+              k + 1)
+        for k in ks for s in s_grid])
 
     for k in ks:
-        for s in s_grid:
-            # one orbit gives the row at n and both pilots
-            acc.part(f"k={k},s={s:g}", (n,), (("k", float(k)), ("s", s)),
-                     limit_deathfin(s, k, u_eval, table),
-                     conditional_orbit(spec, table,
-                                       _cond_point(spec, -math.log(s)), k + 1),
-                     floor=k + 1)
+        for _ in s_grid:
+            rows, ok = next(assembled)
+            acc.add(ok, *rows)
 
         # the limit's bracket at s_N -> 1 telescopes to exactly one
         terminal = spec.n_types
@@ -644,22 +685,10 @@ def verify_diff_lemmas(spec: ProcessSpec, *, n: int = 10_000,
     table = _driver_table(spec, n, _DIFF_FLOOR)
     acc = _Accumulator("diff_lemmas", spec.name)
 
-    def ratio_part(part: str, value_at: Callable[[int], float],
-                   limit: float) -> None:
-        rows = acc.part(part, n_grid, (("lam", lam),), limit, value_at,
-                        _DIFF_FLOOR)
-        acc.details[f"final_ratio:{part}"] = rows[-1].ratio
-
     def gap_value(n: int) -> float:
         k = round(math.sqrt(n))
         s = math.exp(-lam / (b_N * k))
         return (b_N * lam * n * n / k) * terminal_gap(spec, s, n - k)
-
-    ratio_part("window_gap", gap_value, 1.0)
-    if spec.n_types < 2:
-        return acc.report(*grid)
-
-    wm_limit = b_N * g1 / lam ** (1.0 - gamma1)
 
     def wm_value(n: int) -> float:
         return w_weighted_mean(spec, lam, n) / n ** (1.0 - gamma1)
@@ -682,29 +711,41 @@ def verify_diff_lemmas(spec: ProcessSpec, *, n: int = 10_000,
         deriv = richardson_derivative(f, theta0, theta0 * 1e-4)
         return -(n ** (1.0 + gamma1) / k ** 2) * deriv
 
-    ratio_part("weighted_mean", wm_value, wm_limit)
-    ratio_part("censored_mean", cwm_value, wm_limit)
-    ratio_part("local_mean", lm_value, b_N * g1 / lam ** 2)
+    def no_previous(n: int, expo: float) -> float:
+        l = round(n ** expo)
+        return 1.0 - censored_transform(spec, table, (1.0,) * spec.n_types,
+                                        l, l, n)
 
-    ones = (1.0,) * spec.n_types
-    for expo in (0.6, 0.75):
-        part = f"no_previous:e={expo:g}"
+    def ratio_part(part: str, value_at: Callable[[int], float],
+                   limit: float) -> _Part:
+        return _Part(part, n_grid, (("lam", lam),), limit, value_at,
+                     _DIFF_FLOOR)
 
-        def value_at(n: int, expo=expo) -> float:
-            l = round(n ** expo)
-            return 1.0 - censored_transform(spec, table, ones, l, l, n)
+    ratios = [ratio_part("window_gap", gap_value, 1.0)]
+    vanishing = []
+    if spec.n_types >= 2:
+        wm_limit = b_N * g1 / lam ** (1.0 - gamma1)
+        ratios += [ratio_part("weighted_mean", wm_value, wm_limit),
+                   ratio_part("censored_mean", cwm_value, wm_limit),
+                   ratio_part("local_mean", lm_value, b_N * g1 / lam ** 2)]
+        vanishing = [_Part(f"no_previous:e={expo:g}", n_grid, (("e", expo),),
+                           0.0, lambda n, expo=expo: no_previous(n, expo),
+                           _DIFF_FLOOR)
+                     for expo in (0.6, 0.75)]
 
-        part_rows, band, _ = _run_part(
-            part, n_grid, (("e", expo),), 0.0, value_at, acc.details,
-            _DIFF_FLOOR)
+    assembled = acc.parts([*ratios, *vanishing])
+    for part, (rows, ok) in zip(ratios, assembled):
+        acc.add(ok, *rows)
+        acc.details[f"final_ratio:{part.label}"] = rows[-1].ratio
+    for part, (rows, _) in zip(vanishing, assembled):
         # limit is zero: constrain the value, from below by nothing
-        band = acc.bands[part] = (0.0, max(band[1], band[0]))
-        final = part_rows[-1]
+        lo, hi = acc.bands[part.label]
+        band = acc.bands[part.label] = (0.0, max(hi, lo))
         decreasing = all(b.value <= a.value + _MONOTONE_SLACK
-                         for a, b in zip(part_rows, part_rows[1:]))
-        acc.details[f"final_value:{part}"] = final.value
-        acc.details[f"decreasing:{part}"] = decreasing
-        acc.add(all(r.precision_ok for r in part_rows) and decreasing
-                and _in_band(final.value, band), *part_rows)
+                         for a, b in zip(rows, rows[1:]))
+        acc.details[f"final_value:{part.label}"] = rows[-1].value
+        acc.details[f"decreasing:{part.label}"] = decreasing
+        acc.add(all(r.precision_ok for r in rows) and decreasing
+                and _in_band(rows[-1].value, band), *rows)
 
     return acc.report(*grid)

@@ -17,7 +17,6 @@ whole groups; functionals are always evaluated in the calling process.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping
@@ -26,6 +25,7 @@ import numpy as np
 
 from .errors import AcceptanceTooLow
 from .model import ProcessSpec
+from .numerics import cores
 
 __all__ = [
     "Censored",
@@ -264,9 +264,7 @@ def _chunk_layout(total: int) -> list[list[tuple[int, int]]]:
 def _pool_size(workers: int, groups: int) -> int:
     """Worker processes for a run: never more than groups or the cores
     this process may run on."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return max(1, min(workers, groups, cores))
+    return max(1, min(workers, groups, cores()))
 
 
 def _map_groups(job, groups, workers: int) -> list:

@@ -8,13 +8,19 @@ by subtraction.  ``power_diff`` is the reference form of the
 telescoped difference of powers that the generated steps write out
 inline.  ``compile_step`` turns the generated source of a paired step
 into functions that call only ``math``'s ``exp``, ``expm1`` and
-``log1p``.
+``log1p``.  ``fork_map`` is the package's one way to run work on more
+than one core without pickling it, and ``cores`` counts the cores it
+may use.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+import os
+import sys
+from typing import Callable, Iterable, Sequence
+
+from .errors import BranchLabError
 
 
 def neumaier_sum(values: Iterable[float]) -> float:
@@ -93,3 +99,76 @@ def compile_step(source: str, label: str) -> dict[str, Callable]:
     namespace = dict(_STEP_NAMES)
     exec(compile(source, f"<{label}>", "exec"), namespace)
     return namespace
+
+
+def cores() -> int:
+    """The cores this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _outcomes(job: Callable, items: Sequence) -> tuple[list, Exception | None]:
+    """``job`` of each item in turn up to the first that raises: the
+    results so far and that exception, or None."""
+    results = []
+    try:
+        for item in items:
+            results.append(job(item))
+    except Exception as exc:  # handed to the caller of fork_map
+        return results, exc
+    return results, None
+
+
+def fork_map(job: Callable, items: Sequence, procs: int) -> list:
+    """``[job(item) for item in items]``, item j run in process j % procs.
+
+    Process 0 is this one; each other is a child forked from it, so
+    ``job`` and the items are inherited, never pickled, and only the
+    results, or the exception of a child's first failing item, come
+    back pickled through a pipe.  The exception of the lowest failing
+    item is raised here, as a run in one process would raise it.  Every
+    child is reaped and every pipe closed, whatever happens; a child
+    leaves by ``os._exit``, flushing no inherited buffer.  One process
+    runs everything where ``os.fork`` is missing.
+    """
+    procs = max(1, min(procs, len(items))) if hasattr(os, "fork") else 1
+    if procs > 1:
+        import pickle  # loaded only by a process that forks
+    children: list[tuple[int, object]] = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, procs):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_outcomes(job, items[w::procs]), pipe)
+                    os._exit(0)
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        outcomes = [_outcomes(job, items[::procs])]
+    finally:
+        sent = []
+        for pid, pipe in children:
+            with pipe:
+                data = pipe.read()
+            sent.append((os.waitpid(pid, 0)[1], data))
+    for status, data in sent:
+        if status:
+            raise BranchLabError("a forked process failed")
+        outcomes.append(pickle.loads(data))
+    failed = [(w + procs * len(results), exc)
+              for w, (results, exc) in enumerate(outcomes) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [outcomes[j % procs][0][j // procs] for j in range(len(items))]

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from branchlab import cli
+from branchlab import cli, experiments
 from branchlab.cli import RunRequest, main, run
 from branchlab.errors import PrecisionLoss
 from branchlab.experiments import _fmt, verify_death, verify_deathfin
@@ -683,6 +683,118 @@ def test_a_failing_part_fails_the_run_and_leaves_nothing_behind(
     assert main(argv) == 1
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
     assert out.read_bytes() == b"an earlier run\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the theorem and lemma targets whose parts run through the fork map,
+# at the horizon from which they fork (deathfin at one k: three parts)
+_FORKED_RUNS = {
+    "deathfin": ["theorem", "deathfin", "--k", "2"],
+    "death": ["theorem", "death"],
+    "finalstage": ["theorem", "finalstage"],
+    "foster": ["theorem", "foster"],
+    "local": ["theorem", "local"],
+    "diff": ["lemma", "diff"],
+}
+
+
+def _forked_run(target, model, fmt, out):
+    argv = _FORKED_RUNS[target] + [
+        "--model", model, "--n", str(experiments._FORK_HORIZON),
+        "--format", fmt, "--output", str(out)]
+    return main(argv), out.read_bytes()
+
+
+@pytest.mark.parametrize("target", sorted(_FORKED_RUNS))
+def test_driver_artifacts_do_not_depend_on_the_cores(target, tmp_path,
+                                                     monkeypatch, capsys):
+    forks = _counting_fork(monkeypatch)
+    for model in sorted(STOCK_MODELS):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{model}.{fmt}"
+            _cores(monkeypatch, 1)
+            code, one = _forked_run(target, model, fmt, out)
+            assert forks == []
+            parts = one.count(b"band:") if fmt == "csv" else len(
+                json.loads(one)["report"]["bands"])
+            for count in (2, 8):
+                _cores(monkeypatch, count)
+                assert _forked_run(target, model, fmt, out) == (code, one)
+                assert len(forks) == min(count, parts) - 1
+                forks.clear()
+            with monkeypatch.context() as m:
+                m.delattr(os, "fork")
+                assert _forked_run(target, model, fmt, out) == (code, one)
+            capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_parts(monkeypatch, fail):
+    """Parts whose label ``fail`` maps to a function of the part and the
+    unpatched ``evaluate`` that fails, whichever process runs them."""
+    evaluate = experiments._Part.evaluate
+
+    def patched(part):
+        if part.label in fail:
+            return fail[part.label](part, evaluate)
+        return evaluate(part)
+
+    monkeypatch.setattr(experiments._Part, "evaluate", patched)
+
+
+def test_a_value_error_in_a_child_fails_as_in_one_process(tmp_path,
+                                                          monkeypatch, capsys):
+    # parts lam=1 and lam=2 of death fail: lam=1 (part 1) in the forked
+    # child, lam=2 (part 2) here; a run in one process meets lam=1 first
+    def raising(part, evaluate):
+        raise ValueError(f"no orbit for {part.label}")
+
+    _failing_parts(monkeypatch, {"lam=1": raising, "lam=2": raising})
+    forks = _counting_fork(monkeypatch)
+    out = tmp_path / "death.csv"
+    seen = []
+    for count in (1, 2):
+        _cores(monkeypatch, count)
+        with pytest.raises(ValueError) as info:
+            verify_death(two_type_cascade(), n=experiments._FORK_HORIZON)
+        code = main(["theorem", "death", "--n", str(experiments._FORK_HORIZON),
+                     "--output", str(out)])
+        seen.append((type(info.value), str(info.value), code,
+                     capsys.readouterr().err))
+        assert not out.exists()
+    assert len(forks) == 2
+    assert seen[0] == seen[1] == (ValueError, "no orbit for lam=1", 2,
+                                  "error: no orbit for lam=1\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_precision_loss_in_a_child_fails_the_verdict_as_in_one_process(
+        tmp_path, monkeypatch, capsys):
+    # part lam=1 of death, run in the forked child, loses precision at
+    # every horizon: its row is nan and the verdict FAIL
+    def lost(part, evaluate):
+        def value(n):
+            raise PrecisionLoss(n, f"lost at {n}")
+
+        return evaluate(part._replace(value=value))
+
+    _failing_parts(monkeypatch, {"lam=1": lost})
+    forks = _counting_fork(monkeypatch)
+    artifacts = []
+    for count in (1, 2):
+        _cores(monkeypatch, count)
+        code, text = _forked_run("death", "two_type_cascade", "csv",
+                                 tmp_path / f"death{count}.csv")
+        assert code == 1 and "FAIL" in capsys.readouterr().out
+        artifacts.append(text)
+    assert len(forks) == 1
+    assert artifacts[0] == artifacts[1]
+    lam_1 = [line for line in artifacts[0].decode().splitlines()
+             if line.startswith("lam=1,")]
+    assert len(lam_1) == 1 and lam_1[0].endswith(",nan,0.25,nan,false")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from branchlab import experiments
 from branchlab.errors import PrecisionLoss
 from branchlab.experiments import (
     ConvergenceReport,
@@ -20,7 +21,7 @@ from branchlab.experiments import (
     _guarded,
     _log_grid,
     _monotone_toward,
-    _run_part,
+    _Part,
     limit_death,
     limit_deathfin,
     limit_finalstage,
@@ -238,6 +239,12 @@ class TestVerdictHelpers:
         assert _monotone_toward(rows, 1.0)
 
 
+def _run_part(label, grid, params, limit, value, details, floor=1):
+    """One part evaluated and assembled, as ``_Accumulator.parts`` does."""
+    part = _Part(label, grid, params, limit, value, floor)
+    return experiments._run_part(part, part.evaluate(), details)
+
+
 class TestRunPart:
     """The part/band/verdict routine every ratio driver goes through."""
 
@@ -309,7 +316,9 @@ class TestAccumulator:
 
     def test_parts_and_extra_rows_keep_their_order(self):
         acc = _Accumulator("demo", "toy")
-        rows = acc.part("a", (100, 200), (), 1.0, lambda n: 1.0)
+        (rows, ok), = acc.parts([_Part("a", (100, 200), (), 1.0,
+                                       lambda n: 1.0)])
+        acc.add(ok, *rows)
         remark = ReportRow("remark", (), 1.0, 1.0)
         acc.add(True, remark)
         report = acc.report(("n", (100.0, 200.0)))
@@ -322,7 +331,9 @@ class TestAccumulator:
 
     def test_a_part_out_of_its_band_fails_the_run(self):
         acc = _Accumulator("demo", "toy")
-        acc.part("a", (100,), (), 1.0, lambda n: 2.0 if n == 100 else 1.0)
+        for rows, ok in acc.parts([_Part("a", (100,), (), 1.0,
+                                         lambda n: 2.0 if n == 100 else 1.0)]):
+            acc.add(ok, *rows)
         acc.add(True)
         assert not acc.report().passed
 

@@ -42,7 +42,8 @@ class.  Every experiment report is built in one place, and no verdict
 reads frozen data: the package holds only Python source and no module
 imports ``importlib.resources``.
 
-Only one function forks, the artifact's part writer in ``cli.py``;
+Only one function forks, the fork map in ``numerics.py``, through which
+the artifact's part writer and the drivers' parts run on every core;
 no module imports ``multiprocessing``, and only the sampler imports
 ``concurrent.futures``, for its pool.
 
@@ -1096,12 +1097,12 @@ def _forks_and_pools(modules):
 
 
 def test_one_function_forks_and_only_the_sampler_pools():
-    # the artifact's part writer is the one place that forks; the
-    # sampler's pool is the one executor, and the `validate` and
-    # `constants` commands still load no numpy (checked below)
+    # the fork map is the one place that forks; the sampler's pool is
+    # the one executor, and the `validate` and `constants` commands
+    # still load no numpy (checked below)
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     forks, pools = _forks_and_pools(modules)
-    assert forks == {"cli._write_parts"}
+    assert forks == {"numerics.fork_map"}
     assert pools == {"multiprocessing": [], "concurrent.futures": ["montecarlo"]}
 
 
