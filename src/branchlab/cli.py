@@ -41,7 +41,7 @@ from .experiments import (
     verify_local,
 )
 from .model import ProcessSpec, _collect_moments, check_assumptions
-from .numerics import cores, fork_map
+from .numerics import FORK_MIN, cores, fork_map
 from .pgf import build_survival_table, conditional_transform, extinction_time_pmf
 from .zoo import STOCK_MODELS, stock_model
 
@@ -195,9 +195,9 @@ class _TableRows:
                            *[c[lo:hi].tolist() for c in self.columns])
 
     def split(self) -> list[_TableRows]:
-        """These rows in contiguous runs, one per core this process may
-        run on (at most one per block)."""
-        count = max(1, min(cores(), len(self) // _BLOCK))
+        """These rows in contiguous runs, from ``FORK_MIN`` rows on one
+        per core this process may run on (at most one per block)."""
+        count = min(cores(), len(self) // _BLOCK) if len(self) >= FORK_MIN else 1
         cuts = [len(self) * i // count for i in range(count + 1)]
         return [_TableRows(*[c[lo:hi] for c in self.columns],
                            start=self.start + lo)

@@ -9,9 +9,9 @@ Each band is recorded with the pilot pair it came from.  ``death`` and
 ``deathfin`` take their pilots as checkpoints of the orbit that gives
 the largest horizon's row, so the pilots cost them no orbit steps.
 A driver's parts are evaluated by one ``fork_map`` call, one process
-per core and part once the largest horizon reaches ``_FORK_HORIZON``,
-and assembled in order here, so a report does not depend on the number
-of processes.
+per core and part where each part runs an orbit of at least
+``FORK_MIN`` steps, and assembled in order here, so a report does not
+depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .constants import constant_set
 from .errors import PrecisionLoss, SlowConvergence, UnreachableEvent
 from .model import ProcessSpec, validate_hypothesis_A
-from .numerics import cores, fork_map, richardson_derivative
+from .numerics import FORK_MIN, cores, fork_map, richardson_derivative
 from .pgf import (
     SurvivalTable,
     build_survival_table,
@@ -64,10 +65,6 @@ _RECOVERABLE = (PrecisionLoss, SlowConvergence, UnreachableEvent)
 # pilots run at half and a quarter of the largest horizon, never below
 # this, so every driver's table reaches at least this far as well
 _MIN_PILOT = 4
-
-# a fork and its pipe cost about as much as 2000 to 4000 orbit steps, so
-# a driver's parts run in one process below this largest horizon
-_FORK_HORIZON = 8192
 
 # the smallest horizon of every diff_lemmas part: from n = 5 on, the
 # local mean's censor time round(n**(2/3)) stays at or below its
@@ -376,18 +373,20 @@ class _Accumulator:
     details: dict[str, object] = field(default_factory=dict)
     passed: bool = True
 
-    def parts(self, parts: Sequence[_Part]) -> Iterator[tuple[list[ReportRow], bool]]:
+    def parts(self, parts: Sequence[_Part],
+              orbit: int = 0) -> Iterator[tuple[list[ReportRow], bool]]:
         """Each part's rows and verdict, in the order of ``parts``.
 
         Every part is evaluated by one ``fork_map`` call, one process
-        per core and part once the largest horizon reaches
-        ``_FORK_HORIZON``; then, as the caller asks for the next part,
+        per core and part if each part runs an orbit of ``orbit`` steps,
+        at least ``FORK_MIN``; parts that cost less than a fork, such as
+        lookups in the driver's table, leave ``orbit`` at 0 and run in
+        this process.  Then, as the caller asks for the next part,
         ``_run_part`` assembles it and its band and pilots are recorded.
         The caller adds the rows and the verdict, so that rows and
         details it adds between parts keep their place.
         """
-        horizon = max((max(part.grid) for part in parts), default=0)
-        procs = cores() if horizon >= _FORK_HORIZON else 1
+        procs = cores() if orbit >= FORK_MIN else 1
         for part, got in zip(parts, fork_map(_Part.evaluate, parts, procs)):
             rows, self.bands[part.label], ok = _run_part(part, got, self.details)
             yield rows, ok
@@ -508,7 +507,7 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
                   limit_finalstage(lam, x, spec.n_types),
                   lambda nn, x=x, s_lower=s_lower: finite(nn, x, s_lower),
                   least)
-            for part, x, s_lower in checks]):
+            for part, x, s_lower in checks], orbit=n):
         acc.add(ok, *rows)
 
     acc.normalization(lambda: conditional_transform(
@@ -545,7 +544,7 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
     for rows, ok in acc.parts([
             _Part(part, (n,), (("k", float(k)), ("lam", lam)),
                   limit_death(lam), orbit(lam, s_lower), k + 1)
-            for part, lam, s_lower in checks]):
+            for part, lam, s_lower in checks], orbit=n):
         acc.add(ok, *rows)
 
     acc.normalization(lambda: orbit(0.0)(n),
@@ -585,11 +584,10 @@ def verify_deathfin(spec: ProcessSpec, *, n: int = 20_000,
               conditional_orbit(spec, table, _cond_point(spec, -math.log(s)),
                                 k + 1),
               k + 1)
-        for k in ks for s in s_grid])
+        for k in ks for s in s_grid], orbit=n)
 
     for k in ks:
-        for _ in s_grid:
-            rows, ok = next(assembled)
+        for rows, ok in islice(assembled, len(s_grid)):
             acc.add(ok, *rows)
 
         # the limit's bracket at s_N -> 1 telescopes to exactly one
@@ -721,23 +719,25 @@ def verify_diff_lemmas(spec: ProcessSpec, *, n: int = 10_000,
         return _Part(part, n_grid, (("lam", lam),), limit, value_at,
                      _DIFF_FLOOR)
 
-    ratios = [ratio_part("window_gap", gap_value, 1.0)]
-    vanishing = []
+    parts = [ratio_part("window_gap", gap_value, 1.0)]
     if spec.n_types >= 2:
         wm_limit = b_N * g1 / lam ** (1.0 - gamma1)
-        ratios += [ratio_part("weighted_mean", wm_value, wm_limit),
-                   ratio_part("censored_mean", cwm_value, wm_limit),
-                   ratio_part("local_mean", lm_value, b_N * g1 / lam ** 2)]
-        vanishing = [_Part(f"no_previous:e={expo:g}", n_grid, (("e", expo),),
-                           0.0, lambda n, expo=expo: no_previous(n, expo),
-                           _DIFF_FLOOR)
-                     for expo in (0.6, 0.75)]
+        parts += [ratio_part("weighted_mean", wm_value, wm_limit),
+                  ratio_part("censored_mean", cwm_value, wm_limit),
+                  ratio_part("local_mean", lm_value, b_N * g1 / lam ** 2)]
+        parts += [_Part(f"no_previous:e={expo:g}", n_grid, (("e", expo),),
+                        0.0, lambda n, expo=expo: no_previous(n, expo),
+                        _DIFF_FLOOR)
+                  for expo in (0.6, 0.75)]
 
-    assembled = acc.parts([*ratios, *vanishing])
-    for part, (rows, ok) in zip(ratios, assembled):
-        acc.add(ok, *rows)
-        acc.details[f"final_ratio:{part.label}"] = rows[-1].ratio
-    for part, (rows, _) in zip(vanishing, assembled):
+    # the parts run in one process: at the default n they cost 0.4 to 11
+    # ms each, and forked on a 2-core machine they measured slower
+    # (29 -> 37 ms)
+    for part, (rows, ok) in zip(parts, acc.parts(parts)):
+        if part.limit != 0.0:
+            acc.add(ok, *rows)
+            acc.details[f"final_ratio:{part.label}"] = rows[-1].ratio
+            continue
         # limit is zero: constrain the value, from below by nothing
         lo, hi = acc.bands[part.label]
         band = acc.bands[part.label] = (0.0, max(hi, lo))

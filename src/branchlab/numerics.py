@@ -101,6 +101,12 @@ def compile_step(source: str, label: str) -> dict[str, Callable]:
     return namespace
 
 
+# a fork and its pipe cost about as much as 2000 to 4000 orbit steps,
+# or as formatting as many artifact rows: less work than this runs in
+# the calling process
+FORK_MIN = 8192
+
+
 def cores() -> int:
     """The cores this process may run on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

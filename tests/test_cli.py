@@ -18,6 +18,7 @@ from branchlab import cli, experiments
 from branchlab.cli import RunRequest, main, run
 from branchlab.errors import PrecisionLoss
 from branchlab.experiments import _fmt, verify_death, verify_deathfin
+from branchlab.numerics import FORK_MIN
 from branchlab.pgf import build_survival_table, extinction_time_pmf
 from branchlab.zoo import STOCK_MODELS, stock_model, two_type_cascade
 
@@ -688,7 +689,10 @@ def test_a_failing_part_fails_the_run_and_leaves_nothing_behind(
 
 
 # the theorem and lemma targets whose parts run through the fork map,
-# at the horizon from which they fork (deathfin at one k: three parts)
+# at the least horizon at which an orbit forks (deathfin at one k: three
+# parts); the parts of foster, local and diff cost less than a fork and
+# run in one process at every horizon
+_ONE_PROCESS = {"foster", "local", "diff"}
 _FORKED_RUNS = {
     "deathfin": ["theorem", "deathfin", "--k", "2"],
     "death": ["theorem", "death"],
@@ -701,7 +705,7 @@ _FORKED_RUNS = {
 
 def _forked_run(target, model, fmt, out):
     argv = _FORKED_RUNS[target] + [
-        "--model", model, "--n", str(experiments._FORK_HORIZON),
+        "--model", model, "--n", str(FORK_MIN),
         "--format", fmt, "--output", str(out)]
     return main(argv), out.read_bytes()
 
@@ -721,12 +725,29 @@ def test_driver_artifacts_do_not_depend_on_the_cores(target, tmp_path,
             for count in (2, 8):
                 _cores(monkeypatch, count)
                 assert _forked_run(target, model, fmt, out) == (code, one)
-                assert len(forks) == min(count, parts) - 1
+                assert len(forks) == (0 if target in _ONE_PROCESS
+                                      else min(count, parts) - 1)
                 forks.clear()
             with monkeypatch.context() as m:
                 m.delattr(os, "fork")
                 assert _forked_run(target, model, fmt, out) == (code, one)
             capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_rows_and_orbits_fork_from_fork_min_on(tmp_path, monkeypatch):
+    # one threshold for the part writer's rows and the drivers' orbit
+    # steps: one short of it, extinction's rows and death's four parts
+    # stay in this process
+    _cores(monkeypatch, 2)
+    forks = _counting_fork(monkeypatch)
+    for n, count in ((FORK_MIN - 1, 0), (FORK_MIN, 1)):
+        assert main(["extinction", "--model", "micro_table", "--n", str(n),
+                     "--output", str(tmp_path / "ext.csv")]) == 0
+        verify_death(two_type_cascade(), n=n)
+        assert len(forks) == 2 * count
+        forks.clear()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -758,8 +779,8 @@ def test_a_value_error_in_a_child_fails_as_in_one_process(tmp_path,
     for count in (1, 2):
         _cores(monkeypatch, count)
         with pytest.raises(ValueError) as info:
-            verify_death(two_type_cascade(), n=experiments._FORK_HORIZON)
-        code = main(["theorem", "death", "--n", str(experiments._FORK_HORIZON),
+            verify_death(two_type_cascade(), n=FORK_MIN)
+        code = main(["theorem", "death", "--n", str(FORK_MIN),
                      "--output", str(out)])
         seen.append((type(info.value), str(info.value), code,
                      capsys.readouterr().err))
