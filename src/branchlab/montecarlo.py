@@ -10,8 +10,9 @@ results are reproducible bit for bit no matter how many worker
 processes participate in a run.  One process advances a group of
 chunks together: each chunk still makes its own draws on its own
 stream, while the bookkeeping of a generation (totals, deaths, the
-cap, snapshots) runs once for the whole group.  Workers only simulate
-whole groups; functionals are always evaluated in the calling process.
+cap, snapshots) runs once for the whole group.  Groups run on the
+package's one fork map, whose children only simulate whole groups;
+functionals are always evaluated in the calling process.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import AcceptanceTooLow
 from .model import ProcessSpec
-from .numerics import cores
+from .numerics import cores, fork_map
 
 __all__ = [
     "Censored",
@@ -268,18 +269,9 @@ def _pool_size(workers: int, groups: int) -> int:
 
 
 def _map_groups(job, groups, workers: int) -> list:
-    """``job`` over every group of chunks, results in group order.
-
-    ``job`` must pickle (a module-level function, or a partial of one)
-    whenever more than one process is used.
-    """
-    procs = _pool_size(workers, len(groups))
-    if procs <= 1:
-        return [job(group) for group in groups]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        return list(pool.map(job, groups))
+    """``job`` over every group of chunks, results in group order, on
+    the package's one fork map."""
+    return fork_map(job, groups, _pool_size(workers, len(groups)))
 
 
 def _pmf_job(spec: ProcessSpec, config: SimConfig, group) -> np.ndarray:
@@ -330,8 +322,7 @@ def conditional_estimate(spec: ProcessSpec, config: SimConfig, n: int,
     functional is evaluated on their summaries.  Raises
     AcceptanceTooLow when no replicate hits the event.  Workers return
     the accepted rows only; the functional runs here, in chunk order,
-    so it need not pickle and the estimate does not depend on the
-    worker count.
+    so the estimate does not depend on the worker count.
     """
     if not 1 <= n <= config.max_steps:
         raise ValueError("target extinction time must lie in [1, max_steps]")

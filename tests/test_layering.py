@@ -43,15 +43,18 @@ reads frozen data: the package holds only Python source and no module
 imports ``importlib.resources``.
 
 Only one function forks, the fork map in ``numerics.py``, through which
-the artifact's part writer and the drivers' parts run on every core;
-no module imports ``multiprocessing``, and only the sampler imports
-``concurrent.futures``, for its pool.
+the artifact's part writer, the drivers' parts and the sampler's
+groups run on every core; no module imports ``multiprocessing`` or
+``concurrent.futures``.
 
-Only the sampler imports numpy when it is imported: ``import
-branchlab``, model loading, the kernels and plain orbits, the moment
-checks, the constants and the ``validate`` and ``constants`` commands
-run without numpy, ``cli.py`` names no numpy, and the package serves
-the sampler's names on first use.  The runtime dependencies that
+``import branchlab`` loads only the model layer (``errors``,
+``numerics``, ``families``, ``model`` and ``config``), none of which
+imports a later module while it is imported; the package serves every
+other name on first use, from its home module.  Only the sampler
+imports numpy when it is imported: ``import branchlab``, model
+loading, the kernels and plain orbits, the moment checks, the
+constants and the ``validate`` and ``constants`` commands run without
+numpy, and ``cli.py`` names no numpy.  The runtime dependencies that
 ``pyproject.toml`` declares are exactly the third-party modules the
 package imports, inside functions too.
 """
@@ -62,6 +65,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -957,11 +961,13 @@ def test_the_frozen_data_guard_sees_what_it_looks_for(tmp_path):
     assert _non_source(tmp_path) == ["data", "notes.txt"]
 
 
-def _import_time_numpy(tree):
-    """Lines of the statements that import numpy while the module is
-    imported: outside any function, and not under ``if TYPE_CHECKING:``,
-    which never runs."""
-    lines = []
+def _import_time_imports(tree):
+    """(line, module) for each module that a statement of ``tree``
+    imports while the module is imported: outside any function, and not
+    under ``if TYPE_CHECKING:``, which never runs.  A relative module
+    keeps its leading dots, and ``from m import x`` names both ``m`` and
+    ``m.x``, since ``x`` may be a module."""
+    found = []
 
     def visit(node):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -971,16 +977,26 @@ def _import_time_numpy(tree):
             for child in node.orelse:
                 visit(child)
             return
-        if (isinstance(node, (ast.Import, ast.ImportFrom))
-                and not getattr(node, "level", 0)
-                and any(m.split(".")[0] == "numpy"
-                        for m in _imported_modules(node))):
-            lines.append(node.lineno)
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            dot = "" if base.endswith(".") else "."
+            found.extend((node.lineno, module) for module in
+                         [base, *(base + dot + alias.name
+                                  for alias in node.names)])
         for child in ast.iter_child_nodes(node):
             visit(child)
 
     visit(tree)
-    return lines
+    return found
+
+
+def _import_time_numpy(tree):
+    """Lines of the statements that import numpy while the module is
+    imported."""
+    return sorted({line for line, module in _import_time_imports(tree)
+                   if module.split(".")[0] == "numpy"})
 
 
 def test_only_the_sampler_imports_numpy_at_import_time():
@@ -1008,6 +1024,46 @@ def test_the_import_guard_sees_what_it_looks_for():
                      "import numpyro\n"
                      "from .numpy import shim\n")
     assert _import_time_numpy(tree) == [1, 2, 7, 11]
+
+
+# the modules ``import branchlab`` loads, and those that load on first use
+MODEL_LAYER = ("errors", "numerics", "families", "model", "config")
+LATE = {"constants", "pgf", "experiments", "zoo", "cli", "montecarlo"}
+
+
+def _late_imports(tree):
+    """Lines of the statements that import a module of ``LATE`` while
+    the module is imported, relatively or as ``branchlab.<module>``."""
+    return sorted({line for line, module in _import_time_imports(tree)
+                   if (late := re.match(r"(?:\.|branchlab\.)(\w+)", module))
+                   and late.group(1) in LATE})
+
+
+def test_the_model_layer_imports_no_later_module():
+    # a function may import one when it runs, as families does model
+    late = {name: _late_imports(ast.parse((SRC / f"{name}.py").read_text()))
+            for name in MODEL_LAYER}
+    assert late == {name: [] for name in MODEL_LAYER}
+
+
+def test_the_late_import_guard_sees_what_it_looks_for():
+    tree = ast.parse("from .errors import ConfigError\n"
+                     "from .pgf import build_survival_table\n"
+                     "from . import zoo, model\n"
+                     "import branchlab.experiments\n"
+                     "from branchlab import cli\n"
+                     "from typing import TYPE_CHECKING\n"
+                     "if TYPE_CHECKING:\n"
+                     "    from .montecarlo import SimConfig\n"
+                     "class Spec:\n"
+                     "    from .constants import constant_set\n"
+                     "    def table(self):\n"
+                     "        from .pgf import build_survival_table\n"
+                     "def _terminal():\n"
+                     "    from .model import ProcessSpec\n"
+                     "from .pgfx import pgf\n"
+                     "import zoo\n")
+    assert _late_imports(tree) == [2, 3, 4, 5, 10]
 
 
 def _third_party_imports(trees):
@@ -1096,14 +1152,12 @@ def _forks_and_pools(modules):
     return forks, pools
 
 
-def test_one_function_forks_and_only_the_sampler_pools():
-    # the fork map is the one place that forks; the sampler's pool is
-    # the one executor, and the `validate` and `constants` commands
-    # still load no numpy (checked below)
+def test_one_function_forks_and_nothing_pools():
+    # the fork map is the one place that forks, for the sampler too
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     forks, pools = _forks_and_pools(modules)
     assert forks == {"numerics.fork_map"}
-    assert pools == {"multiprocessing": [], "concurrent.futures": ["montecarlo"]}
+    assert pools == {"multiprocessing": [], "concurrent.futures": []}
 
 
 def test_the_fork_and_pool_guard_sees_what_it_looks_for():
@@ -1205,3 +1259,59 @@ def test_the_exact_engine_loads_without_numpy():
     assert same == star == "True"
     assert public.split() == sorted(PUBLIC) and len(PUBLIC) == 79
     assert not hasattr(branchlab, "no_such_name")
+
+
+LAZY_LOADING = """\
+import sys
+import branchlab
+from branchlab import load_model
+
+
+def loaded():
+    return " ".join(sorted(m.removeprefix("branchlab.") for m in sys.modules
+                           if m.split(".")[0] == "branchlab"))
+
+
+for path in sys.argv[1:]:
+    load_model(path)
+print(loaded())
+for name in ("stock_model", "constant_set", "build_survival_table",
+             "verify_death"):
+    getattr(branchlab, name)
+    print(loaded())
+"""
+
+
+def test_import_loads_the_model_layer_and_each_name_its_module():
+    models = sorted((ROOT / "perfbench" / "models").glob("*.yaml"))
+    assert len(models) == 4
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", LAZY_LOADING, *models],
+                         capture_output=True, text=True, env=env, check=True)
+    # the model layer, then the home of each name in turn
+    steps = [["branchlab", *MODEL_LAYER]]
+    for module in ("zoo", "constants", "pgf", "experiments"):
+        steps.append(steps[-1] + [module])
+    assert ([line.split() for line in out.stdout.splitlines()]
+            == [sorted(step) for step in steps])
+
+
+def test_every_public_name_is_read_from_its_home_module(monkeypatch):
+    lazy = branchlab._HOME  # name -> the module it loads on first use
+    for name in branchlab.__all__:
+        value = getattr(branchlab, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"branchlab.{name}"]
+            continue
+        home = f"branchlab.{lazy[name]}" if name in lazy else value.__module__
+        assert value is getattr(sys.modules[home], name)
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == home
+    assert set(branchlab.__all__) <= set(dir(branchlab))
+    # nothing is cached: a name patched in its home module is served
+    assert not set(lazy) & set(vars(branchlab))
+    monkeypatch.setattr(branchlab.pgf, "harmonic_U", len)
+    assert branchlab.harmonic_U is len
+    with pytest.raises(AttributeError, match="no_such_name"):
+        branchlab.no_such_name

@@ -262,6 +262,37 @@ class TestWorkerPool:
         assert conditional_estimate(spec, cfg, 3, fn, workers=7) == \
             conditional_estimate(spec, cfg, 3, fn, workers=1)
 
+    @pytest.mark.parametrize("estimate", ["pmf", "conditional"])
+    def test_a_failing_group_in_a_child_fails_as_in_one_process(
+            self, estimate, monkeypatch):
+        # group 1 of 3 raises; at workers=2 it runs in a forked child
+        run_chunks = montecarlo._run_chunks
+
+        def failing(spec, config, group, horizon):
+            if group[0][0] == GROUP:
+                raise AcceptanceTooLow(horizon, config.replicates)
+            return run_chunks(spec, config, group, horizon)
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", failing)
+        monkeypatch.setattr(montecarlo, "cores", lambda: 2)
+        spec = zoo.two_type_cascade()
+        cfg = SimConfig(master_seed=3, replicates=2 * GROUP * CHUNK + 1,
+                        max_steps=4)
+        assert len(_chunk_layout(cfg.replicates)) == 3
+        failures = []
+        for workers in (1, 2):
+            with pytest.raises(AcceptanceTooLow) as info:
+                if estimate == "pmf":
+                    estimate_pmf_T(spec, cfg, workers=workers)
+                else:
+                    conditional_estimate(spec, cfg, 2, lambda s: 1.0,
+                                         workers=workers)
+            failures.append((type(info.value), str(info.value),
+                             info.value.args))
+            with pytest.raises(ChildProcessError):  # no child left
+                os.waitpid(-1, os.WNOHANG)
+        assert failures[0] == failures[1]
+
     def test_pool_size_caps_at_cores_and_groups(self, monkeypatch):
         cores = len(os.sched_getaffinity(0))
         assert _pool_size(10**6, 10**6) == cores
