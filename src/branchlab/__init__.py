@@ -25,9 +25,6 @@ from .model import (
     TableLaw,
     Violation,
     check_assumptions,
-    expectation_matrix,
-    pgf_eval,
-    sample_offspring,
     survival_map,
     validate_hypothesis_A,
 )
@@ -39,7 +36,7 @@ from .config import load_model, loads_model
 # among them), and every access reads the name from its home module, so
 # a name patched there is the one the package serves.
 _LAZY = {
-    "constants": ("ConstantSet", "check_identity_c1N", "constant_set"),
+    "constants": ("ConstantSet", "constant_set"),
     "pgf": ("HarmonicResult", "SurvivalTable", "WResult",
             "build_survival_table", "censored_transform",
             "conditional_transform", "extinction_time_pmf", "harmonic_U",

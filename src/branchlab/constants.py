@@ -21,7 +21,7 @@ terminal type):
 * ``g_{i,N} = gamma_i * c_{i,N}``
 
 The cross-identity ``c_{1,N} = D_{N-1} * (1/b_N)**(2**-(N-1))`` ties
-the two families together and is exposed as a residual check.
+the two families together.
 """
 
 from __future__ import annotations
@@ -99,20 +99,3 @@ def constant_set(moments: MomentData) -> ConstantSet:
         link_means=tuple(links),
     )
 
-
-def check_identity_c1N(constants: ConstantSet) -> float:
-    """Relative residual of c_{1,N} against the chain route.
-
-    Both sides are assembled in log space; the residual is
-    ``|expm1(log lhs - log rhs)|``, so equality holds to roundoff when
-    the two derivations agree.  Requires N >= 2.
-    """
-    n = constants.n_types
-    if n < 2:
-        raise ValueError("identity needs at least two types")
-    log_lhs = math.log(constants.survival_amplitude[0])
-    log_rhs = (
-        math.log(constants.chain[n - 2])
-        + 2.0 ** -(n - 1) * -math.log(constants.b[n - 1])
-    )
-    return abs(math.expm1(log_lhs - log_rhs))

@@ -396,14 +396,6 @@ class _Accumulator:
         self.rows.extend(rows)
         self.passed = self.passed and ok
 
-    def normalization(self, value: Callable[[], float],
-                      params: tuple[tuple[str, float], ...]) -> None:
-        """The lambda = 0 row: the vacuous conditional must be exactly 1."""
-        norm, ok = _guarded(value)
-        self.details["normalization_error"] = abs(norm - 1.0)
-        self.add(ok and abs(norm - 1.0) <= 1e-9,
-                 ReportRow("normalization", params, norm, 1.0, ok))
-
     def report(self, *grid: tuple[str, tuple[float, ...]]) -> ConvergenceReport:
         return ConvergenceReport(
             experiment=self.experiment, model=self.model, grid=grid,
@@ -484,9 +476,8 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
     """Conditional transform at m = round(x*n) given extinction exactly
     at n, for an n at which every part's m comes before n.
 
-    Includes a normalization row (lambda = 0 must give exactly the
-    vacuous conditional 1), an insensitivity spot check with the lower
-    types' arguments dropped to 0.5 (the limit must not move), and a
+    Includes an insensitivity spot check with the lower types'
+    arguments dropped to 0.5 (the limit must not move) and a
     regime-match detail tying the x near 1 limit to the trailing-window
     limit.
     """
@@ -509,10 +500,6 @@ def verify_finalstage(spec: ProcessSpec, *, n: int = 20_000, lam: float = 1.0,
                   least)
             for part, x, s_lower in checks], orbit=n):
         acc.add(ok, *rows)
-
-    acc.normalization(lambda: conditional_transform(
-                          spec, table, _cond_point(spec, 0.0), round(0.5 * n), n),
-                      (("n", float(n)), ("lam", 0.0), ("x", 0.5)))
 
     # where the two asymptotic regimes meet, their limits must agree
     x_hi = 0.99
@@ -546,9 +533,6 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
                   limit_death(lam), orbit(lam, s_lower), k + 1)
             for part, lam, s_lower in checks], orbit=n):
         acc.add(ok, *rows)
-
-    acc.normalization(lambda: orbit(0.0)(n),
-                      (("n", float(n)), ("k", float(k)), ("lam", 0.0)))
 
     return acc.report(("n", (float(n),)), ("k", (float(k),)),
                       ("lam", tuple(float(v) for v in lambdas)))

@@ -55,7 +55,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateVariance,
@@ -66,9 +66,6 @@ from .errors import (
 from .families import (Marginal, PointMass, _fields_only, pair_source, power,
                        power_sum)
 from .numerics import compile_step, neumaier_sum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CRITICALITY_TOL = 1e-10
 
@@ -551,12 +548,6 @@ def validate_hypothesis_A(spec: ProcessSpec, *,
     return _collect_moments(spec)
 
 
-def pgf_eval(spec: ProcessSpec, i: int, s: Sequence[float]) -> float:
-    """Generating function f_i(s) of the type-i offspring vector."""
-    check_point(spec, s, slack=1e-12)
-    return spec.law(i).pgf(list(s))
-
-
 def survival_map(spec: ProcessSpec, d: Sequence[float]) -> tuple[float, ...]:
     """One generation of the survival recursion: d'_i = 1 - f_i(1 - d).
 
@@ -573,34 +564,11 @@ def pair_diff_map(spec: ProcessSpec, da: Sequence[float],
     return spec.kernel.advance(da, delta, 1)[1]
 
 
-def sample_offspring(spec: ProcessSpec, i: int, z: int, rng) -> np.ndarray:
-    """Summed offspring vector of z type-i parents (exact batch draw)."""
-    if z < 0:
-        raise ValueError("parent count must be nonnegative")
-    import numpy as np
-
-    out = np.zeros(spec.n_types, dtype=np.int64)
-    for j, kids in spec.law(i).draws(z, rng):
-        out[j] += kids
-    return out
-
-
-def expectation_matrix(spec: ProcessSpec, n: int = 1) -> np.ndarray:
-    """n-step mean matrix M^n (M is upper triangular for valid models)."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    import numpy as np
-
-    md = _collect_moments(spec)
-    return np.linalg.matrix_power(np.array(md.mean_matrix), n)
-
-
-def check_point(spec: ProcessSpec, s: Sequence[float], *,
-                slack: float = 0.0) -> None:
+def check_point(spec: ProcessSpec, s: Sequence[float]) -> None:
     """Reject a point (or complement) of the wrong length or with a
-    component outside [0, 1 + slack]."""
+    component outside [0, 1]."""
     if len(s) != spec.n_types:
         raise ValueError(f"expected {spec.n_types} components, got {len(s)}")
     for x in s:
-        if not (0.0 <= x <= 1.0 + slack):
+        if not (0.0 <= x <= 1.0):
             raise ValueError(f"point component {x!r} outside [0, 1]")

@@ -262,18 +262,6 @@ def _chunk_layout(total: int) -> list[list[tuple[int, int]]]:
     return [chunks[g:g + GROUP] for g in range(0, len(chunks), GROUP)]
 
 
-def _pool_size(workers: int, groups: int) -> int:
-    """Worker processes for a run: never more than groups or the cores
-    this process may run on."""
-    return max(1, min(workers, groups, cores()))
-
-
-def _map_groups(job, groups, workers: int) -> list:
-    """``job`` over every group of chunks, results in group order, on
-    the package's one fork map."""
-    return fork_map(job, groups, _pool_size(workers, len(groups)))
-
-
 def _pmf_job(spec: ProcessSpec, config: SimConfig, group) -> np.ndarray:
     """Extinction-time counts of one group, indexed by generation."""
     T, *_ = _run_chunks(spec, config, group, config.max_steps)
@@ -302,7 +290,8 @@ def estimate_pmf_T(spec: ProcessSpec, config: SimConfig, *,
     integer counts and merging is plain addition.
     """
     job = partial(_pmf_job, spec, config)
-    counts = sum(_map_groups(job, _chunk_layout(config.replicates), workers))
+    counts = sum(fork_map(job, _chunk_layout(config.replicates),
+                          min(workers, cores())))
     reps = config.replicates
     out = {}
     for t in range(1, config.max_steps + 1):
@@ -329,7 +318,8 @@ def conditional_estimate(spec: ProcessSpec, config: SimConfig, n: int,
 
     job = partial(_accepted_job, spec, config, n)
     values: list[float] = []
-    for rows in _map_groups(job, _chunk_layout(config.replicates), workers):
+    for rows in fork_map(job, _chunk_layout(config.replicates),
+                         min(workers, cores())):
         for r in range(rows[0].size):
             summary = _summary_from_row(config, n, r, *rows)
             values.append(float(functional(summary)))

@@ -22,7 +22,7 @@ from branchlab.model import (
     survival_map,
     validate_hypothesis_A,
 )
-from branchlab.constants import constant_set, check_identity_c1N
+from branchlab.constants import ConstantSet, constant_set
 from branchlab.errors import PrecisionLoss
 from branchlab.pgf import build_survival_table, conditional_transform, iterate_point
 
@@ -174,6 +174,25 @@ def check_moment_structure(spec: ProcessSpec) -> None:
                    - cs.gamma[i] * cs.survival_amplitude[i]) <= 1e-15
     if n >= 2:
         assert check_identity_c1N(cs) <= 1e-12
+
+
+def check_identity_c1N(constants: ConstantSet) -> float:
+    """Relative residual of c_{1,N} against the chain route,
+    c_{1,N} = D_{N-1} * (1/b_N)**(2**-(N-1)).
+
+    Both sides are assembled in log space; the residual is
+    ``|expm1(log lhs - log rhs)|``, so equality holds to roundoff when
+    the two derivations agree.  Requires N >= 2.
+    """
+    n = constants.n_types
+    if n < 2:
+        raise ValueError("identity needs at least two types")
+    log_lhs = math.log(constants.survival_amplitude[0])
+    log_rhs = (
+        math.log(constants.chain[n - 2])
+        + 2.0 ** -(n - 1) * -math.log(constants.b[n - 1])
+    )
+    return abs(math.expm1(log_lhs - log_rhs))
 
 
 def check_table_invariants(spec: ProcessSpec, horizon: int = 24) -> None:

@@ -20,6 +20,16 @@ from branchlab.montecarlo import Censored, TrajectorySummary, simulate_once
 _MASK64 = (1 << 64) - 1
 
 
+def sample_offspring(spec, i, z, rng) -> np.ndarray:
+    """Summed offspring vector of z type-i parents (exact batch draw)."""
+    if z < 0:
+        raise ValueError("parent count must be nonnegative")
+    out = np.zeros(spec.n_types, dtype=np.int64)
+    for j, kids in spec.law(i).draws(z, rng):
+        out[j] += kids
+    return out
+
+
 def replay(spec, config, index):
     """(summary, flows) of stream ``index``; flows holds (t, parents,
     flow, children) per generation, where flow[i, j] counts the type-j

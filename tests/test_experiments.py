@@ -337,14 +337,6 @@ class TestAccumulator:
         acc.add(True)
         assert not acc.report().passed
 
-    def test_normalization_row_must_be_exactly_one(self):
-        acc = _Accumulator("demo", "toy")
-        acc.normalization(lambda: 1.0 + 1e-6, (("lam", 0.0),))
-        report = acc.report()
-        assert [r.part for r in report.rows] == ["normalization"]
-        assert report.details["normalization_error"] == pytest.approx(1e-6)
-        assert not report.passed
-
 
 # ------------------------------------------------------------ driver runs
 
@@ -397,11 +389,9 @@ class TestDrivers:
     def test_finalstage_cascade(self):
         rep = verify_finalstage(two_type_cascade())
         assert rep.passed
-        assert rep.details["normalization_error"] <= 1e-9
         assert abs(rep.details["regime_match_ratio"] - 1.0) <= 0.05
         parts = {r.part for r in rep.rows}
-        assert {"x=0.25", "x=0.5", "x=0.75",
-                "insensitivity:x=0.5", "normalization"} <= parts
+        assert {"x=0.25", "x=0.5", "x=0.75", "insensitivity:x=0.5"} <= parts
 
     def test_death_cascade(self):
         rep = verify_death(two_type_cascade())
@@ -520,9 +510,21 @@ class TestBands:
         steps = _counting(spec)
         n, k = 200, 20
         rep = verify_death(spec, n=n, k=k)
-        # four parts and the normalization orbit, n - k steps each
+        # four parts, one orbit of n - k steps each
         assert len(rep.bands) == 4
-        assert sum(steps) == 5 * (n - k)
+        assert sum(steps) == 4 * (n - k)
+
+    def test_finalstage_steps_are_its_parts_orbits(self):
+        # each part runs one orbit of round(x * nn) steps per horizon nn:
+        # the row at n and the pilots at n/2 and n/4
+        spec = three_type_chain()
+        steps = _counting(spec)
+        n = 200
+        rep = verify_finalstage(spec, n=n)
+        xs = (0.25, 0.5, 0.75, 0.5)  # the insensitivity part is at x = 0.5
+        assert len(rep.bands) == len(xs)
+        assert sum(steps) == sum(round(x * nn) for x in xs
+                                 for nn in (n, n // 2, n // 4))
 
     @pytest.mark.parametrize("run", [
         lambda spec: verify_finalstage(spec, n=12),

@@ -771,8 +771,9 @@ HOOKS = {"__getattr__", "__dir__"}
 def _unused_definitions(modules, others):
     """Top-level functions and classes of ``modules`` (name -> source)
     that no source names outside their own definition; ``others`` holds
-    the sources that only count as users.  The module hooks in
-    ``HOOKS`` are exempt."""
+    the sources that only count as users.  The package's ``__init__``
+    only re-exports, so it is no user.  The module hooks in ``HOOKS``
+    are exempt."""
     unused = []
     for name, text in modules.items():
         lines = text.splitlines(keepends=True)
@@ -784,10 +785,16 @@ def _unused_definitions(modules, others):
             outside = "".join(lines[:first - 1] + lines[node.end_lineno:])
             word = re.compile(rf"\b{re.escape(node.name)}\b")
             users = [outside, *others,
-                     *(src for other, src in modules.items() if other != name)]
+                     *(src for other, src in modules.items()
+                       if other not in (name, "__init__"))]
             if not any(word.search(src) for src in users):
                 unused.append(f"{name}.{node.name}")
     return unused
+
+
+def _library_section(readme):
+    """The README's library section: the package as its users call it."""
+    return readme.split("## Quick start (library)\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_every_top_level_definition_has_a_user():
@@ -795,25 +802,36 @@ def test_every_top_level_definition_has_a_user():
                for path in sorted((ROOT / "src" / "branchlab").glob("*.py"))}
     perfbench = [path.read_text()
                  for path in sorted((ROOT / "perfbench").rglob("*.py"))]
-    assert "pgf" in modules and perfbench
-    assert _unused_definitions(modules, perfbench) == []
+    library = _library_section((ROOT / "README.md").read_text())
+    assert "pgf" in modules and "__init__" in modules and perfbench
+    assert "verify_death" in library and "## " not in library
+    assert _unused_definitions(modules, [*perfbench, library]) == []
 
 
 def test_the_dead_code_guard_sees_what_it_looks_for():
     modules = {
+        "__init__": "from .a import exported, used\n"
+                    "__all__ = ['exported', 'used']\n",
         "a": "def used():\n    pass\n\n\n"
              "@decorate\ndef dead(x):\n    return dead(x - 1)\n\n\n"
-             "class Lone:\n    pass\n",
+             "class Lone:\n    pass\n\n\n"
+             "def exported():\n    pass\n",
         "b": "from .a import used\n",
         # the interpreter calls the hooks; any other dunder needs a user
         "c": "def __getattr__(name):\n    raise AttributeError(name)\n\n\n"
              "def __dir__():\n    return []\n\n\n"
              "def __made_up__():\n    pass\n",
     }
+    # a name the package only re-exports has no user
     assert _unused_definitions(modules, []) == [
-        "a.dead", "a.Lone", "c.__made_up__"]
+        "a.dead", "a.Lone", "a.exported", "c.__made_up__"]
     assert _unused_definitions(modules, ["Lone()"]) == [
-        "a.dead", "c.__made_up__"]
+        "a.dead", "a.exported", "c.__made_up__"]
+    # unless the README's library section shows it
+    readme = ("# pkg\n\n## Quick start (library)\n\n"
+              "from pkg import exported\n\n## Layout\n\nLone\n")
+    assert _unused_definitions(modules, [_library_section(readme)]) == [
+        "a.dead", "a.Lone", "c.__made_up__"]
 
 
 def _unused_members(modules, others, readme=""):
@@ -1187,11 +1205,10 @@ ModelStructureError MomentData NonCritical PointMass Poisson PrecisionLoss
 ProcessSpec ProductLaw ReportRow STOCK_MODELS SimConfig SlowConvergence
 SurvivalTable TableLaw TrajectorySummary UnreachableEvent Violation WResult
 build_survival_table censored_transform check_assumptions
-check_identity_c1N conditional_estimate conditional_transform config
-constant_set constants errors estimate_pmf_T expectation_matrix experiments
-extinction_time_pmf families harmonic_U iterate_point limit_death
-limit_deathfin limit_finalstage load_model loads_model micro_table model
-montecarlo numerics pgf pgf_eval sample_offspring simulate_once
+conditional_estimate conditional_transform config constant_set constants
+errors estimate_pmf_T experiments extinction_time_pmf families harmonic_U
+iterate_point limit_death limit_deathfin limit_finalstage load_model
+loads_model micro_table model montecarlo numerics pgf simulate_once
 single_geometric stock_model survival_map terminal_gap three_type_chain
 two_type_cascade validate_hypothesis_A verify_death verify_deathfin
 verify_diff_lemmas verify_finalstage verify_foster verify_laplace_W
@@ -1257,7 +1274,7 @@ def test_the_exact_engine_loads_without_numpy():
     absent, same, star, public = out.stdout.splitlines()
     assert absent == "[]"
     assert same == star == "True"
-    assert public.split() == sorted(PUBLIC) and len(PUBLIC) == 79
+    assert public.split() == sorted(PUBLIC) and len(PUBLIC) == 75
     assert not hasattr(branchlab, "no_such_name")
 
 

@@ -4,7 +4,6 @@ with closed forms and the exact engine."""
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import tracemalloc
 
@@ -22,7 +21,6 @@ from branchlab.montecarlo import (
     EstimateWithCI,
     SimConfig,
     _chunk_layout,
-    _pool_size,
     conditional_estimate,
     estimate_pmf_T,
     simulate_once,
@@ -293,18 +291,29 @@ class TestWorkerPool:
                 os.waitpid(-1, os.WNOHANG)
         assert failures[0] == failures[1]
 
-    def test_pool_size_caps_at_cores_and_groups(self, monkeypatch):
-        cores = len(os.sched_getaffinity(0))
-        assert _pool_size(10**6, 10**6) == cores
-        assert _pool_size(10**6, 3) == min(3, cores)
-        assert _pool_size(10**6, 1) == 1
-        assert _pool_size(1, 10**6) == 1
-        assert _pool_size(0, 10**6) == 1
-        assert not multiprocessing.active_children()
-        # the cores the process may run on, not every core of the host
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert _pool_size(10**6, 10**6) == 2
+    @pytest.mark.parametrize("n_cores, forks", [(1, 0), (8, 2)])
+    def test_workers_cap_at_cores_and_groups(self, n_cores, forks,
+                                             monkeypatch):
+        # a million workers asked for a run of three groups: one process
+        # per group at most, and never more than the cores
+        fork, calls = os.fork, []
+
+        def counting_fork():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(montecarlo, "cores", lambda: n_cores)
+        spec = zoo.two_type_cascade()
+        cfg = SimConfig(master_seed=5, replicates=2 * GROUP * CHUNK + 1,
+                        max_steps=4)
+        assert len(_chunk_layout(cfg.replicates)) == 3
+        got = estimate_pmf_T(spec, cfg, workers=10**6)
+        assert len(calls) == forks
+        with pytest.raises(ChildProcessError):  # no child left
+            os.waitpid(-1, os.WNOHANG)
+        assert got == estimate_pmf_T(spec, cfg, workers=1)
+        assert len(calls) == forks
 
 
 # --------------------------------------------------------------- grouping
