@@ -520,17 +520,16 @@ def verify_death(spec: ProcessSpec, *, n: int = 20_000, k: int = 200,
     b_N = constant_set(validate_hypothesis_A(spec)).b[-1]
     table = _driver_table(spec, n, k + 1)
     acc = _Accumulator("death", spec.name)
-
-    def orbit(lam: float, s_lower: float = 1.0) -> Callable[[int], float]:
-        # one orbit gives the row at n and both pilots
-        return conditional_orbit(
-            spec, table, _cond_point(spec, lam / (b_N * k), s_lower), k)
-
     checks = [(f"lam={lam:g}", lam, 1.0) for lam in lambdas]
     checks.append(("insensitivity:lam=1", 1.0, 0.5))
+    # one orbit gives the row at n and both pilots
     for rows, ok in acc.parts([
             _Part(part, (n,), (("k", float(k)), ("lam", lam)),
-                  limit_death(lam), orbit(lam, s_lower), k + 1)
+                  limit_death(lam),
+                  conditional_orbit(spec, table,
+                                    _cond_point(spec, lam / (b_N * k), s_lower),
+                                    k),
+                  k + 1)
             for part, lam, s_lower in checks], orbit=n):
         acc.add(ok, *rows)
 
